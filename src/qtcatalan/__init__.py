@@ -65,7 +65,7 @@ from .poly import (
     sym_chain,
     unimodality_check,
 )
-from .rational import BinomialFactor, FactoredRational, exact_divide, rat_to_poly
+from .rational import BinomialFactor, FactoredRational, exact_divide
 from .render import parse_json, render_csv, render_json, render_latex, render_text
 from .tableaux import (
     StandardTableau,

@@ -17,7 +17,6 @@ import argparse
 import csv as csv_module
 import io
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
@@ -30,7 +29,7 @@ from .poly import LaurentPoly
 from .render import RENDERERS
 from .tableaux import f_tableaux
 from .tesler import f_tesler
-from .verification import default_jobs, run_verify
+from .verification import default_jobs, env_int, run_verify
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -69,16 +68,28 @@ def _parse_n_range(text: str) -> list[int]:
     try:
         if "-" in text:
             lo, hi = text.split("-", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+            lengths = list(range(int(lo), int(hi) + 1))
+        else:
+            lengths = [int(text)]
     except ValueError:
         raise DomainError(f"expected a length or a range like 2-4, got {text!r}")
+    if not lengths:
+        raise DomainError(f"the range {text!r} contains no lengths")
+    return lengths
+
+
+def _check_max(maxval: int) -> int:
+    if maxval < 0:
+        raise DomainError(f"--max must be nonnegative, got {maxval}")
+    return maxval
 
 
 def _verify(args) -> int:
+    lengths = _parse_n_range(args.n)
+    maxval = _check_max(env_int("QTC_VERIFY_MAX", 3) if args.max is None else args.max)
     failures = 0
-    for n in _parse_n_range(args.n):
-        report = run_verify(n, args.max, args.jobs)
+    for n in lengths:
+        report = run_verify(n, maxval, args.jobs)
         print(report.to_text())
         failures += len(report.mismatches)
     return 0 if failures == 0 else 1
@@ -148,6 +159,7 @@ def _scan_worker(vec: tuple[int, ...]):
 def _scan(args) -> int:
     if not 2 <= args.n <= 5:
         raise DomainError(f"scan supports n in 2..5, got {args.n}")
+    _check_max(args.max)
     monotone = not args.all
     vectors = list(_scan_vectors(args.n, args.max, monotone))
     jobs = default_jobs()
@@ -203,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--max",
         type=int,
-        default=int(os.environ.get("QTC_VERIFY_MAX", "3")),
         help="entry bound for the sweep (default 3, env QTC_VERIFY_MAX)",
     )
     v.add_argument(

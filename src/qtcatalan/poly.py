@@ -9,7 +9,7 @@ after construction and safe to share freely.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DomainError
 
@@ -202,29 +202,36 @@ class LaurentPoly:
 
     def to_text(self) -> str:
         """Plain-text form, q-degree descending then t-degree ascending."""
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for (qe, te), coeff in self.sorted_terms():
-            mono = _monomial_text(qe, te)
-            mag = abs(coeff)
-            if mono == "1":
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag} {mono}"
-            if not pieces:
-                pieces.append(body if coeff > 0 else "-" + body)
-            else:
-                pieces.append((" + " if coeff > 0 else " - ") + body)
-        return "".join(pieces)
+        return format_terms(self, _monomial_text, " ")
 
     def __str__(self) -> str:
         return self.to_text()
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()!r})"
+
+
+def format_terms(p: LaurentPoly, monomial: Callable[[int, int], str], sep: str) -> str:
+    """Signed sum of the terms of p, q-degree descending then t-degree
+    ascending.  monomial(qe, te) renders q^qe t^te, as "" for the constant
+    monomial, and sep goes between a coefficient and its monomial."""
+    if p.is_zero():
+        return "0"
+    pieces: list[str] = []
+    for (qe, te), coeff in p.sorted_terms():
+        mono = monomial(qe, te)
+        mag = abs(coeff)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}{sep}{mono}"
+        if not pieces:
+            pieces.append(body if coeff > 0 else "-" + body)
+        else:
+            pieces.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(pieces)
 
 
 def _monomial_text(qe: int, te: int) -> str:
@@ -234,7 +241,7 @@ def _monomial_text(qe: int, te: int) -> str:
             parts.append(name)
         elif e != 0:
             parts.append(f"{name}^{e}")
-    return " ".join(parts) if parts else "1"
+    return " ".join(parts)
 
 
 def _coerce(value) -> "LaurentPoly":

@@ -199,8 +199,3 @@ def _coerce(value) -> "FactoredRational":
     if isinstance(value, (LaurentPoly, int)):
         return FactoredRational.from_poly(value)
     return NotImplemented
-
-
-def rat_to_poly(x: FactoredRational) -> LaurentPoly:
-    """Functional alias for FactoredRational.to_poly."""
-    return x.to_poly()

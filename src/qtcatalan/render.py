@@ -17,7 +17,7 @@ import io
 import json
 from typing import Sequence
 
-from .poly import LaurentPoly
+from .poly import LaurentPoly, format_terms
 
 
 def render_text(p: LaurentPoly) -> str:
@@ -36,23 +36,7 @@ def _latex_monomial(qe: int, te: int) -> str:
 
 def render_latex(p: LaurentPoly) -> str:
     """LaTeX form in the same term order as the text renderer."""
-    if p.is_zero():
-        return "0"
-    pieces: list[str] = []
-    for (qe, te), coeff in p.sorted_terms():
-        mono = _latex_monomial(qe, te)
-        mag = abs(coeff)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}{mono}"
-        if not pieces:
-            pieces.append(body if coeff > 0 else "-" + body)
-        else:
-            pieces.append((" + " if coeff > 0 else " - ") + body)
-    return "".join(pieces)
+    return format_terms(p, _latex_monomial, "")
 
 
 def render_json(p: LaurentPoly, params: Sequence[int]) -> str:

@@ -10,11 +10,25 @@ over all Tesler matrices gives F(a_2, ..., a_n) without a single division,
 which also proves F is a polynomial.  At t = 1 only the two-diagonal
 matrices survive, and those biject with subdiagrams of the staircase
 partition lambda(a) = (a_2+...+a_n, a_3+...+a_n, ..., a_n).
+
+Both the enumeration and the weight sum peel off the last column, the
+transpose of Haglund's Tesler recursion.  Row n has nothing to its right,
+so (m_1n, ..., m_{n-1,n}, m_nn) is a weak composition of a_n.  Removing
+the column leaves a Tesler matrix with hook sums
+a' = (a_1 + m_1n, ..., a_{n-1} + m_{n-1,n}), so the weight sum W over the
+matrices with hook sums a satisfies
+
+    W(a) = sum over last columns of
+           B(m_{n-1,n}) * prod_{i<n-1} A(m_in) * W(a'),
+
+with W(a_1) = 1.  Different columns lead to shared subproblems, so W is
+cached on the hook vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import DomainError
@@ -126,113 +140,68 @@ def _check_hook_vector(a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def _dfs_columns(a: tuple[int, ...]):
-    """Depth-first enumeration of the off-diagonal entries, one column at a
-    time from the last column down to column 1.
+def _last_columns(a: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every possible last column of a Tesler matrix with hook sums a.
 
-    Yields (offdiag, diag) pairs where offdiag maps (i, j) to the entry and
-    diag lists the forced diagonal.  Correctness of the pruning: rewriting
-    the hook-sum equations cumulatively shows that the entries crossing the
-    cut before row p sum to at most a_p + ... + a_n, and once column j is
-    complete the diagonal entry m_jj is forced and must be nonnegative.
+    Yields (off, smaller): off = (m_1n, ..., m_{n-1,n}) is the off-diagonal
+    part of the column and smaller = (a_1 + m_1n, ..., a_{n-1} + m_{n-1,n})
+    are the hook sums of the matrix left once the column is removed.  The
+    diagonal entry m_nn = a_n - sum(off) is left implicit.
     """
-    n = len(a)
-    suffix = [0] * (n + 1)
-    for p in range(n - 1, -1, -1):
-        suffix[p] = suffix[p + 1] + a[p]
-    used = [0] * n  # used[p]: fixed entries crossing the cut before row p
-    offdiag: dict[tuple[int, int], int] = {}
-    rowsum = [0] * n  # sum of fixed off-diagonal entries in each row
-    colsum = [0] * n
+    *rest, last = a
 
-    def fill(j: int, i: int):
-        if i == j:  # column j complete; its diagonal entry is forced
-            diag_j = a[j] - colsum[j] + rowsum[j]
-            if diag_j < 0:
-                return
-            if j == 1:
-                diag = [a[0] + rowsum[0]] + [a[k] - colsum[k] + rowsum[k] for k in range(1, n)]
-                yield dict(offdiag), diag
-            else:
-                yield from fill(j - 1, 0)
+    def fill(i: int, left: int) -> Iterator[tuple[int, ...]]:
+        if i == len(rest):
+            yield ()
             return
-        cap = min(suffix[p] - used[p] for p in range(i + 1, j + 1))
-        for v in range(cap + 1):
-            offdiag[(i, j)] = v
-            rowsum[i] += v
-            colsum[j] += v
-            for p in range(i + 1, j + 1):
-                used[p] += v
-            yield from fill(j, i + 1)
-            for p in range(i + 1, j + 1):
-                used[p] -= v
-            rowsum[i] -= v
-            colsum[j] -= v
-            del offdiag[(i, j)]
+        for v in range(left + 1):
+            for tail in fill(i + 1, left - v):
+                yield (v,) + tail
 
-    if n == 1:
-        yield {}, [a[0]]
-    else:
-        yield from fill(n - 1, 0)
+    for off in fill(0, last):
+        yield off, tuple(x + v for x, v in zip(rest, off))
 
 
-def _matrix_from_assignment(a: tuple[int, ...], offdiag, diag) -> TeslerMatrix:
-    n = len(a)
-    rows = tuple(
-        tuple([diag[i]] + [offdiag.get((i, j), 0) for j in range(i + 1, n)])
-        for i in range(n)
-    )
-    return TeslerMatrix(a, rows)
+def _tesler_rows(a: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The rows of every Tesler matrix with hook sums a, in no set order."""
+    if len(a) == 1:
+        yield ((a[0],),)
+        return
+    for off, smaller in _last_columns(a):
+        last_row = ((a[-1] - sum(off),),)
+        for rows in _tesler_rows(smaller):
+            yield tuple(row + (v,) for row, v in zip(rows, off)) + last_row
 
 
 def enumerate_tesler(a: Sequence[int]) -> list[TeslerMatrix]:
     """Every Tesler matrix with hook sums a, ordered lexicographically by
     the flattened off-diagonal vector."""
     a = _check_hook_vector(a)
-    matrices = [_matrix_from_assignment(a, off, diag) for off, diag in _dfs_columns(a)]
+    matrices = [TeslerMatrix(a, rows) for rows in _tesler_rows(a)]
     matrices.sort(key=TeslerMatrix.off_diagonal_vector)
     return matrices
+
+
+@lru_cache(maxsize=None)
+def _weight_sum(a: tuple[int, ...]) -> LaurentPoly:
+    """W(a) of the module docstring, one last column at a time."""
+    if len(a) == 1:
+        return ONE
+    total = ZERO
+    for off, smaller in _last_columns(a):
+        term = _weight_sum(smaller)
+        for i, v in enumerate(off):
+            if v:
+                term = term * (coeff_B(v) if i == len(off) - 1 else coeff_A(v))
+        total = total + term
+    return total
 
 
 def f_tesler(a: Sequence[int]) -> LaurentPoly:
     """F(a_2, ..., a_n) as the weight sum over Tesler matrices with hook
     sums (a_1, ..., a_n).  The first entry changes the matrix set but not
     the value.  No division occurs."""
-    a = _check_hook_vector(a)
-    n = len(a)
-    if n == 1:
-        return ONE
-    suffix = [0] * (n + 1)
-    for p in range(n - 1, -1, -1):
-        suffix[p] = suffix[p + 1] + a[p]
-    used = [0] * n
-    rowsum = [0] * n
-    colsum = [0] * n
-
-    def fill(j: int, i: int) -> LaurentPoly:
-        """Sum over completions of the weight product of remaining entries."""
-        if i == j:
-            if a[j] - colsum[j] + rowsum[j] < 0:
-                return ZERO
-            return fill(j - 1, 0) if j > 1 else ONE
-        cap = min(suffix[p] - used[p] for p in range(i + 1, j + 1))
-        total = ZERO
-        for v in range(cap + 1):
-            rowsum[i] += v
-            colsum[j] += v
-            for p in range(i + 1, j + 1):
-                used[p] += v
-            sub = fill(j, i + 1)
-            for p in range(i + 1, j + 1):
-                used[p] -= v
-            rowsum[i] -= v
-            colsum[j] -= v
-            if not sub.is_zero() and v:
-                sub = sub * (coeff_B(v) if j == i + 1 else coeff_A(v))
-            total = total + sub
-        return total
-
-    return fill(n - 1, 0)
+    return _weight_sum(_check_hook_vector(a))
 
 
 def two_diagonal_subdiagrams(a: Sequence[int]) -> list[tuple[TeslerMatrix, tuple[int, ...]]]:

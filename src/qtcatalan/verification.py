@@ -276,11 +276,19 @@ def build_case_specs(n: int, maxval: int) -> list[tuple[str, tuple[int, ...]]]:
     return specs
 
 
-def default_jobs() -> int:
+def env_int(name: str, default: int) -> int:
+    """The integer in environment variable name, or default if it is unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
     try:
-        return max(1, int(os.environ.get("QTC_JOBS", "1")))
+        return int(raw)
     except ValueError:
-        return 1
+        raise DomainError(f"{name} must be an integer, got {raw!r}") from None
+
+
+def default_jobs() -> int:
+    return max(1, env_int("QTC_JOBS", 1))
 
 
 def run_verify(n: int, maxval: int, jobs: int | None = None) -> VerificationReport:

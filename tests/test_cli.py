@@ -267,3 +267,22 @@ def test_verify_env_default_jobs(monkeypatch):
     from qtcatalan.verification import default_jobs
 
     assert default_jobs() == 2
+
+
+@pytest.mark.parametrize(
+    "env, args",
+    [
+        ({}, ("verify", "--n", "4-2", "--max", "1")),
+        ({}, ("verify", "--n", "4", "--max", "-1")),
+        ({}, ("scan", "--n", "4", "--max", "-1")),
+        ({"QTC_VERIFY_MAX": "abc"}, ("verify", "--n", "2")),
+        ({"QTC_JOBS": "abc"}, ("verify", "--n", "2", "--max", "1")),
+    ],
+)
+def test_zero_checks_and_bad_env_exit_2(monkeypatch, env, args):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1

@@ -57,8 +57,13 @@ def test_three_by_three_count_frozen():
 
 
 def test_oracle_agreement_more_vectors():
-    for a in [(0,), (2, 0), (0, 2), (1, 0, 1), (2, 1, 1)]:
+    for a in [(0,), (2, 0), (0, 2), (1, 0, 1), (2, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0)]:
         assert {m.rows for m in enumerate_tesler(a)} == _oracle_tesler(a)
+
+
+def test_all_ones_counts_are_the_tesler_numbers():
+    # OEIS A008608: the number of n x n Tesler matrices with hook sums (1, ..., 1)
+    assert [len(enumerate_tesler((1,) * n)) for n in range(1, 6)] == [1, 2, 7, 40, 357]
 
 
 def test_zero_vector():
