@@ -25,7 +25,6 @@ from .chains import (
     enumerate_tails,
     f_chains,
     f_stat,
-    h_comb,
     h_comb_poly,
     hcomb_recursion_residual,
     locate,

@@ -517,11 +517,6 @@ def h_comb_poly(a: int, b: int, c: int) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def h_comb(p: ABCParams) -> LaurentPoly:
-    """h_comb on the validated region; h_comb(a, b, 0) equals h3(a, b)."""
-    return h_comb_poly(p.a, p.b, p.c)
-
-
 def hcomb_recursion_residual(p: ABCParams) -> LaurentPoly:
     """Left minus right side of the two-step recursion for h_comb,
 

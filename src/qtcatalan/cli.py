@@ -18,7 +18,6 @@ import csv as csv_module
 import io
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from typing import Sequence
 
@@ -29,7 +28,7 @@ from .poly import LaurentPoly
 from .render import RENDERERS
 from .tableaux import f_tableaux
 from .tesler import f_tesler
-from .verification import default_jobs, env_int, run_verify
+from .verification import default_jobs, env_int, parallel_map, run_verify
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -39,15 +38,20 @@ def _parse_vector(text: str) -> tuple[int, ...]:
         raise DomainError(f"expected a comma-separated integer vector, got {text!r}")
 
 
+def _parse_abc(text: str) -> ABCParams:
+    vec = _parse_vector(text)
+    if len(vec) != 3:
+        raise DomainError(f"--abc expects exactly three entries, got {vec}")
+    return ABCParams(*vec)
+
+
 def _compute(args) -> int:
     method = args.method
     if method in ("recursion", "two-step", "chains", "stat"):
         if args.abc is None:
             raise DomainError(f"--method {method} requires --abc a,b,c")
-        vec = _parse_vector(args.abc)
-        if len(vec) != 3:
-            raise DomainError(f"--abc expects exactly three entries, got {vec}")
-        p = ABCParams(*vec)
+        p = _parse_abc(args.abc)
+        vec = (p.a, p.b, p.c)
         fn = {
             "recursion": f3_recursive,
             "two-step": f3_two_step,
@@ -109,10 +113,7 @@ def _decompose_rows(chains: list[ChainRecord], p: ABCParams):
 
 
 def _decompose(args) -> int:
-    vec = _parse_vector(args.abc)
-    if len(vec) != 3:
-        raise DomainError(f"--abc expects exactly three entries, got {vec}")
-    p = ABCParams(*vec)
+    p = _parse_abc(args.abc)
     chains = decompose(p)
     if args.format == "csv":
         buf = io.StringIO()
@@ -162,12 +163,7 @@ def _scan(args) -> int:
     _check_max(args.max)
     monotone = not args.all
     vectors = list(_scan_vectors(args.n, args.max, monotone))
-    jobs = default_jobs()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_worker, vectors, chunksize=16))
-    else:
-        results = [_scan_worker(vec) for vec in vectors]
+    results = parallel_map(_scan_worker, vectors, default_jobs())
     findings = [(vec, negatives) for vec, negatives in results if negatives]
     count = len(vectors)
     mode = "weakly decreasing" if monotone else "all"
@@ -205,8 +201,16 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["tableaux", "tesler", "recursion", "two-step", "chains", "stat"],
     )
-    c.add_argument("--a", help="comma-separated vector; for tesler it includes a_1")
-    c.add_argument("--abc", help="comma-separated triple for the n=4 methods")
+    c.add_argument(
+        "--a",
+        help="comma-separated vector; for tesler it includes a_1; "
+        "a vector starting with a minus sign needs the = form, --a=-1,2",
+    )
+    c.add_argument(
+        "--abc",
+        help="comma-separated triple for the n=4 methods; "
+        "a triple starting with a minus sign needs the = form, --abc=-1,0,0",
+    )
     c.add_argument("--format", default="text", choices=["text", "json", "latex", "csv"])
     c.set_defaults(fn=_compute)
 

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 from .errors import DomainError
 from .poly import ExponentPair, LaurentPoly, ONE
-from .rational import BinomialFactor, FactoredRational
+from .rational import BinomialFactor, FactoredRational, product_of_factors
 
 #: Exhaustive sums over tableaux are kept to sizes where they stay cheap.
 MAX_TABLEAU_SIZE = 8
@@ -138,17 +138,12 @@ def omega_at(x: ExponentPair) -> FactoredRational:
     _add_factor(num, alpha + 1, beta + 1)
     _add_factor(den, alpha + 1, beta)
     _add_factor(den, alpha, beta + 1)
-    num_poly = ONE
-    for f, k in num.items():
-        for _ in range(k):
-            num_poly = num_poly * f.to_poly()
-    return FactoredRational(num_poly, den.elements())
+    return FactoredRational(product_of_factors(num.elements()), den.elements())
 
 
-def _weight_factors(z: Sequence[ExponentPair], reduced: bool) -> tuple[Counter, Counter]:
-    """Numerator and denominator factor multisets of wt (or of the reduced
-    weight (1 - t/q) wt), with vanishing factors dropped and exactly
-    matching factors cancelled."""
+def _weight(z: Sequence[ExponentPair], reduced: bool) -> FactoredRational:
+    """wt (or the reduced weight (1 - t/q) wt) at the content vector z, with
+    vanishing factors dropped and exactly matching factors cancelled."""
     num: Counter = Counter()
     den: Counter = Counter()
     n = len(z)
@@ -168,27 +163,19 @@ def _weight_factors(z: Sequence[ExponentPair], reduced: bool) -> tuple[Counter, 
     if reduced:
         _add_factor(num, -1, 1)  # multiply by (1 - t/q)
     common = num & den
-    return num - common, den - common
-
-
-def _weight_from_factors(num: Counter, den: Counter) -> FactoredRational:
-    num_poly = ONE
-    for f, k in num.items():
-        for _ in range(k):
-            num_poly = num_poly * f.to_poly()
-    return FactoredRational(num_poly, den.elements())
+    return FactoredRational(
+        product_of_factors((num - common).elements()), (den - common).elements()
+    )
 
 
 def tableau_weight(tab: StandardTableau) -> FactoredRational:
     """wt(T), with common binomial factors cancelled exactly."""
-    num, den = _weight_factors(tab.contents(), reduced=False)
-    return _weight_from_factors(num, den)
+    return _weight(tab.contents(), reduced=False)
 
 
 def reduced_tableau_weight(tab: StandardTableau) -> FactoredRational:
     """(1 - t/q) * wt(T), the head-like reduced weight."""
-    num, den = _weight_factors(tab.contents(), reduced=True)
-    return _weight_from_factors(num, den)
+    return _weight(tab.contents(), reduced=True)
 
 
 @lru_cache(maxsize=None)
@@ -198,8 +185,7 @@ def _tableau_data(n: int, head_like_only: bool) -> tuple[tuple[tuple[ExponentPai
         if head_like_only and not tab.is_head_like():
             continue
         z = tab.contents()
-        num, den = _weight_factors(z, reduced=head_like_only)
-        data.append((z, _weight_from_factors(num, den)))
+        data.append((z, _weight(z, reduced=head_like_only)))
     return tuple(data)
 
 

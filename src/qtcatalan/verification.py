@@ -12,6 +12,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 
 from .chains import (
     chain_of,
@@ -70,26 +71,34 @@ class VerificationReport:
 
 def _result(identity, vector, pairs) -> CaseResult:
     """Compare labeled polynomials pairwise; report all values on mismatch."""
-    values = list(pairs)
-    baseline = values[0][1]
-    ok = all(v == baseline for _, v in values[1:])
-    detail = "" if ok else "; ".join(f"{name} = {val.to_text()}" for name, val in values)
+    baseline = pairs[0][1]
+    ok = all(v == baseline for _, v in pairs[1:])
+    detail = "" if ok else "; ".join(f"{name} = {val.to_text()}" for name, val in pairs)
     return CaseResult(identity, tuple(vector), ok, detail)
 
 
-def check_methods_n2(a: int) -> list[CaseResult]:
-    vec = (a,)
-    pairs = [("tableaux", f_tableaux(vec)), ("bracket", bracket(a + 1))]
-    pairs += [(f"tesler[a1={x}]", f_tesler((x,) + vec)) for x in TESLER_FIRST_ENTRIES]
+def _tesler_pairs(vec: tuple[int, ...]) -> list:
+    """F(vec) by Tesler sums, once per first hook sum."""
+    return [(f"tesler[a1={x}]", f_tesler((x,) + vec)) for x in TESLER_FIRST_ENTRIES]
+
+
+def _vanishes(identity, vec, value) -> CaseResult:
+    """The identity holds iff value is zero; report the residual otherwise."""
+    ok = value == 0
+    return CaseResult(identity, tuple(vec), ok, "" if ok else f"residual = {value.to_text()}")
+
+
+def check_methods_n2(vec: tuple[int, ...]) -> list[CaseResult]:
+    (a,) = vec
+    pairs = [("tableaux", f_tableaux(vec)), ("bracket", bracket(a + 1))] + _tesler_pairs(vec)
     out = [_result("methods-agree[n=2]", vec, pairs)]
     out.append(_result("h-closed-form[n=2]", vec, [("h_tableaux", h_tableaux(vec)), ("h2", h2(a))]))
     return out
 
 
-def check_methods_n3(a: int, b: int) -> list[CaseResult]:
-    vec = (a, b)
-    pairs = [("tableaux", f_tableaux(vec))]
-    pairs += [(f"tesler[a1={x}]", f_tesler((x,) + vec)) for x in TESLER_FIRST_ENTRIES]
+def check_methods_n3(vec: tuple[int, ...]) -> list[CaseResult]:
+    a, b = vec
+    pairs = [("tableaux", f_tableaux(vec))] + _tesler_pairs(vec)
     if a >= b - 1:
         pairs.append(("double-sum", f2(a, b)))
     out = [_result("methods-agree[n=3]", vec, pairs)]
@@ -97,77 +106,57 @@ def check_methods_n3(a: int, b: int) -> list[CaseResult]:
     return out
 
 
-def check_methods_n4(a: int, b: int, c: int) -> list[CaseResult]:
+def check_methods_n4(vec: tuple[int, ...]) -> list[CaseResult]:
     """All-route agreement on a validated triple."""
-    vec = (a, b, c)
-    p = ABCParams(a, b, c)
+    p = ABCParams(*vec)
     pairs = [
         ("tableaux", f_tableaux(vec)),
         ("recursion", f3_recursive(p)),
         ("chains", f_chains(p)),
         ("stat", f_stat(p)),
     ]
-    if c >= 1:
+    if p.c >= 1:
         pairs.append(("two-step", f3_two_step(p)))
-    pairs += [(f"tesler[a1={x}]", f_tesler((x,) + vec)) for x in TESLER_FIRST_ENTRIES]
-    return [_result("methods-agree[n=4]", vec, pairs)]
+    return [_result("methods-agree[n=4]", vec, pairs + _tesler_pairs(vec))]
 
 
 def check_methods_n5(vec: tuple[int, ...]) -> list[CaseResult]:
-    pairs = [("tableaux", f_tableaux(vec))]
-    pairs += [(f"tesler[a1={x}]", f_tesler((x,) + vec)) for x in TESLER_FIRST_ENTRIES]
+    pairs = [("tableaux", f_tableaux(vec))] + _tesler_pairs(vec)
     return [_result("methods-agree[n=5]", vec, pairs)]
 
 
 def check_t1_specialization(vec: tuple[int, ...]) -> list[CaseResult]:
-    """t = 1 collapses the Tesler sum to the subdiagram area counter."""
-    lhs = f_tesler(vec).specialize_t_one()
-    rhs = subdiagram_area_gf(lambda_partition(vec[1:]))
-    return [_result("t1-subdiagram-count", vec, [("tesler|t=1", lhs), ("area-gf", rhs)])]
+    """t = 1 collapses the Tesler sum at (0,) + vec to the subdiagram area
+    counter; the full hook vector is reported."""
+    hooks = (0,) + vec
+    lhs = f_tesler(hooks).specialize_t_one()
+    rhs = subdiagram_area_gf(lambda_partition(vec))
+    return [_result("t1-subdiagram-count", hooks, [("tesler|t=1", lhs), ("area-gf", rhs)])]
 
 
 def check_trailing_zero(vec: tuple[int, ...]) -> list[CaseResult]:
-    return [
-        _result(
-            "trailing-zero",
-            vec,
-            [("with-zero", f_tableaux(vec + (0,))), ("without", f_tableaux(vec))],
-        )
-    ]
+    pairs = [("with-zero", f_tableaux(vec + (0,))), ("without", f_tableaux(vec))]
+    return [_result("trailing-zero", vec, pairs)]
 
 
-def check_reflection(a: int) -> list[CaseResult]:
+def check_reflection(vec: tuple[int, ...]) -> list[CaseResult]:
     """f1(-a) = -(qt)^(1-a) f1(a-2) for a >= 1."""
-    residual = f1(-a) + qt_power(1 - a) * f1(a - 2)
-    return [
-        CaseResult(
-            "one-arg-reflection",
-            (a,),
-            residual == 0,
-            "" if residual == 0 else f"residual = {residual.to_text()}",
-        )
-    ]
+    (a,) = vec
+    return [_vanishes("one-arg-reflection", vec, f1(-a) + qt_power(1 - a) * f1(a - 2))]
 
 
-def check_unimodality(a: int, b: int, c: int) -> list[CaseResult]:
-    p = ABCParams(a, b, c)
-    special = f_chains(p).specialize_t_qinv()
+def check_unimodality(vec: tuple[int, ...]) -> list[CaseResult]:
+    special = f_chains(ABCParams(*vec)).specialize_t_qinv()
     ok = unimodality_check(special)
-    return [
-        CaseResult(
-            "unimodality[t=1/q]",
-            (a, b, c),
-            ok,
-            "" if ok else f"specialization = {special.to_text()}",
-        )
-    ]
+    detail = "" if ok else f"specialization = {special.to_text()}"
+    return [CaseResult("unimodality[t=1/q]", vec, ok, detail)]
 
 
-def check_chain_partition(a: int, b: int, c: int) -> list[CaseResult]:
+def check_chain_partition(vec: tuple[int, ...]) -> list[CaseResult]:
     """Chains are disjoint, cover the subpartition lattice, fill their area
     ranges bijectively, and the four index sets are equinumerous with the
     bijections preserving area ranges."""
-    p = ABCParams(a, b, c)
+    p = ABCParams(*vec)
     problems = []
     tails = enumerate_tails(p)
     sizes = {
@@ -199,38 +188,16 @@ def check_chain_partition(a: int, b: int, c: int) -> list[CaseResult]:
         r, R = locate(p, lam).area_range
         if stat(p, lam) != r + R - area(p, lam):
             problems.append(f"stat({lam}) disagrees with its chain")
-    return [CaseResult("chain-partition[n=4]", (a, b, c), not problems, "; ".join(problems))]
+    return [CaseResult("chain-partition[n=4]", vec, not problems, "; ".join(problems))]
 
 
-def check_hcomb_recursion(a: int, b: int, c: int) -> list[CaseResult]:
-    residual = hcomb_recursion_residual(ABCParams(a, b, c))
-    return [
-        CaseResult(
-            "hcomb-two-step-recursion",
-            (a, b, c),
-            residual == 0,
-            "" if residual == 0 else f"residual = {residual.to_text()}",
-        )
-    ]
+def check_hcomb_recursion(vec: tuple[int, ...]) -> list[CaseResult]:
+    return [_vanishes("hcomb-two-step-recursion", vec, hcomb_recursion_residual(ABCParams(*vec)))]
 
 
-_CHECKS = {
-    "n2": lambda args: check_methods_n2(*args),
-    "n3": lambda args: check_methods_n3(*args),
-    "n4": lambda args: check_methods_n4(*args),
-    "n5": lambda args: check_methods_n5(args),
-    "t1": lambda args: check_t1_specialization(args),
-    "trailing": lambda args: check_trailing_zero(args),
-    "reflection": lambda args: check_reflection(*args),
-    "unimodal": lambda args: check_unimodality(*args),
-    "partition": lambda args: check_chain_partition(*args),
-    "hcomb": lambda args: check_hcomb_recursion(*args),
-}
-
-
-def _run_case(case: tuple[str, tuple[int, ...]]) -> list[CaseResult]:
-    kind, args = case
-    return _CHECKS[kind](args)
+def _run_case(case) -> list[CaseResult]:
+    check, vec = case
+    return check(vec)
 
 
 def valid_triples(maxval: int):
@@ -241,39 +208,30 @@ def valid_triples(maxval: int):
                 yield (a, b, c)
 
 
-def build_case_specs(n: int, maxval: int) -> list[tuple[str, tuple[int, ...]]]:
-    specs: list[tuple[str, tuple[int, ...]]] = []
-    if n == 2:
-        for a in range(maxval + 1):
-            specs.append(("n2", (a,)))
-            specs.append(("t1", (0, a)))
-            specs.append(("trailing", (a,)))
-        for a in range(1, maxval + 1):
-            specs.append(("reflection", (a,)))
-    elif n == 3:
-        for a in range(maxval + 1):
-            for b in range(maxval + 1):
-                specs.append(("n3", (a, b)))
-                specs.append(("t1", (0, a, b)))
-                specs.append(("trailing", (a, b)))
-    elif n == 4:
-        for triple in valid_triples(maxval):
-            specs.append(("n4", triple))
-            specs.append(("t1", (0,) + triple))
-            specs.append(("partition", triple))
-            specs.append(("unimodal", triple))
-            if triple[2] >= 1:
-                specs.append(("hcomb", triple))
-    elif n == 5:
-        for a in range(maxval + 1):
-            for b in range(maxval + 1):
-                for c in range(maxval + 1):
-                    for d in range(maxval + 1):
-                        specs.append(("n5", (a, b, c, d)))
-                        specs.append(("t1", (0, a, b, c, d)))
-    else:
+#: The checks run at each length n, on every vector of a_2, ..., a_n.
+_SUITE = {
+    2: (check_methods_n2, check_t1_specialization, check_trailing_zero, check_reflection),
+    3: (check_methods_n3, check_t1_specialization, check_trailing_zero),
+    4: (check_methods_n4, check_t1_specialization, check_chain_partition,
+        check_unimodality, check_hcomb_recursion),
+    5: (check_methods_n5, check_t1_specialization),
+}
+
+#: Checks defined only where one entry is positive, with that entry's index.
+_POSITIVE_ENTRY = {check_reflection: 0, check_hcomb_recursion: 2}
+
+
+def build_case_specs(n: int, maxval: int) -> list:
+    """(check, vector) pairs; n = 4 sweeps the validated triples only."""
+    if n not in _SUITE:
         raise DomainError(f"verify supports n in 2..5, got {n}")
-    return specs
+    grid = valid_triples(maxval) if n == 4 else product(range(maxval + 1), repeat=n - 1)
+    return [
+        (check, vec)
+        for vec in grid
+        for check in _SUITE[n]
+        if check not in _POSITIVE_ENTRY or vec[_POSITIVE_ENTRY[check]] >= 1
+    ]
 
 
 def env_int(name: str, default: int) -> int:
@@ -291,18 +249,24 @@ def default_jobs() -> int:
     return max(1, env_int("QTC_JOBS", 1))
 
 
+def parallel_map(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], in order; with jobs > 1, on a process pool of
+    at most as many workers as there are usable CPUs."""
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    # sched_getaffinity is missing on some platforms
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ProcessPoolExecutor(max_workers=min(jobs, cpus or 1)) as pool:
+        return list(pool.map(fn, items, chunksize=8))
+
+
 def run_verify(n: int, maxval: int, jobs: int | None = None) -> VerificationReport:
     specs = build_case_specs(n, maxval)
-    jobs = default_jobs() if jobs is None else max(1, jobs)
+    jobs = default_jobs() if jobs is None else jobs
     start = time.time()
     report = VerificationReport()
-    if jobs == 1:
-        for case in specs:
-            report.cases.extend(_run_case(case))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for results in pool.map(_run_case, specs, chunksize=8):
-                report.cases.extend(results)
+    for results in parallel_map(_run_case, specs, jobs):
+        report.cases.extend(results)
     report.cases.sort(key=lambda c: (c.identity, c.vector))
     report.elapsed = time.time() - start
     return report

@@ -26,7 +26,6 @@ from qtcatalan import (
     f_chains,
     f_stat,
     h3,
-    h_comb,
     h_comb_poly,
     h_tableaux,
     hcomb_recursion_residual,
@@ -345,10 +344,12 @@ def test_index_sets_equinumerous_with_preserved_ranges():
 # -- h_comb ----------------------------------------------------------------------
 
 def test_h_comb_initial_condition():
-    assert h_comb(ABCParams(1, 1, 0)) == h3(1, 1) == LaurentPoly({(3, 0): 1, (1, 1): 1})
+    p = ABCParams(1, 1, 0)
+    assert h_comb_poly(p.a, p.b, p.c) == h3(1, 1) == LaurentPoly({(3, 0): 1, (1, 1): 1})
     for a in range(4):
         for b in range(a + 1):
-            assert h_comb(ABCParams(a, b, 0)) == h3(a, b)
+            p = ABCParams(a, b, 0)
+            assert h_comb_poly(p.a, p.b, p.c) == h3(a, b)
 
 
 def test_h_comb_boundary_b_equals_a_plus_one():
@@ -356,14 +357,16 @@ def test_h_comb_boundary_b_equals_a_plus_one():
     # closed form, but that term combines to zero, so F is unaffected
     for a in range(4):
         b = a + 1
-        assert h_comb(ABCParams(a, b, 0)) == h3(a, b) - LaurentPoly.monomial(a, b)
+        p = ABCParams(a, b, 0)
+        assert h_comb_poly(p.a, p.b, p.c) == h3(a, b) - LaurentPoly.monomial(a, b)
         assert combine_h_to_f(lambda v: h_comb_poly(*v), (a, b, 0)) == f3_recursive(
             ABCParams(a, b, 0)
         )
 
 
 def test_h_comb_111():
-    assert h_comb(P111) == LaurentPoly({(6, 0): 1, (4, 1): 1, (3, 1): 1})
+    p = P111
+    assert h_comb_poly(p.a, p.b, p.c) == LaurentPoly({(6, 0): 1, (4, 1): 1, (3, 1): 1})
 
 
 def test_h_comb_empty_below_zero():
@@ -379,7 +382,7 @@ def test_h_comb_combines_to_f_chains():
 def test_h_comb_differs_from_h_tableaux_somewhere():
     # the quasihead monomial sum is NOT the head-like tableau sum in general
     diffs = [
-        p for p in _valid_params(3) if h_comb(p) != h_tableaux((p.a, p.b, p.c))
+        p for p in _valid_params(3) if h_comb_poly(p.a, p.b, p.c) != h_tableaux((p.a, p.b, p.c))
     ]
     assert diffs
 

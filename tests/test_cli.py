@@ -106,6 +106,12 @@ def test_compute_tesler_needs_first_entry():
     assert proc.stdout.strip() == "q + t"
 
 
+def test_compute_negative_vector_needs_equals_form():
+    proc = run_cli("compute", "--method", "tableaux", "--a=-1,2")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f_tableaux((-1, 2)).to_text()
+
+
 def test_compute_methods_agree_via_cli():
     outputs = set()
     for method, flag, vec in [
@@ -189,6 +195,15 @@ def test_scan_monotone_n4():
     proc = run_cli("scan", "--n", "4", "--max", "3", "--monotone")
     assert proc.returncode == 0
     assert "no negative coefficients" in proc.stdout
+
+
+def test_scan_pool_matches_serial(monkeypatch):
+    monkeypatch.delenv("QTC_JOBS", raising=False)
+    serial = run_cli("scan", "--n", "4", "--max", "3", "--all")
+    monkeypatch.setenv("QTC_JOBS", "2")
+    pooled = run_cli("scan", "--n", "4", "--max", "3", "--all")
+    assert serial.returncode == pooled.returncode == 0
+    assert serial.stdout == pooled.stdout
 
 
 # -- rational -----------------------------------------------------------------------

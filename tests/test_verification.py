@@ -1,0 +1,65 @@
+"""The sweep layer behind `qtc verify`: which checks run, and the pool."""
+
+import os
+from collections import Counter
+
+import pytest
+
+from qtcatalan import verification
+from qtcatalan.verification import parallel_map, run_verify
+
+
+@pytest.mark.parametrize(
+    "n, maxval, expected",
+    [
+        (2, 3, {"methods-agree[n=2]": 4, "h-closed-form[n=2]": 4, "t1-subdiagram-count": 4,
+                "trailing-zero": 4, "one-arg-reflection": 3}),
+        (3, 2, {"methods-agree[n=3]": 9, "h-closed-form[n=3]": 9, "t1-subdiagram-count": 9,
+                "trailing-zero": 9}),
+        (4, 2, {"methods-agree[n=4]": 20, "t1-subdiagram-count": 20, "chain-partition[n=4]": 20,
+                "unimodality[t=1/q]": 20, "hcomb-two-step-recursion": 12}),
+        (5, 1, {"methods-agree[n=5]": 16, "t1-subdiagram-count": 16}),
+    ],
+)
+def test_checks_per_identity(n, maxval, expected):
+    report = run_verify(n, maxval, jobs=1)
+    assert Counter(c.identity for c in report.cases) == expected
+    assert not report.mismatches
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs", [2, 10**6])
+def test_parallel_map_clamps_workers_to_usable_cpus(monkeypatch, jobs):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", _InlinePool)
+    assert parallel_map(abs, [-1, 2], jobs=jobs) == [1, 2]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count()
+    assert _InlinePool.sizes == [min(jobs, cpus)]
+
+
+@pytest.mark.parametrize("jobs", [1, 0, -3])
+def test_parallel_map_runs_inline_below_two_jobs(monkeypatch, jobs):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", _InlinePool)
+    assert parallel_map(abs, [-1, 2], jobs=jobs) == [1, 2]
+    assert _InlinePool.sizes == []
