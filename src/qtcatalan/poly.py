@@ -67,6 +67,14 @@ class LaurentPoly:
     def monomial(cls, q_exp: int, t_exp: int, coeff: int = 1) -> "LaurentPoly":
         return cls({(q_exp, t_exp): coeff})
 
+    @staticmethod
+    def _from_dict(data: dict[ExponentPair, int]) -> "LaurentPoly":
+        """Wrap data, which must already hold no zero coefficient, without
+        copying or re-validating it."""
+        out = object.__new__(LaurentPoly)
+        _set_terms(out, data)
+        return out
+
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> dict[ExponentPair, int]:
@@ -112,16 +120,12 @@ class LaurentPoly:
                 data[key] = new
             else:
                 del data[key]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", data)
-        return out
+        return LaurentPoly._from_dict(data)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", {k: -c for k, c in self._terms.items()})
-        return out
+        return LaurentPoly._from_dict({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = _coerce(other)
@@ -139,9 +143,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
-            out = LaurentPoly.__new__(LaurentPoly)
-            object.__setattr__(out, "_terms", {k: c * other for k, c in self._terms.items()})
-            return out
+            return LaurentPoly._from_dict({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._terms, other._terms
@@ -156,9 +158,7 @@ class LaurentPoly:
                     data[key] = new
                 else:
                     del data[key]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", data)
-        return out
+        return LaurentPoly._from_dict(data)
 
     __rmul__ = __mul__
 
@@ -251,6 +251,9 @@ def _coerce(value) -> "LaurentPoly":
         return LaurentPoly.from_int(value)
     return NotImplemented
 
+
+# The slot's own setter, which LaurentPoly.__setattr__ does not block.
+_set_terms = LaurentPoly._terms.__set__
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({(0, 0): 1})

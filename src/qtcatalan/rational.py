@@ -39,57 +39,128 @@ class BinomialFactor:
         return LaurentPoly({(0, 0): 1, (self.alpha, self.beta): -1})
 
 
+def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]]) -> LaurentPoly:
+    """The sum over rows ((e, f), factors) of q^e t^f * prod (1 - q^alpha t^beta),
+    expanded by Kronecker substitution into one big integer (Harvey 2009,
+    J. Symbolic Comput.).
+
+    The exponent (a, b) maps to the slot a*S + b (less the lowest slot
+    used), where the stride S is one more than the t-span of the result, so
+    distinct terms of the result land in distinct slots.  Each slot has w
+    bits, and a binomial with packed exponent k is one shift and subtract:
+    x - (x << k*w) for k > 0, and for k < 0, (1 - X^k) = X^k (X^-k - 1)
+    gives (x << -k*w) - x with the row's offset moved by k.
+
+    Exactness: every coefficient of a product of m binomials is at most 2^m
+    in absolute value (the sum of the absolute values of its coefficients is
+    at most 2^m), so a slot of the sum over all rows holds at most
+    len(rows) * 2^max_m < 2^(w-1) when w >= max_m + bit_length(len(rows)) + 1.
+    Every slot then is one balanced w-bit digit, and one pass over the bytes
+    of the biased sum decodes them all.
+    """
+    products = []
+    q_box: list[int] = []
+    t_box: list[int] = []
+    for (e, f), factors in rows:
+        factors = tuple(factors)
+        q_min, q_max, t_min, t_max = e, e, f, f
+        for alpha, beta in factors:
+            if alpha < 0:
+                q_min += alpha
+            else:
+                q_max += alpha
+            if beta < 0:
+                t_min += beta
+            else:
+                t_max += beta
+        products.append((e, f, factors))
+        q_box += (q_min, q_max)
+        t_box += (t_min, t_max)
+    if not products:
+        return LaurentPoly.zero()
+    q_lo, q_hi, t_lo, t_hi = min(q_box), max(q_box), min(t_box), max(t_box)
+    max_m = max(len(factors) for _, _, factors in products)
+    stride = t_hi - t_lo + 1
+    width = -(-(max_m + len(products).bit_length() + 1) // 8) * 8
+    total = 0
+    for e, f, factors in products:
+        x, offset = 1, 0
+        for alpha, beta in factors:
+            k = alpha * stride + beta
+            if k > 0:
+                x -= x << (k * width)
+            else:
+                x = (x << (-k * width)) - x
+                offset += k
+        # digit 0 of x is the term taking -X^k from each factor with k < 0:
+        # a monomial inside the result's box, so its slot is not negative
+        total += x << (((e - q_lo) * stride + f - t_lo + offset) * width)
+
+    nbytes = width // 8
+    zero_digit = bytes(nbytes - 1) + b"\x80"  # 0 + the bias 2^(w-1)
+    slots = (q_hi - q_lo + 1) * stride
+    raw = (total + int.from_bytes(zero_digit * slots, "little")).to_bytes(slots * nbytes, "little")
+    half = 1 << (width - 1)
+    data: dict[ExponentPair, int] = {}
+    for i in range(0, slots * nbytes, nbytes):
+        digit = raw[i : i + nbytes]
+        if digit != zero_digit:
+            qe, te = divmod(i // nbytes, stride)
+            data[(qe + q_lo, te + t_lo)] = int.from_bytes(digit, "little") - half
+    return LaurentPoly._from_dict(data)
+
+
 def product_of_factors(factors: Iterable[BinomialFactor]) -> LaurentPoly:
-    result = ONE
-    for f in factors:
-        result = result * f.to_poly()
-    return result
+    return sum_of_products((((0, 0), factors),))
 
 
 def exact_divide(p: LaurentPoly, factor: BinomialFactor) -> LaurentPoly:
     """Divide p exactly by (1 - q^alpha t^beta).
 
-    Terms of p are grouped along lattice lines e, e+v, e+2v, ... with
-    v = (alpha, beta); on each line the quotient coefficients are the
-    running partial sums, and the division is exact iff every line sums
-    to zero.  The quotient is unique, so any correct method agrees.
+    With 1 - X^v = -X^v (1 - X^-v), the division is taken along the
+    direction u = v or -v with a positive first nonzero entry.  Terms of p
+    are grouped along lattice lines e, e+u, e+2u, ...; on each line the
+    quotient coefficients are the running partial sums, and the division is
+    exact iff every line sums to zero.  The quotient is unique, so any
+    correct method agrees.
     """
-    alpha, beta = factor
+    alpha, beta = v = tuple(factor)
     if alpha == 0 and beta == 0:
         raise DomainError("cannot divide by the zero factor (1 - q^0 t^0)")
     if p.is_zero():
         return LaurentPoly.zero()
+    sign, first = 1, 0
+    if alpha < 0 or (alpha == 0 and beta < 0):
+        # divide by (1 - X^-v), then multiply by -X^-v
+        alpha, beta, sign, first = -alpha, -beta, -1, 1
+    step = alpha or beta
 
-    # Key identifying the line through (a, b) in direction v, plus the
-    # position of the term along that line (increasing with e + k*v).
-    step = abs(alpha) if alpha != 0 else abs(beta)
-
-    def line_key(a: int, b: int) -> tuple[int, int]:
-        return (alpha * b - beta * a, (a if alpha != 0 else b) % step)
-
-    def position(a: int, b: int) -> int:
-        return a if alpha > 0 else (-a if alpha < 0 else (b if beta > 0 else -b))
-
-    lines: dict[tuple[int, int], list[tuple[int, ExponentPair, int]]] = {}
+    # A line is keyed by alpha*b - beta*a and by the residue of its
+    # position (a, or b when alpha = 0) modulo step; positions increase
+    # along u.
+    lines: dict[int, list[tuple[int, int, int, int]]] = {}
     for (a, b), coeff in p.terms().items():
-        lines.setdefault(line_key(a, b), []).append((position(a, b), (a, b), coeff))
+        pos = a if alpha else b
+        key = (alpha * b - beta * a) * step + pos % step
+        line = lines.get(key)
+        if line is None:
+            lines[key] = [(pos, a, b, coeff)]
+        else:
+            line.append((pos, a, b, coeff))
 
     out: dict[ExponentPair, int] = {}
     for entries in lines.values():
         entries.sort()
         running = 0
-        for idx, (pos, (a, b), coeff) in enumerate(entries):
+        for (pos, a, b, coeff), following in zip(entries, entries[1:]):
             running += coeff
-            if idx + 1 < len(entries):
-                if running:
-                    gap = (entries[idx + 1][0] - pos) // step
-                    for k in range(gap):
-                        out[(a + k * alpha, b + k * beta)] = running
-            elif running:
-                raise NotPolynomialError(
-                    f"(1 - q^{alpha} t^{beta}) does not divide {p.to_text()}"
-                )
-    return LaurentPoly(out)
+            if running:
+                value = sign * running
+                for k in range(first, first + (following[0] - pos) // step):
+                    out[(a + k * alpha, b + k * beta)] = value
+        if running + entries[-1][3]:
+            raise NotPolynomialError(f"(1 - q^{v[0]} t^{v[1]}) does not divide {p.to_text()}")
+    return LaurentPoly._from_dict(out)
 
 
 class FactoredRational:

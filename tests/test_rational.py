@@ -1,7 +1,7 @@
 """Factored rationals: arithmetic, cancellation, and exact reduction."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtcatalan import (
     BinomialFactor,
@@ -14,10 +14,10 @@ from qtcatalan import (
     T,
     exact_divide,
 )
+from qtcatalan.rational import sum_of_products
 
-factors = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
-    lambda ab: ab != (0, 0)
-).map(lambda ab: BinomialFactor(*ab))
+pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda ab: ab != (0, 0))
+factors = pairs.map(lambda ab: BinomialFactor(*ab))
 
 polys = st.dictionaries(
     keys=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
@@ -113,3 +113,45 @@ def _product(factors_list):
     for f in factors_list:
         out = out * f.to_poly()
     return out
+
+
+# -- the packed sum of products against the plain LaurentPoly product ---------
+
+@st.composite
+def factor_lists(draw):
+    # a few distinct factors, repeated, so that coefficients grow past 2^32
+    alphabet = draw(st.lists(pairs, min_size=1, max_size=4))
+    length = draw(st.integers(0, 50))
+    return draw(st.lists(st.sampled_from(alphabet), min_size=length, max_size=length))
+
+
+rows_of_products = st.lists(
+    st.tuples(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), factor_lists()), max_size=4
+)
+
+
+def _naive_sum(rows):
+    total = LaurentPoly.zero()
+    for (e, f), factors in rows:
+        term = LaurentPoly.monomial(e, f)
+        for alpha, beta in factors:
+            term = term * (ONE - LaurentPoly.monomial(alpha, beta))
+        total = total + term
+    return total
+
+
+@given(rows_of_products)
+@example([((0, 0), [])])
+@example([((-2, 5), [(1, 0)] * 40 + [(-1, 2)] * 10), ((3, -4), [(0, -1)] * 45), ((0, 0), [])])
+@settings(max_examples=60, deadline=None)
+def test_packed_sum_matches_naive_product(rows):
+    assert sum_of_products(rows) == _naive_sum(rows)
+
+
+def test_packed_sum_decodes_coefficients_past_32_bits():
+    rows = [((-1, 2), [(1, 1)] * 48), ((0, -3), [(-1, 0)] * 50 + [(2, -3)])]
+    got = sum_of_products(rows)
+    assert max(abs(c) for c in got.terms().values()) > 2**45
+    assert got == _naive_sum(rows)
+    assert sum_of_products([]) == 0
+    assert sum_of_products([((1, -2), [])]) == LaurentPoly.monomial(1, -2)

@@ -1,6 +1,7 @@
 """Tableau enumeration, weights, and the defining F and H sums."""
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -20,6 +21,7 @@ from qtcatalan import (
     combine_h_to_f,
     enumerate_syt,
     f_tableaux,
+    f_tesler,
     h2,
     h3,
     h_tableaux,
@@ -316,3 +318,67 @@ def test_reduces_to_polynomial_n5(vec):
 def test_vector_length_bound():
     with pytest.raises(DomainError):
         f_tableaux((1,) * 8)
+
+
+def test_n7_tableau_plan_matches_tesler():
+    for vec in [(1, 1, 1, 1, 1, 1), (1, 0, 1, 0, 1, 0), (2, 1, 1, 0, 0), (2, 1, 1, 0, 0, 0)]:
+        assert f_tableaux(vec) == f_tesler((0,) + vec)
+
+
+# -- stdlib differential oracle: the defining sum at rational points -----------
+
+def _oracle_weight(z, q, t, reduced):
+    """wt(T), or (1 - t/q) wt(T), evaluated at the point (q, t) straight from
+    the definition, dropping each factor (1 - q^0 t^0)."""
+
+    def factor(alpha, beta):
+        return 1 if alpha == beta == 0 else 1 - q**alpha * t**beta
+
+    value = Fraction(1)
+    for i in range(1, len(z)):
+        value /= factor(-z[i][0], -z[i][1])
+        value /= factor(z[i - 1][0] - z[i][0] + 1, z[i - 1][1] - z[i][1] + 1)
+    for i in range(len(z)):
+        for j in range(i + 1, len(z)):
+            a, b = z[i][0] - z[j][0], z[i][1] - z[j][1]
+            value *= factor(a, b) * factor(a + 1, b + 1)
+            value /= factor(a + 1, b) * factor(a, b + 1)
+    return value * factor(-1, 1) if reduced else value
+
+
+def _evaluate(p, q, t):
+    return sum(c * q**qe * t**te for (qe, te), c in p.terms().items())
+
+
+def test_tableau_sum_matches_fraction_oracle():
+    # 2^a 3^b and (-3)^a 5^b equal 1 only at a = b = 0, so no kept factor
+    # vanishes at these points
+    points = [(Fraction(2), Fraction(3)), (Fraction(-3), Fraction(5))]
+    # per point and size: (tail of z, wt, reduced weight or None) per tableau
+    weights = {
+        (q, t): {
+            n: [
+                (
+                    tab.contents()[1:],
+                    _oracle_weight(tab.contents(), q, t, False),
+                    _oracle_weight(tab.contents(), q, t, True) if tab.is_head_like() else None,
+                )
+                for tab in enumerate_syt(n)
+            ]
+            for n in range(2, 7)
+        }
+        for q, t in points
+    }
+    vectors = [v for length in (1, 2, 3) for v in product(range(-1, 3), repeat=length)]
+    vectors += [(1, 1, 1, 1), (2, -1, 0, 1), (0, 2, 1, -1), (1, 0, 1, 0, 1), (2, 1, -1, 1, 0)]
+    for vec in vectors:
+        f_poly, h_poly = f_tableaux(vec), h_tableaux(vec)
+        for (q, t), by_size in weights.items():
+            f_sum = h_sum = Fraction(0)
+            for tail, wt, reduced in by_size[len(vec) + 1]:
+                mono = math.prod(q ** (ai * zq) * t ** (ai * zt) for ai, (zq, zt) in zip(vec, tail))
+                f_sum += mono * wt
+                if reduced is not None:
+                    h_sum += mono * reduced
+            assert _evaluate(f_poly, q, t) == f_sum, (vec, q, t)
+            assert _evaluate(h_poly, q, t) == h_sum, (vec, q, t)
