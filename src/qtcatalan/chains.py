@@ -36,11 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .closed_forms import ABCParams, h3
 from .errors import DomainError
-from .poly import LaurentPoly, ZERO, sym_chain
+from .poly import LaurentPoly, sym_chain
 
 Partition3 = tuple[int, int, int]
 
@@ -135,15 +135,6 @@ class PositiveHeadIndex:
     k: int
     l: int
 
-    @property
-    def delta(self) -> int:
-        return _ceil_half(self.l - self.params.a)
-
-    @property
-    def eps(self) -> int:
-        p = self.params
-        return max(self.k + self.delta - (p.b + p.c), 0)
-
     def partition(self) -> Partition3:
         return (self.k, self.l, 0)
 
@@ -216,50 +207,34 @@ class CaseLabel(Enum):
 # ---------------------------------------------------------------------------
 
 
+def _valid(cls, p: ABCParams, pairs: Iterable[tuple[int, int]]) -> list:
+    """The valid indices cls(p, u, v) among the candidate pairs, in their
+    order.  Each family comes out in lexicographic order of its indices
+    because its candidates are generated in that order."""
+    return [idx for idx in (cls(p, u, v) for u, v in pairs) if idx.is_valid()]
+
+
 def enumerate_tails(p: ABCParams) -> list[TailIndex]:
-    out = []
-    for F in range(p.c + 1):
-        for E in range(F + p.a + 1):
-            cand = TailIndex(p, E, F)
-            if cand.is_valid():
-                out.append(cand)
-    out.sort(key=lambda x: (x.E, x.F))
-    return out
+    pairs = ((E, F) for E in range(p.a + p.c + 1) for F in range(max(0, E - p.a), p.c + 1))
+    return _valid(TailIndex, p, pairs)
 
 
 def enumerate_pseudoheads(p: ABCParams) -> list[PseudoheadIndex]:
-    out = []
-    for j in range(p.c + 1):
-        for i in range(j, p.b + p.c + 1):
-            cand = PseudoheadIndex(p, i, j)
-            if cand.is_valid():
-                out.append(cand)
-    out.sort(key=lambda x: (x.i, x.j))
-    return out
+    pairs = ((i, j) for i in range(p.b + p.c + 1) for j in range(min(i, p.c) + 1))
+    return _valid(PseudoheadIndex, p, pairs)
 
 
 def enumerate_heads(p: ABCParams) -> list[HeadIndex]:
-    """Negative pseudoheads followed by the positive (k, l) heads."""
+    """Negative pseudoheads followed by the positive (k, l) heads, which
+    are exactly the pairs a < l <= k < b+c."""
     negatives = [ph for ph in enumerate_pseudoheads(p) if ph.is_negative]
-    positives = []
-    for l in range(p.a + 1, p.b + p.c):
-        for k in range(l, p.b + p.c):
-            cand = PositiveHeadIndex(p, k, l)
-            if cand.is_valid():
-                positives.append(cand)
-    positives.sort(key=lambda x: (x.k, x.l))
-    return negatives + positives
+    lows = range(p.a + 1, p.b + p.c)
+    return negatives + [PositiveHeadIndex(p, k, l) for k in lows for l in range(p.a + 1, k + 1)]
 
 
 def enumerate_quasiheads(p: ABCParams) -> list[QuasiheadIndex]:
-    out = []
-    for t in range(p.c + 1):
-        for s in range(t, p.b + p.c + 1):
-            cand = QuasiheadIndex(p, s, t)
-            if cand.is_valid():
-                out.append(cand)
-    out.sort(key=lambda x: (x.s, x.t))
-    return out
+    pairs = ((s, t) for s in range(p.b + p.c + 1) for t in range(min(s, p.c) + 1))
+    return _valid(QuasiheadIndex, p, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +297,8 @@ def quasihead_of_head(head: HeadIndex) -> QuasiheadIndex:
     p = head.params
     if isinstance(head, PositiveHeadIndex):
         return QuasiheadIndex(p, *omega_map(head.k, head.l))
-    if head.i + head.j > p.b + p.c:
-        return QuasiheadIndex(p, *phi(p, head.i, head.j))
-    return QuasiheadIndex(p, head.i, head.j)
+    # phi is the identity when i + j <= b + c: delta <= eps = 0 gives i <= a, so 2i + j <= L
+    return QuasiheadIndex(p, *phi(p, head.i, head.j))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +383,10 @@ def area(p: ABCParams, lam: Sequence[int]) -> int:
 
 def classify(p: ABCParams, lam: Sequence[int]) -> CaseLabel:
     """The case of the statistic's definition that lam falls into."""
-    x, y, z = _check_contained(p, lam)
+    return _case(p, *_check_contained(p, lam))
+
+
+def _case(p: ABCParams, x: int, y: int, z: int) -> CaseLabel:
     if z < min(p.b + p.c - x, _ceil_half(y - p.a)):
         return CaseLabel.CASE_2
     eps_yz = max(0, y + z - (p.b + p.c))
@@ -427,7 +404,7 @@ def stat(p: ABCParams, lam: Sequence[int]) -> int:
     """
     x, y, z = _check_contained(p, lam)
     a, b, c, L = p.a, p.b, p.c, p.leg
-    case = classify(p, lam)
+    case = _case(p, x, y, z)
     if case is CaseLabel.CASE_1A:
         return x + max(
             0,
@@ -457,7 +434,7 @@ def locate(p: ABCParams, lam: Sequence[int]) -> ChainRecord:
         2    -> chain of positive head (x, y)
     """
     x, y, z = _check_contained(p, lam)
-    case = classify(p, lam)
+    case = _case(p, x, y, z)
     if case is CaseLabel.CASE_1BII:
         tail = TailIndex(p, p.leg - x, p.b + p.c - y)
     elif case is CaseLabel.CASE_2:
@@ -482,20 +459,13 @@ def subpartitions3(p: ABCParams) -> list[Partition3]:
 
 def f_chains(p: ABCParams) -> LaurentPoly:
     """F(a, b, c) as a sum of symmetric chains over the quasiheads."""
-    total = ZERO
-    for qh in enumerate_quasiheads(p):
-        r, R = qh.area_range()
-        total = total + sym_chain(r, R)
-    return total
+    chains = (sym_chain(*qh.area_range()) for qh in enumerate_quasiheads(p))
+    return LaurentPoly(term for chain in chains for term in chain.terms().items())
 
 
 def f_stat(p: ABCParams) -> LaurentPoly:
     """F(a, b, c) as sum over subpartitions of q^area t^stat."""
-    terms: dict[tuple[int, int], int] = {}
-    for lam in subpartitions3(p):
-        key = (area(p, lam), stat(p, lam))
-        terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly(terms)
+    return LaurentPoly(((area(p, lam), stat(p, lam)), 1) for lam in subpartitions3(p))
 
 
 def h_comb_poly(a: int, b: int, c: int) -> LaurentPoly:
@@ -506,15 +476,12 @@ def h_comb_poly(a: int, b: int, c: int) -> LaurentPoly:
     with its variable swap reproduces F.
     """
     A = a + 2 * b + 3 * c
-    terms: dict[tuple[int, int], int] = {}
-    for t in range(c + 1):
-        for s in range(t, b + c + 1):
-            if 2 * s + 2 * t > a + b + 2 * c - ((c - t) % 2):
-                continue
-            eps = max(0, s + t - (b + c))
-            key = (A - 2 * s - t, s + eps)
-            terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly(terms)
+    return LaurentPoly(
+        ((A - 2 * s - t, s + max(0, s + t - (b + c))), 1)
+        for t in range(c + 1)
+        for s in range(t, b + c + 1)
+        if 2 * s + 2 * t <= a + b + 2 * c - ((c - t) % 2)
+    )
 
 
 def hcomb_recursion_residual(p: ABCParams) -> LaurentPoly:

@@ -18,7 +18,7 @@ import csv as csv_module
 import io
 import math
 import sys
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 from .chains import ChainRecord, area, decompose, f_chains, f_stat, stat
@@ -136,19 +136,9 @@ def _decompose(args) -> int:
 
 
 def _scan_vectors(n: int, maxval: int, monotone: bool):
-    length = n - 1
     if monotone:
-        def rec(prefix, cap):
-            if len(prefix) == length:
-                yield tuple(prefix)
-                return
-            for v in range(cap, -1, -1):
-                prefix.append(v)
-                yield from rec(prefix, v)
-                prefix.pop()
-        yield from rec([], maxval)
-    else:
-        yield from product(range(maxval + 1), repeat=length)
+        return combinations_with_replacement(range(maxval, -1, -1), n - 1)
+    return product(range(maxval + 1), repeat=n - 1)
 
 
 def _scan_worker(vec: tuple[int, ...]):

@@ -85,12 +85,9 @@ def f2(a: int, b: int) -> LaurentPoly:
     """
     if b < -1 or a < b - 1:
         raise DomainError(f"f2 requires b >= -1 and a >= b-1, got ({a}, {b})")
-    terms: dict[tuple[int, int], int] = {}
-    for i in range(b + 1):
-        for j in range(i, a + 2 * b - 2 * i + 1):
-            key = (j, a + 2 * b - i - j)
-            terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly(terms)
+    return LaurentPoly(
+        ((j, a + 2 * b - i - j), 1) for i in range(b + 1) for j in range(i, a + 2 * b - 2 * i + 1)
+    )
 
 
 def h2(a: int) -> LaurentPoly:

@@ -53,11 +53,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return _ZERO
+        return ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return _ONE
+        return ONE
 
     @classmethod
     def from_int(cls, n: int) -> "LaurentPoly":
@@ -142,7 +142,7 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             if other == 0:
-                return _ZERO
+                return ZERO
             return LaurentPoly._from_dict({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -165,7 +165,7 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:
             raise DomainError("exponent must be a nonnegative integer")
-        result = _ONE
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -255,14 +255,12 @@ def _coerce(value) -> "LaurentPoly":
 # The slot's own setter, which LaurentPoly.__setattr__ does not block.
 _set_terms = LaurentPoly._terms.__set__
 
-_ZERO = LaurentPoly()
-_ONE = LaurentPoly({(0, 0): 1})
+ZERO = LaurentPoly()
+ONE = LaurentPoly({(0, 0): 1})
 
 #: Convenient generators for building expressions in tests and callers.
 Q = LaurentPoly.monomial(1, 0)
 T = LaurentPoly.monomial(0, 1)
-ONE = _ONE
-ZERO = _ZERO
 
 
 def qt_power(k: int) -> LaurentPoly:

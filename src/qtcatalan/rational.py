@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, NotPolynomialError
-from .poly import ONE, ExponentPair, LaurentPoly
+from .poly import ONE, ZERO, ExponentPair, LaurentPoly
 
 
 @dataclass(frozen=True, order=True)
@@ -57,10 +57,15 @@ def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]
     len(rows) * 2^max_m < 2^(w-1) when w >= max_m + bit_length(len(rows)) + 1.
     Every slot then is one balanced w-bit digit, and one pass over the bytes
     of the biased sum decodes them all.
+
+    Rows far apart would leave most slots of the common box empty; when it
+    has more slots than the rows' own boxes together, each row is packed on
+    its own box and the results are added.
     """
     products = []
     q_box: list[int] = []
     t_box: list[int] = []
+    own_slots = 0
     for (e, f), factors in rows:
         factors = tuple(factors)
         q_min, q_max, t_min, t_max = e, e, f, f
@@ -76,11 +81,15 @@ def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]
         products.append((e, f, factors))
         q_box += (q_min, q_max)
         t_box += (t_min, t_max)
+        own_slots += (q_max - q_min + 1) * (t_max - t_min + 1)
     if not products:
         return LaurentPoly.zero()
     q_lo, q_hi, t_lo, t_hi = min(q_box), max(q_box), min(t_box), max(t_box)
-    max_m = max(len(factors) for _, _, factors in products)
     stride = t_hi - t_lo + 1
+    slots = (q_hi - q_lo + 1) * stride
+    if slots > own_slots:
+        return sum((sum_of_products([((e, f), fs)]) for e, f, fs in products), ZERO)
+    max_m = max(len(factors) for _, _, factors in products)
     width = -(-(max_m + len(products).bit_length() + 1) // 8) * 8
     total = 0
     for e, f, factors in products:
@@ -98,7 +107,6 @@ def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]
 
     nbytes = width // 8
     zero_digit = bytes(nbytes - 1) + b"\x80"  # 0 + the bias 2^(w-1)
-    slots = (q_hi - q_lo + 1) * stride
     raw = (total + int.from_bytes(zero_digit * slots, "little")).to_bytes(slots * nbytes, "little")
     half = 1 << (width - 1)
     data: dict[ExponentPair, int] = {}

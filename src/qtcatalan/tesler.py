@@ -67,12 +67,8 @@ def subpartitions(lam: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 def subdiagram_area_gf(lam: Sequence[int]) -> LaurentPoly:
     """Sum of q^(|lam| - |mu|) over all subpartitions mu of lam."""
-    lam = canonical_partition(lam)
-    size = sum(lam)
-    total = ZERO
-    for mu in subpartitions(lam):
-        total = total + LaurentPoly.monomial(size - sum(mu), 0)
-    return total
+    size = sum(canonical_partition(lam))
+    return LaurentPoly(((size - sum(mu), 0), 1) for mu in subpartitions(lam))
 
 
 @dataclass(frozen=True)
@@ -209,16 +205,8 @@ def two_diagonal_subdiagrams(a: Sequence[int]) -> list[tuple[TeslerMatrix, tuple
     lambda(a_2, ..., a_n): the partition of diagonal suffix sums
     (m_22+...+m_nn, m_33+...+m_nn, ...).  The pairing is a bijection onto
     all subdiagrams."""
-    a = _check_hook_vector(a)
-    out = []
-    for m in enumerate_tesler(a):
-        if not m.is_two_diagonal():
-            continue
-        diag = [row[0] for row in m.rows]
-        suffix = []
-        total = sum(diag[1:])
-        for i in range(1, m.n):
-            suffix.append(total)
-            total -= diag[i]
-        out.append((m, canonical_partition(suffix)))
-    return out
+    return [
+        (m, lambda_partition([row[0] for row in m.rows[1:]]))
+        for m in enumerate_tesler(a)
+        if m.is_two_diagonal()
+    ]

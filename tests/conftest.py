@@ -1,0 +1,31 @@
+"""Shared fixtures."""
+
+import resource
+import subprocess
+import sys
+
+import pytest
+
+# Address-space cap for children that run inputs with large entries: a
+# kernel that sized its integers by the span of the result instead of the
+# size of its terms dies there with a MemoryError rather than swapping.
+ADDRESS_SPACE_CAP = 1 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
+@pytest.fixture
+def run_capped():
+    """Run `python *args` in a child process with a capped address space."""
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            text=True,
+            preexec_fn=_cap_address_space,
+        )
+
+    return run

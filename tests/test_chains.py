@@ -11,6 +11,7 @@ from qtcatalan import (
     ZERO,
     PositiveHeadIndex,
     PseudoheadIndex,
+    QuasiheadIndex,
     TailIndex,
     appendage_of,
     area,
@@ -57,6 +58,23 @@ def _valid_params(maxval):
 
 
 # -- index sets ---------------------------------------------------------------
+
+def _filtered_sorted(cls, p, key):
+    # every valid index lies in the box [0, a+b+c]^2; search a wider one
+    box = range(-1, p.leg + 2)
+    return sorted((x for x in (cls(p, u, v) for u in box for v in box) if x.is_valid()), key=key)
+
+
+def test_index_sets_in_order_on_a_grid():
+    for p in _valid_params(8):
+        pseudoheads = _filtered_sorted(PseudoheadIndex, p, lambda x: (x.i, x.j))
+        assert enumerate_tails(p) == _filtered_sorted(TailIndex, p, lambda x: (x.E, x.F))
+        assert enumerate_pseudoheads(p) == pseudoheads
+        assert enumerate_heads(p) == [ph for ph in pseudoheads if ph.is_negative] + (
+            _filtered_sorted(PositiveHeadIndex, p, lambda x: (x.k, x.l))
+        )
+        assert enumerate_quasiheads(p) == _filtered_sorted(QuasiheadIndex, p, lambda x: (x.s, x.t))
+
 
 def test_quasiheads_111():
     got = [(q.s, q.t, q.area_range()) for q in enumerate_quasiheads(P111)]

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from qtcatalan import (
     ABCParams,
     LaurentPoly,
     VerificationReport,
+    bracket,
     f_stat,
     f_tableaux,
     parse_json,
@@ -20,6 +22,7 @@ from qtcatalan import (
     render_json,
     render_latex,
 )
+from qtcatalan.cli import _scan_vectors
 from qtcatalan.verification import CaseResult
 
 polys = st.dictionaries(
@@ -166,6 +169,22 @@ def test_decompose_csv_matches_stat_sum():
     assert roles == {"tail", "pseudohead", "head", "quasihead", "member"}
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("decompose_1_1_2.txt", ["--abc", "1,1,2"]),
+        ("decompose_2_2_2.csv", ["--abc", "2,2,2", "--format", "csv"]),
+    ],
+)
+def test_decompose_golden_output(name, args):
+    import pathlib
+
+    proc = run_cli("decompose", *args)
+    assert proc.returncode == 0
+    path = pathlib.Path(__file__).parent / "fixtures" / name
+    assert proc.stdout.encode() == path.read_bytes()
+
+
 def test_decompose_single_chain():
     proc = run_cli("decompose", "--abc", "0,0,0")
     assert proc.returncode == 0
@@ -197,6 +216,15 @@ def test_scan_monotone_n4():
     assert "no negative coefficients" in proc.stdout
 
 
+def test_scan_vectors_order():
+    for n in range(2, 6):
+        for m in range(5):
+            every = list(product(range(m + 1), repeat=n - 1))
+            monotone = [v for v in every if list(v) == sorted(v, reverse=True)]
+            assert list(_scan_vectors(n, m, True)) == sorted(monotone, reverse=True)
+            assert list(_scan_vectors(n, m, False)) == every
+
+
 def test_scan_pool_matches_serial(monkeypatch):
     monkeypatch.delenv("QTC_JOBS", raising=False)
     serial = run_cli("scan", "--n", "4", "--max", "3", "--all")
@@ -226,6 +254,12 @@ def test_rational_trivial():
     proc = run_cli("rational", "--m", "1", "--n", "1")
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("1")
+
+
+def test_rational_large_entries(run_capped):
+    proc = run_capped("-m", "qtcatalan.cli", "rational", "--m", "100001", "--n", "2")
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout == f"slope sequence: (50001, 50000)\n{bracket(50001).to_text()}\n"
 
 
 # -- verify ------------------------------------------------------------------------

@@ -155,3 +155,16 @@ def test_packed_sum_decodes_coefficients_past_32_bits():
     assert got == _naive_sum(rows)
     assert sum_of_products([]) == 0
     assert sum_of_products([((1, -2), [])]) == LaurentPoly.monomial(1, -2)
+
+
+def test_packed_sum_of_far_apart_rows(run_capped):
+    # one box around both rows would hold ~10^18 slots, their own boxes 4
+    # and 12, so the kernel must pack the rows apart
+    rows = [((0, 0), [(1, 0), (0, 1)]), ((10**9, 10**9), [(-1, 2), (1, 1)])]
+    code = (
+        "from qtcatalan.rational import sum_of_products; "
+        f"print(sum_of_products({rows!r}).sorted_terms())"
+    )
+    proc = run_capped("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{_naive_sum(rows).sorted_terms()}\n"

@@ -32,6 +32,16 @@ from qtcatalan import (
 )
 
 
+def test_large_entries_cost_their_terms_not_their_span(run_capped):
+    # F(a, 0) = [a + 1]_{q,t} has a + 1 terms but a q,t-span of a^2
+    code = (
+        "from qtcatalan import bracket, f_tableaux; "
+        "assert f_tableaux((10**5, 0)) == bracket(10**5 + 1)"
+    )
+    proc = run_capped("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- independent oracle: count SYT by the hook length formula ---------------
 
 def _partitions_of(n, cap=None):
