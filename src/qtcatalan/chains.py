@@ -377,7 +377,10 @@ def _check_contained(p: ABCParams, lam: Sequence[int]) -> Partition3:
 
 def area(p: ABCParams, lam: Sequence[int]) -> int:
     """area(lam) = |ambient staircase| - |lam|."""
-    x, y, z = _check_contained(p, lam)
+    return _area(p, *_check_contained(p, lam))
+
+
+def _area(p: ABCParams, x: int, y: int, z: int) -> int:
     return p.total_weight - (x + y + z)
 
 
@@ -402,7 +405,10 @@ def stat(p: ABCParams, lam: Sequence[int]) -> int:
 
     Within a chain of area range [r, R] it equals r + R - area(lam).
     """
-    x, y, z = _check_contained(p, lam)
+    return _stat(p, *_check_contained(p, lam))
+
+
+def _stat(p: ABCParams, x: int, y: int, z: int) -> int:
     a, b, c, L = p.a, p.b, p.c, p.leg
     case = _case(p, x, y, z)
     if case is CaseLabel.CASE_1A:
@@ -465,7 +471,8 @@ def f_chains(p: ABCParams) -> LaurentPoly:
 
 def f_stat(p: ABCParams) -> LaurentPoly:
     """F(a, b, c) as sum over subpartitions of q^area t^stat."""
-    return LaurentPoly(((area(p, lam), stat(p, lam)), 1) for lam in subpartitions3(p))
+    # subpartitions3 lists contained partitions only, so none is checked again
+    return LaurentPoly(((_area(p, *lam), _stat(p, *lam)), 1) for lam in subpartitions3(p))
 
 
 def h_comb_poly(a: int, b: int, c: int) -> LaurentPoly:

@@ -6,15 +6,23 @@ The tableau sums produce values of the form
 
 which are rational a priori but reduce to Laurent polynomials once summed.
 ``FactoredRational`` keeps the denominator as an explicit multiset of
-binomial factors so that common factors cancel exactly, and ``to_poly``
-performs the final division factor by factor.
+binomial factors so that common factors cancel exactly.
+
+Polynomials on a box of exponents are packed into one integer by Kronecker
+substitution (``PackedBox``).  ``sum_of_products`` expands sums of products
+of binomials that way.  ``to_poly`` and ``divide_sum_of_products`` (which
+takes the packed sum as it is) divide by the whole denominator at once:
+one multiplication by its inverse modulo a power of 2, proved by an exact
+multiply-back.  A numerator too sparse for its box, or one that no width
+tried proves, is divided factor by factor by ``exact_divide``, which also
+tells a numerator that does not divide.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, NotPolynomialError
 from .poly import ONE, ZERO, ExponentPair, LaurentPoly
@@ -39,29 +47,112 @@ class BinomialFactor:
         return LaurentPoly({(0, 0): 1, (self.alpha, self.beta): -1})
 
 
-def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]]) -> LaurentPoly:
-    """The sum over rows ((e, f), factors) of q^e t^f * prod (1 - q^alpha t^beta),
-    expanded by Kronecker substitution into one big integer (Harvey 2009,
-    J. Symbolic Comput.).
+def _zero_digit(nbytes: int) -> bytes:
+    # the digit 0 plus the bias 2^(w-1), little-endian
+    return bytes(nbytes - 1) + b"\x80"
 
-    The exponent (a, b) maps to the slot a*S + b (less the lowest slot
-    used), where the stride S is one more than the t-span of the result, so
-    distinct terms of the result land in distinct slots.  Each slot has w
-    bits, and a binomial with packed exponent k is one shift and subtract:
-    x - (x << k*w) for k > 0, and for k < 0, (1 - X^k) = X^k (X^-k - 1)
-    gives (x << -k*w) - x with the row's offset moved by k.
 
-    Exactness: every coefficient of a product of m binomials is at most 2^m
-    in absolute value (the sum of the absolute values of its coefficients is
-    at most 2^m), so a slot of the sum over all rows holds at most
-    len(rows) * 2^max_m < 2^(w-1) when w >= max_m + bit_length(len(rows)) + 1.
-    Every slot then is one balanced w-bit digit, and one pass over the bytes
-    of the biased sum decodes them all.
+class PackedBox:
+    """Kronecker substitution on a box of exponent pairs (Harvey 2009, J.
+    Symbolic Comput.).
 
-    Rows far apart would leave most slots of the common box empty; when it
-    has more slots than the rows' own boxes together, each row is packed on
-    its own box and the results are added.
+    The pair (a, b) of [q_lo, q_hi] x [t_lo, t_hi] maps to the slot
+    (a - q_lo) * stride + (b - t_lo), where the stride is one more than the
+    t-span, so distinct pairs land in distinct slots and a factor q^alpha
+    t^beta moves a slot by alpha * stride + beta.  A polynomial on the box
+    is then one integer, its value at X = 2^width: one balanced digit of
+    width bits per slot (width a multiple of 8), exact while every
+    coefficient is below 2^(width-1) in absolute value.  Every pack and
+    unpack of the module goes through here.
     """
+
+    __slots__ = ("q_lo", "q_hi", "t_lo", "t_hi", "stride", "slots")
+
+    def __init__(self, q_lo: int, q_hi: int, t_lo: int, t_hi: int):
+        self.q_lo, self.q_hi, self.t_lo, self.t_hi = q_lo, q_hi, t_lo, t_hi
+        self.stride = t_hi - t_lo + 1
+        self.slots = (q_hi - q_lo + 1) * self.stride
+
+    @classmethod
+    def around(cls, exponents: Iterable[ExponentPair]) -> "PackedBox":
+        qs, ts = zip(*exponents)
+        return cls(min(qs), max(qs), min(ts), max(ts))
+
+    def slot(self, e: int, f: int) -> int:
+        return (e - self.q_lo) * self.stride + f - self.t_lo
+
+    def _bias(self, nbytes: int, pad: int = 0) -> int:
+        # 2^(8 nbytes - 1) in every slot of (nbytes + pad) bytes
+        return int.from_bytes((_zero_digit(nbytes) + bytes(pad)) * self.slots, "little")
+
+    def _digits(self, value: int, nbytes: int) -> bytes:
+        # the biased digits of value modulo 2^(slots * width), lowest slot first
+        size = self.slots * nbytes
+        biased = (value + self._bias(nbytes)) & ((1 << (8 * size)) - 1)
+        return biased.to_bytes(size, "little")
+
+    def encode(self, terms: dict[ExponentPair, int], width: int) -> int:
+        nbytes = width // 8
+        half = 1 << (width - 1)
+        raw = bytearray(_zero_digit(nbytes) * self.slots)
+        for (e, f), coeff in terms.items():
+            i = self.slot(e, f) * nbytes
+            raw[i : i + nbytes] = (coeff + half).to_bytes(nbytes, "little")
+        return int.from_bytes(raw, "little") - self._bias(nbytes)
+
+    def decode(self, value: int, width: int) -> dict[ExponentPair, int]:
+        """The terms whose digits value holds, read modulo 2^(slots * width)."""
+        nbytes = width // 8
+        zero_digit = _zero_digit(nbytes)
+        raw = self._digits(value, nbytes)
+        half = 1 << (width - 1)
+        stride, q_lo, t_lo = self.stride, self.q_lo, self.t_lo
+        data: dict[ExponentPair, int] = {}
+        for i in range(0, len(raw), nbytes):
+            digit = raw[i : i + nbytes]
+            if digit != zero_digit:
+                qe, te = divmod(i // nbytes, stride)
+                data[(qe + q_lo, te + t_lo)] = int.from_bytes(digit, "little") - half
+        return data
+
+    def count(self, value: int, width: int) -> int:
+        """The number of nonzero digits of value."""
+        nbytes = width // 8
+        bias = self._bias(nbytes)
+        raw = ((value + bias) ^ bias).to_bytes(self.slots * nbytes, "little")
+        nonzero = 0
+        for j in range(nbytes):
+            nonzero |= int.from_bytes(raw[j::nbytes], "little")
+        return self.slots - nonzero.to_bytes(self.slots, "little").count(0)
+
+    def widen(self, value: int, width: int, new_width: int) -> int:
+        """The same digits, each in new_width bits."""
+        nbytes, new_nbytes = width // 8, new_width // 8
+        raw = self._digits(value, nbytes)
+        out = bytearray(self.slots * new_nbytes)
+        for j in range(nbytes):
+            out[j::new_nbytes] = raw[j::nbytes]
+        return int.from_bytes(out, "little") - self._bias(nbytes, new_nbytes - nbytes)
+
+
+class Packed(NamedTuple):
+    """A polynomial packed on box at width bits per slot."""
+
+    box: PackedBox
+    width: int
+    value: int
+
+    def unpack(self) -> LaurentPoly:
+        return LaurentPoly._from_dict(self.box.decode(self.value, self.width))
+
+
+def _round_width(bits: int) -> int:
+    return -(-bits // 8) * 8
+
+
+def _pack_sum(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]]) -> "Packed | LaurentPoly":
+    """The sum of ``sum_of_products``, packed on one box; or, when the
+    rows lie too far apart for one box, unpacked."""
     products = []
     q_box: list[int] = []
     t_box: list[int] = []
@@ -84,13 +175,12 @@ def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]
         own_slots += (q_max - q_min + 1) * (t_max - t_min + 1)
     if not products:
         return LaurentPoly.zero()
-    q_lo, q_hi, t_lo, t_hi = min(q_box), max(q_box), min(t_box), max(t_box)
-    stride = t_hi - t_lo + 1
-    slots = (q_hi - q_lo + 1) * stride
-    if slots > own_slots:
+    box = PackedBox(min(q_box), max(q_box), min(t_box), max(t_box))
+    if box.slots > own_slots:
         return sum((sum_of_products([((e, f), fs)]) for e, f, fs in products), ZERO)
     max_m = max(len(factors) for _, _, factors in products)
-    width = -(-(max_m + len(products).bit_length() + 1) // 8) * 8
+    width = _round_width(max_m + len(products).bit_length() + 1)
+    stride = box.stride
     total = 0
     for e, f, factors in products:
         x, offset = 1, 0
@@ -103,19 +193,32 @@ def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]
                 offset += k
         # digit 0 of x is the term taking -X^k from each factor with k < 0:
         # a monomial inside the result's box, so its slot is not negative
-        total += x << (((e - q_lo) * stride + f - t_lo + offset) * width)
+        total += x << ((box.slot(e, f) + offset) * width)
+    return Packed(box, width, total)
 
-    nbytes = width // 8
-    zero_digit = bytes(nbytes - 1) + b"\x80"  # 0 + the bias 2^(w-1)
-    raw = (total + int.from_bytes(zero_digit * slots, "little")).to_bytes(slots * nbytes, "little")
-    half = 1 << (width - 1)
-    data: dict[ExponentPair, int] = {}
-    for i in range(0, slots * nbytes, nbytes):
-        digit = raw[i : i + nbytes]
-        if digit != zero_digit:
-            qe, te = divmod(i // nbytes, stride)
-            data[(qe + q_lo, te + t_lo)] = int.from_bytes(digit, "little") - half
-    return LaurentPoly._from_dict(data)
+
+def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]]) -> LaurentPoly:
+    """The sum over rows ((e, f), factors) of q^e t^f * prod (1 - q^alpha t^beta),
+    expanded by Kronecker substitution into one big integer.
+
+    The box spans the rows' own boxes, and a binomial with packed exponent
+    k is one shift and subtract: x - (x << k*w) for k > 0, and for k < 0,
+    (1 - X^k) = X^k (X^-k - 1) gives (x << -k*w) - x with the row's offset
+    moved by k.
+
+    Exactness: every coefficient of a product of m binomials is at most 2^m
+    in absolute value (the sum of the absolute values of its coefficients is
+    at most 2^m), so a slot of the sum over all rows holds at most
+    len(rows) * 2^max_m < 2^(w-1) when w >= max_m + bit_length(len(rows)) + 1.
+    Every slot then is one balanced w-bit digit, and one pass over the bytes
+    of the biased sum decodes them all.
+
+    Rows far apart would leave most slots of the common box empty; when it
+    has more slots than the rows' own boxes together, each row is packed on
+    its own box and the results are added.
+    """
+    total = _pack_sum(rows)
+    return total if isinstance(total, LaurentPoly) else total.unpack()
 
 
 def product_of_factors(factors: Iterable[BinomialFactor]) -> LaurentPoly:
@@ -169,6 +272,126 @@ def exact_divide(p: LaurentPoly, factor: BinomialFactor) -> LaurentPoly:
         if running + entries[-1][3]:
             raise NotPolynomialError(f"(1 - q^{v[0]} t^{v[1]}) does not divide {p.to_text()}")
     return LaurentPoly._from_dict(out)
+
+
+#: The packed division allocates the numerator's whole box, so it runs only
+#: while that box has at most this many slots per term.  The tableau sums
+#: of the benchmark and of the verify grids have at most 4.5 slots per
+#: term.  On the numerators of F(a, 0), F(a, b, c) and F(a, a, 0, 0) the
+#: packed division was faster than the chain up to 20-30 slots per term,
+#: and slower from 60 on.  F(a, 0) has 36 terms in (a + 9)^2 slots, so from
+#: a = 16 on it is divided factor by factor, at a cost that follows its
+#: terms rather than its span.
+SLOTS_PER_TERM = 16
+#: Widths the packed division tries (the first, then doubled) before a
+#: numerator is divided factor by factor, which also tells a numerator that
+#: does not divide.
+PACKED_ATTEMPTS = 3
+
+
+def divide_sum_of_products(
+    rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]],
+    denominator: Iterable[tuple[int, int]],
+) -> LaurentPoly:
+    """sum_of_products(rows) / prod (1 - q^alpha t^beta) over the
+    denominator, taken on the packed sum without unpacking it;
+    NotPolynomialError if that is not a Laurent polynomial."""
+    # sorted as FactoredRational sorts it: the order the chain divides in
+    return _exact_quotient(_pack_sum(rows), tuple(sorted(denominator)))
+
+
+def _exact_quotient(numerator: "Packed | LaurentPoly", factors: tuple) -> LaurentPoly:
+    """numerator / prod (1 - q^alpha t^beta) over factors; NotPolynomialError
+    if that is not a Laurent polynomial."""
+    packed = None
+    if isinstance(numerator, Packed):
+        box, width, value = numerator
+        if not value:
+            return ZERO
+        if box.slots <= SLOTS_PER_TERM * box.count(value, width):
+            packed = numerator
+    elif numerator and factors:
+        terms = numerator._terms
+        box = PackedBox.around(terms)
+        if box.slots <= SLOTS_PER_TERM * len(terms):
+            width = _round_width(max(abs(c) for c in terms.values()).bit_length() + 1)
+            packed = Packed(box, width, box.encode(terms, width))
+    else:
+        return numerator
+    if packed is not None:
+        quotient = _packed_quotient(packed, factors)
+        if quotient is not None:
+            return quotient
+    p = numerator.unpack() if isinstance(numerator, Packed) else numerator
+    for f in factors:
+        p = exact_divide(p, f)
+    return p
+
+
+def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
+    """The quotient Q = N / D for the packed N, or None if no width tried
+    proves it.
+
+    With (1 - X^k) = -X^k (1 - X^-k) for k < 0, N = D Q reads
+    X^shift N = sign * d Q with d = prod (1 - X^|k|).  d is odd at X = 2^w,
+    so Q = sign * X^shift N / d modulo 2^L, L = slots * w, and dividing by
+    one (1 - X^k) is the geometric series 1 + X^k + X^2k + ..., summed by
+    doubling.  Q lies in N's box, since Newt(N) = Newt(D) + Newt(Q) and
+    0 is in Newt(D), so its digits are read off that box.  They are right
+    if every coefficient of Q fits in w bits; Q is returned only once D Q
+    is shown to equal N, and on a mismatch w is doubled.
+    """
+    box, width, value = numerator
+    d_q, d_t = [0, 0], [0, 0]  # the box of D: the sums of its factors' boxes
+    for alpha, beta in factors:
+        d_q[alpha > 0] += alpha
+        d_t[beta > 0] += beta
+    if d_q[1] - d_q[0] > box.q_hi - box.q_lo or d_t[1] - d_t[0] > box.t_hi - box.t_lo:
+        return None  # D Q would have a wider box than N; this keeps every k nonzero
+    ks = [alpha * box.stride + beta for alpha, beta in factors]
+    shift = -sum(k for k in ks if k < 0)
+    negate = sum(k < 0 for k in ks) % 2
+    ks = [abs(k) for k in ks]
+    n_bits = width - 1  # every coefficient of N is below 2^n_bits
+    for _ in range(PACKED_ATTEMPTS):
+        bits = box.slots * width
+        mask = (1 << bits) - 1
+        y = (value & (mask >> (shift * width))) << (shift * width)
+        if negate:
+            y = -y & mask
+        for k in ks:
+            s = k * width
+            while s < bits:
+                y = (y + (y << s)) & mask
+                s <<= 1
+        terms = box.decode(y, width)
+        # Proof that Q D = N.  Q D has the box box(Q) + box(D), since the
+        # extreme terms of a product do not cancel.  When that box is
+        # inside N's, the stride keeps every term of Q D - N in a slot of
+        # its own.  A coefficient of Q D is at most max|Q| * ||D||_1 <=
+        # max|Q| * 2^m in absolute value, and one of N is below 2^n_bits,
+        # so at a width W above both bounds every digit of Q D - N is
+        # below 2^W.  Then (Q D - N)(2^W) = 0 only if Q D = N: else its
+        # lowest nonzero digit would be a multiple of 2^W, but smaller.
+        q_box = terms and PackedBox.around(terms)
+        if (
+            q_box
+            and box.q_lo <= q_box.q_lo + d_q[0]
+            and q_box.q_hi + d_q[1] <= box.q_hi
+            and box.t_lo <= q_box.t_lo + d_t[0]
+            and q_box.t_hi + d_t[1] <= box.t_hi
+        ):
+            q_bits = max(abs(c) for c in terms.values()).bit_length()
+            check = max(_round_width(max(q_bits + len(ks), n_bits) + 1), width)
+            x, n = box.widen(y, width, check), box.widen(value, width, check)
+            for k in ks:
+                x -= x << (k * check)
+            n <<= shift * check
+            if x == (-n if negate else n):
+                return LaurentPoly._from_dict(terms)
+        value = box.widen(value, width, 2 * width)
+        width *= 2
+    return None
 
 
 class FactoredRational:
@@ -247,10 +470,7 @@ class FactoredRational:
     def to_poly(self) -> LaurentPoly:
         """Reduce to a LaurentPoly; NotPolynomialError if any factor fails
         to divide the numerator exactly."""
-        p = self.numerator
-        for f in self.denominator:
-            p = exact_divide(p, f)
-        return p
+        return _exact_quotient(self.numerator, self.denominator)
 
     def value_equals(self, other: "FactoredRational | LaurentPoly | int") -> bool:
         """Semantic equality, by cross-multiplying denominators."""

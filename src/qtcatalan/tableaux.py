@@ -23,8 +23,8 @@ per choice of F or H): for each factor, its largest multiplicity over the
 tableaux, 46 factors at n = 6.  A plan, built once per size, keeps only
 small integer data: per tableau, the content tail z[1:] and a factor list,
 its numerator factors plus its cofactor D / den(T).  A vector then costs
-one packed sum of the numerators (``rational.sum_of_products``) and one
-chain of exact divisions by the factors of D.
+one packed sum of the numerators and one division of that packed sum by D,
+with no unpacking in between (``rational.divide_sum_of_products``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 from .errors import DomainError
 from .poly import ExponentPair, LaurentPoly, ONE
-from .rational import BinomialFactor, FactoredRational, product_of_factors, sum_of_products
+from .rational import BinomialFactor, FactoredRational, divide_sum_of_products, product_of_factors
 
 #: Exhaustive sums over tableaux are kept to sizes where they stay cheap.
 MAX_TABLEAU_SIZE = 8
@@ -230,7 +230,7 @@ def _weighted_sum(a: tuple[int, ...], head_like_only: bool) -> LaurentPoly:
         qe = sum(ai * zq for ai, (zq, _) in zip(a, tail))
         te = sum(ai * zt for ai, (_, zt) in zip(a, tail))
         shifted.append(((qe, te), factors))
-    return FactoredRational(sum_of_products(shifted), common).to_poly()
+    return divide_sum_of_products(shifted, common)
 
 
 def f_tableaux(a: Sequence[int]) -> LaurentPoly:

@@ -1,10 +1,17 @@
 """Shared fixtures."""
 
+import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+# pytest finds the package through `pythonpath` in pyproject.toml; the
+# interpreters the tests start find it through PYTHONPATH.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 # Address-space cap for children that run inputs with large entries: a
 # kernel that sized its integers by the span of the result instead of the

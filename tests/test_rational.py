@@ -1,5 +1,8 @@
 """Factored rationals: arithmetic, cancellation, and exact reduction."""
 
+from functools import reduce
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,7 +17,8 @@ from qtcatalan import (
     T,
     exact_divide,
 )
-from qtcatalan.rational import sum_of_products
+from qtcatalan import rational
+from qtcatalan.rational import PackedBox, divide_sum_of_products, sum_of_products
 
 pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda ab: ab != (0, 0))
 factors = pairs.map(lambda ab: BinomialFactor(*ab))
@@ -168,3 +172,100 @@ def test_packed_sum_of_far_apart_rows(run_capped):
     proc = run_capped("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{_naive_sum(rows).sorted_terms()}\n"
+
+
+# -- the packed division against the chain of exact divisions -----------------
+
+def _chain(p, factors_list):
+    return reduce(exact_divide, factors_list, p)
+
+
+def _is_dense(p):
+    return PackedBox.around(p.terms()).slots <= rational.SLOTS_PER_TERM * len(p)
+
+
+@given(polys)
+@settings(max_examples=100)
+def test_packed_box_round_trip(p):
+    if not p:
+        return
+    box = PackedBox.around(p.terms())
+    width = 8 * (max(abs(c) for c in p.terms().values()).bit_length() // 8 + 1)
+    value = box.encode(p.terms(), width)
+    assert box.decode(value, width) == p.terms()
+    assert box.count(value, width) == len(p)
+    assert box.decode(box.widen(value, width, 2 * width), 2 * width) == p.terms()
+
+
+# factors in both directions, some with |beta| above the t-span of polys
+mixed_factors = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-9, 9)).filter(lambda ab: ab != (0, 0)).map(
+        lambda ab: BinomialFactor(*ab)
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(polys, mixed_factors)
+@example(Q + T, [BinomialFactor(0, 9), BinomialFactor(1, -9), BinomialFactor(-2, 1)])
+@settings(max_examples=150, deadline=None)
+def test_packed_division_recovers_the_quotient(p, factors_list):
+    n = p * _product(factors_list)
+    with mock.patch.object(rational, "exact_divide", wraps=exact_divide) as chain:
+        assert FactoredRational(n, factors_list).to_poly() == p
+    if n and _is_dense(n):
+        assert chain.call_count == 0  # proved by the packed division alone
+    assert _chain(n, factors_list) == p
+    with pytest.raises(NotPolynomialError):
+        FactoredRational(n + 1, factors_list).to_poly()
+
+
+@given(rows_of_products, mixed_factors)
+@settings(max_examples=60, deadline=None)
+def test_divided_packed_sum_matches_the_chain(rows, factors_list):
+    # every row carries the whole denominator, so the sum divides by it
+    over = [((e, f), list(fs) + [tuple(g) for g in factors_list]) for (e, f), fs in rows]
+    quotient = sum_of_products(rows)
+    assert divide_sum_of_products(over, factors_list) == quotient
+    assert _chain(sum_of_products(over), factors_list) == quotient
+
+
+def test_packed_division_retries_at_a_wider_width(monkeypatch):
+    # the numerator's peak coefficient 6 sets the first width to 8 bits;
+    # the quotient's peak 670 needs the doubled width
+    numerator = (ONE - Q**10) ** 4
+    quotient = sum((Q**i for i in range(10)), LaurentPoly.zero()) ** 4
+    assert max(numerator.terms().values()) == 6
+    assert max(quotient.terms().values()) == 670
+    monkeypatch.setattr(rational, "exact_divide", None)  # the chain must not run
+    with mock.patch.object(PackedBox, "decode", autospec=True, side_effect=PackedBox.decode) as decode:
+        assert FactoredRational(numerator, [BinomialFactor(1, 0)] * 4).to_poly() == quotient
+    assert [width for (_, _, width), _ in decode.call_args_list] == [8, 16]
+
+
+def test_non_divisible_numerator_is_refused():
+    factors_list = [BinomialFactor(1, 0), BinomialFactor(-1, 2), BinomialFactor(0, 1)]
+    n = (Q + T * T + 3) * _product(factors_list)
+    assert FactoredRational(n, factors_list).to_poly() == Q + T * T + 3
+    with pytest.raises(NotPolynomialError):
+        FactoredRational(n + 1, factors_list).to_poly()
+    with pytest.raises(NotPolynomialError):
+        divide_sum_of_products([((0, 0), []), ((1, 0), [(1, 0)])], [(1, 0)])
+
+
+def test_sparse_far_apart_numerator_is_divided_by_its_terms(run_capped):
+    # the numerator's box holds ~10^18 slots for 16 terms: it must be
+    # divided factor by factor, not packed
+    code = (
+        "from qtcatalan import FactoredRational, LaurentPoly, ONE; "
+        "from qtcatalan.rational import product_of_factors; "
+        "d = [(1, 0), (0, 1), (-1, 2)]; "
+        "quotient = ONE + LaurentPoly.monomial(10**9, 10**9); "
+        "n = quotient * product_of_factors(d); "
+        "assert len(n) == 16 and FactoredRational(n, d).to_poly() == quotient; "
+        "print('ok')"
+    )
+    proc = run_capped("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
