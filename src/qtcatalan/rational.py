@@ -11,10 +11,11 @@ binomial factors so that common factors cancel exactly.
 Polynomials on a box of exponents are packed into one integer by Kronecker
 substitution (``PackedBox``).  ``sum_of_products`` expands sums of products
 of binomials that way.  ``to_poly`` and ``divide_sum_of_products`` (which
-takes the packed sum as it is) divide by the whole denominator at once:
-one multiplication by its inverse modulo a power of 2, proved by an exact
-multiply-back.  A numerator too sparse for its box, or one that no width
-tried proves, is divided factor by factor by ``exact_divide``, which also
+takes the packed sum as it is) divide by the denominator's inverse modulo
+a power of 2, one factor at a time (``exact_divide`` of a packed
+polynomial), and prove the quotient by an exact multiply-back.  A
+numerator too sparse for its box, or one that no width tried proves, is
+divided by ``exact_divide`` term by term along lattice lines, which also
 tells a numerator that does not divide.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import DomainError, NotPolynomialError
 from .poly import ONE, ZERO, ExponentPair, LaurentPoly
@@ -135,12 +136,17 @@ class PackedBox:
         return int.from_bytes(out, "little") - self._bias(nbytes, new_nbytes - nbytes)
 
 
-class Packed(NamedTuple):
-    """A polynomial packed on box at width bits per slot."""
+class Packed:
+    """A polynomial packed on box at width bits per slot.  Its length is the
+    number of slots: the size of every operation on it."""
 
-    box: PackedBox
-    width: int
-    value: int
+    __slots__ = ("box", "width", "value")
+
+    def __init__(self, box: PackedBox, width: int, value: int):
+        self.box, self.width, self.value = box, width, value
+
+    def __len__(self) -> int:
+        return self.box.slots
 
     def unpack(self) -> LaurentPoly:
         return LaurentPoly._from_dict(self.box.decode(self.value, self.width))
@@ -225,7 +231,7 @@ def product_of_factors(factors: Iterable[BinomialFactor]) -> LaurentPoly:
     return sum_of_products((((0, 0), factors),))
 
 
-def exact_divide(p: LaurentPoly, factor: BinomialFactor) -> LaurentPoly:
+def exact_divide(p: "LaurentPoly | Packed", factor: BinomialFactor) -> "LaurentPoly | Packed":
     """Divide p exactly by (1 - q^alpha t^beta).
 
     With 1 - X^v = -X^v (1 - X^-v), the division is taken along the
@@ -234,10 +240,32 @@ def exact_divide(p: LaurentPoly, factor: BinomialFactor) -> LaurentPoly:
     quotient coefficients are the running partial sums, and the division is
     exact iff every line sums to zero.  The quotient is unique, so any
     correct method agrees.
+
+    A packed p is divided modulo 2^L, L = slots * width, where the factor
+    is 1 - X^k with k = alpha * stride + beta.  For k > 0 that is odd at
+    X = 2^width, and its inverse is the geometric series 1 + X^k + X^2k +
+    ..., summed by doubling; for k < 0, 1 / (1 - X^k) = -X^-k / (1 - X^-k).
+    The digits of the result are the quotient only if it lies in p's box
+    and fits the width, which the caller must prove (``_packed_quotient``).
     """
     alpha, beta = v = tuple(factor)
     if alpha == 0 and beta == 0:
         raise DomainError("cannot divide by the zero factor (1 - q^0 t^0)")
+    if isinstance(p, Packed):
+        box, width, y = p.box, p.width, p.value
+        k = alpha * box.stride + beta
+        if k == 0:
+            raise DomainError(f"(1 - q^{alpha} t^{beta}) is 0 on a box of stride {box.stride}")
+        bits = box.slots * width
+        mask = (1 << bits) - 1
+        if k < 0:
+            k = -k
+            y = -(y << (k * width))
+        s = k * width
+        while s < bits:
+            y = (y + (y << s)) & mask
+            s <<= 1
+        return Packed(box, width, y & mask)
     if p.is_zero():
         return LaurentPoly.zero()
     sign, first = 1, 0
@@ -305,7 +333,7 @@ def _exact_quotient(numerator: "Packed | LaurentPoly", factors: tuple) -> Lauren
     if that is not a Laurent polynomial."""
     packed = None
     if isinstance(numerator, Packed):
-        box, width, value = numerator
+        box, width, value = numerator.box, numerator.width, numerator.value
         if not value:
             return ZERO
         if box.slots <= SLOTS_PER_TERM * box.count(value, width):
@@ -334,14 +362,14 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
 
     With (1 - X^k) = -X^k (1 - X^-k) for k < 0, N = D Q reads
     X^shift N = sign * d Q with d = prod (1 - X^|k|).  d is odd at X = 2^w,
-    so Q = sign * X^shift N / d modulo 2^L, L = slots * w, and dividing by
-    one (1 - X^k) is the geometric series 1 + X^k + X^2k + ..., summed by
-    doubling.  Q lies in N's box, since Newt(N) = Newt(D) + Newt(Q) and
+    so Q = sign * X^shift N / d modulo 2^L, L = slots * w: N is divided
+    there by one factor after another (``exact_divide`` of a packed
+    polynomial).  Q lies in N's box, since Newt(N) = Newt(D) + Newt(Q) and
     0 is in Newt(D), so its digits are read off that box.  They are right
-    if every coefficient of Q fits in w bits; Q is returned only once D Q
-    is shown to equal N, and on a mismatch w is doubled.
+    if every coefficient of Q fits in w bits; Q is returned only once d Q
+    is shown to equal sign * X^shift N, and on a mismatch w is doubled.
     """
-    box, width, value = numerator
+    box, width, value = numerator.box, numerator.width, numerator.value
     d_q, d_t = [0, 0], [0, 0]  # the box of D: the sums of its factors' boxes
     for alpha, beta in factors:
         d_q[alpha > 0] += alpha
@@ -354,16 +382,10 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
     ks = [abs(k) for k in ks]
     n_bits = width - 1  # every coefficient of N is below 2^n_bits
     for _ in range(PACKED_ATTEMPTS):
-        bits = box.slots * width
-        mask = (1 << bits) - 1
-        y = (value & (mask >> (shift * width))) << (shift * width)
-        if negate:
-            y = -y & mask
-        for k in ks:
-            s = k * width
-            while s < bits:
-                y = (y + (y << s)) & mask
-                s <<= 1
+        quotient = Packed(box, width, value)
+        for f in factors:
+            quotient = exact_divide(quotient, f)
+        y = quotient.value
         terms = box.decode(y, width)
         # Proof that Q D = N.  Q D has the box box(Q) + box(D), since the
         # extreme terms of a product do not cancel.  When that box is

@@ -18,7 +18,7 @@ from qtcatalan import (
     exact_divide,
 )
 from qtcatalan import rational
-from qtcatalan.rational import PackedBox, divide_sum_of_products, sum_of_products
+from qtcatalan.rational import Packed, PackedBox, divide_sum_of_products, sum_of_products
 
 pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda ab: ab != (0, 0))
 factors = pairs.map(lambda ab: BinomialFactor(*ab))
@@ -212,10 +212,11 @@ mixed_factors = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_packed_division_recovers_the_quotient(p, factors_list):
     n = p * _product(factors_list)
-    with mock.patch.object(rational, "exact_divide", wraps=exact_divide) as chain:
+    with mock.patch.object(rational, "exact_divide", wraps=exact_divide) as divide:
         assert FactoredRational(n, factors_list).to_poly() == p
     if n and _is_dense(n):
-        assert chain.call_count == 0  # proved by the packed division alone
+        # proved by the packed division alone: no factor divided term by term
+        assert not any(isinstance(c.args[0], LaurentPoly) for c in divide.call_args_list)
     assert _chain(n, factors_list) == p
     with pytest.raises(NotPolynomialError):
         FactoredRational(n + 1, factors_list).to_poly()
@@ -238,10 +239,29 @@ def test_packed_division_retries_at_a_wider_width(monkeypatch):
     quotient = sum((Q**i for i in range(10)), LaurentPoly.zero()) ** 4
     assert max(numerator.terms().values()) == 6
     assert max(quotient.terms().values()) == 670
-    monkeypatch.setattr(rational, "exact_divide", None)  # the chain must not run
+
+    def packed_only(p, factor):
+        assert isinstance(p, Packed), "the chain must not run"
+        return exact_divide(p, factor)
+
+    monkeypatch.setattr(rational, "exact_divide", packed_only)
     with mock.patch.object(PackedBox, "decode", autospec=True, side_effect=PackedBox.decode) as decode:
         assert FactoredRational(numerator, [BinomialFactor(1, 0)] * 4).to_poly() == quotient
     assert [width for (_, _, width), _ in decode.call_args_list] == [8, 16]
+
+
+def test_exact_divide_of_a_packed_polynomial():
+    # modulo 2^(slots * width) the packed quotient's digits are those of
+    # the exact quotient, in both directions of a factor
+    quotient = (Q + 2 * T - 1) * (ONE + Q * T)
+    factors_list = [BinomialFactor(1, 0), BinomialFactor(-1, 2), BinomialFactor(0, 1)]
+    n = quotient * _product(factors_list)
+    box = PackedBox.around(n.terms())
+    packed = Packed(box, 16, box.encode(n.terms(), 16))
+    assert len(packed) == box.slots
+    assert reduce(exact_divide, factors_list, packed).unpack() == quotient
+    with pytest.raises(DomainError):
+        exact_divide(packed, BinomialFactor(1, -box.stride))
 
 
 def test_non_divisible_numerator_is_refused():
