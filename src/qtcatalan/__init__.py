@@ -65,7 +65,7 @@ from .poly import (
     unimodality_check,
 )
 from .rational import BinomialFactor, FactoredRational, exact_divide
-from .render import parse_json, render_csv, render_json, render_latex, render_text
+from .render import parse_json, render_csv, render_json, render_latex
 from .tableaux import (
     StandardTableau,
     canonical_partition,

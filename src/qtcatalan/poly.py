@@ -182,6 +182,9 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals its integer, so it hashes as that integer
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     # -- substitutions -----------------------------------------------------

@@ -6,17 +6,20 @@ The tableau sums produce values of the form
 
 which are rational a priori but reduce to Laurent polynomials once summed.
 ``FactoredRational`` keeps the denominator as an explicit multiset of
-binomial factors so that common factors cancel exactly.
+binomial factors so that common factors cancel exactly; it adds and
+multiplies such values and reduces them (``to_poly``).
 
 Polynomials on a box of exponents are packed into one integer by Kronecker
-substitution (``PackedBox``).  ``sum_of_products`` expands sums of products
-of binomials that way.  ``to_poly`` and ``divide_sum_of_products`` (which
-takes the packed sum as it is) divide by the denominator's inverse modulo
-a power of 2, one factor at a time (``exact_divide`` of a packed
-polynomial), and prove the quotient by an exact multiply-back.  A
-numerator too sparse for its box, or one that no width tried proves, is
-divided by ``exact_divide`` term by term along lattice lines, which also
-tells a numerator that does not divide.
+substitution (``PackedBox``), and one loop, ``_times_factors``, multiplies
+a packed value by binomials, one shift and subtract each.
+``sum_of_products`` expands sums of products of binomials with it.
+``to_poly`` and ``divide_sum_of_products`` (which takes the packed sum as
+it is) divide by the denominator's inverse modulo a power of 2, one factor
+at a time (``exact_divide`` of a packed polynomial), and prove the quotient
+by multiplying it back through the same loop.  A numerator too sparse for
+its box, or one that no width tried proves, is divided by ``exact_divide``
+term by term along lattice lines, which also tells a numerator that does
+not divide.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, NotPolynomialError
-from .poly import ONE, ZERO, ExponentPair, LaurentPoly
+from .poly import ZERO, ExponentPair, LaurentPoly
 
 
 @dataclass(frozen=True, order=True)
@@ -156,6 +159,35 @@ def _round_width(bits: int) -> int:
     return -(-bits // 8) * 8
 
 
+def _span(factors: Iterable[tuple[int, int]]) -> tuple[int, int, int, int]:
+    """The box (q_lo, q_hi, t_lo, t_hi) of prod (1 - q^alpha t^beta): the
+    sums of its factors' boxes."""
+    q, t = [0, 0], [0, 0]
+    for alpha, beta in factors:
+        q[alpha > 0] += alpha
+        t[beta > 0] += beta
+    return q[0], q[1], t[0], t[1]
+
+
+def _times_factors(x: int, factors: Iterable[tuple[int, int]], stride: int, width: int) -> tuple[int, int]:
+    """x * prod (1 - q^alpha t^beta), packed at X = 2^width with stride, as
+    (y, offset): the product is X^offset * y.
+
+    The factor is 1 - X^k with k = alpha * stride + beta, one shift and
+    subtract: x - (x << k*w) for k > 0, and for k < 0, (1 - X^k) =
+    X^k (X^-k - 1) gives (x << -k*w) - x with the offset moved by k.
+    """
+    offset = 0
+    for alpha, beta in factors:
+        k = alpha * stride + beta
+        if k > 0:
+            x -= x << (k * width)
+        else:
+            x = (x << (-k * width)) - x
+            offset += k
+    return x, offset
+
+
 def _pack_sum(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]]) -> "Packed | LaurentPoly":
     """The sum of ``sum_of_products``, packed on one box; or, when the
     rows lie too far apart for one box, unpacked."""
@@ -165,20 +197,11 @@ def _pack_sum(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]]) ->
     own_slots = 0
     for (e, f), factors in rows:
         factors = tuple(factors)
-        q_min, q_max, t_min, t_max = e, e, f, f
-        for alpha, beta in factors:
-            if alpha < 0:
-                q_min += alpha
-            else:
-                q_max += alpha
-            if beta < 0:
-                t_min += beta
-            else:
-                t_max += beta
+        q_lo, q_hi, t_lo, t_hi = _span(factors)
         products.append((e, f, factors))
-        q_box += (q_min, q_max)
-        t_box += (t_min, t_max)
-        own_slots += (q_max - q_min + 1) * (t_max - t_min + 1)
+        q_box += (e + q_lo, e + q_hi)
+        t_box += (f + t_lo, f + t_hi)
+        own_slots += (q_hi - q_lo + 1) * (t_hi - t_lo + 1)
     if not products:
         return LaurentPoly.zero()
     box = PackedBox(min(q_box), max(q_box), min(t_box), max(t_box))
@@ -186,17 +209,9 @@ def _pack_sum(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]]) ->
         return sum((sum_of_products([((e, f), fs)]) for e, f, fs in products), ZERO)
     max_m = max(len(factors) for _, _, factors in products)
     width = _round_width(max_m + len(products).bit_length() + 1)
-    stride = box.stride
     total = 0
     for e, f, factors in products:
-        x, offset = 1, 0
-        for alpha, beta in factors:
-            k = alpha * stride + beta
-            if k > 0:
-                x -= x << (k * width)
-            else:
-                x = (x << (-k * width)) - x
-                offset += k
+        x, offset = _times_factors(1, factors, box.stride, width)
         # digit 0 of x is the term taking -X^k from each factor with k < 0:
         # a monomial inside the result's box, so its slot is not negative
         total += x << ((box.slot(e, f) + offset) * width)
@@ -207,10 +222,8 @@ def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]
     """The sum over rows ((e, f), factors) of q^e t^f * prod (1 - q^alpha t^beta),
     expanded by Kronecker substitution into one big integer.
 
-    The box spans the rows' own boxes, and a binomial with packed exponent
-    k is one shift and subtract: x - (x << k*w) for k > 0, and for k < 0,
-    (1 - X^k) = X^k (X^-k - 1) gives (x << -k*w) - x with the row's offset
-    moved by k.
+    The box spans the rows' own boxes (``_span``), and each binomial is one
+    shift and subtract of the row's integer (``_times_factors``).
 
     Exactness: every coefficient of a product of m binomials is at most 2^m
     in absolute value (the sum of the absolute values of its coefficients is
@@ -366,20 +379,13 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
     there by one factor after another (``exact_divide`` of a packed
     polynomial).  Q lies in N's box, since Newt(N) = Newt(D) + Newt(Q) and
     0 is in Newt(D), so its digits are read off that box.  They are right
-    if every coefficient of Q fits in w bits; Q is returned only once d Q
-    is shown to equal sign * X^shift N, and on a mismatch w is doubled.
+    if every coefficient of Q fits in w bits; Q is returned only once D Q
+    is shown to equal N, and on a mismatch w is doubled.
     """
     box, width, value = numerator.box, numerator.width, numerator.value
-    d_q, d_t = [0, 0], [0, 0]  # the box of D: the sums of its factors' boxes
-    for alpha, beta in factors:
-        d_q[alpha > 0] += alpha
-        d_t[beta > 0] += beta
-    if d_q[1] - d_q[0] > box.q_hi - box.q_lo or d_t[1] - d_t[0] > box.t_hi - box.t_lo:
+    d_q_lo, d_q_hi, d_t_lo, d_t_hi = _span(factors)  # the box of D
+    if d_q_hi - d_q_lo > box.q_hi - box.q_lo or d_t_hi - d_t_lo > box.t_hi - box.t_lo:
         return None  # D Q would have a wider box than N; this keeps every k nonzero
-    ks = [alpha * box.stride + beta for alpha, beta in factors]
-    shift = -sum(k for k in ks if k < 0)
-    negate = sum(k < 0 for k in ks) % 2
-    ks = [abs(k) for k in ks]
     n_bits = width - 1  # every coefficient of N is below 2^n_bits
     for _ in range(PACKED_ATTEMPTS):
         quotient = Packed(box, width, value)
@@ -398,18 +404,15 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
         q_box = terms and PackedBox.around(terms)
         if (
             q_box
-            and box.q_lo <= q_box.q_lo + d_q[0]
-            and q_box.q_hi + d_q[1] <= box.q_hi
-            and box.t_lo <= q_box.t_lo + d_t[0]
-            and q_box.t_hi + d_t[1] <= box.t_hi
+            and box.q_lo <= q_box.q_lo + d_q_lo
+            and q_box.q_hi + d_q_hi <= box.q_hi
+            and box.t_lo <= q_box.t_lo + d_t_lo
+            and q_box.t_hi + d_t_hi <= box.t_hi
         ):
             q_bits = max(abs(c) for c in terms.values()).bit_length()
-            check = max(_round_width(max(q_bits + len(ks), n_bits) + 1), width)
-            x, n = box.widen(y, width, check), box.widen(value, width, check)
-            for k in ks:
-                x -= x << (k * check)
-            n <<= shift * check
-            if x == (-n if negate else n):
+            check = max(_round_width(max(q_bits + len(factors), n_bits) + 1), width)
+            x, offset = _times_factors(box.widen(y, width, check), factors, box.stride, check)
+            if x == box.widen(value, width, check) << (-offset * check):
                 return LaurentPoly._from_dict(terms)
         value = box.widen(value, width, 2 * width)
         width *= 2
@@ -420,6 +423,7 @@ class FactoredRational:
     """numerator / product of (1 - q^alpha t^beta) factors; not reduced.
 
     The denominator is a multiset, canonically stored as a sorted tuple.
+    Sums and products take FactoredRational operands only.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -436,37 +440,15 @@ class FactoredRational:
     def __setattr__(self, name, value):
         raise AttributeError("FactoredRational is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly | int) -> "FactoredRational":
-        if isinstance(p, int):
-            p = LaurentPoly.from_int(p)
-        return cls(p)
-
-    @classmethod
-    def zero(cls) -> "FactoredRational":
-        return cls(LaurentPoly.zero())
-
-    @classmethod
-    def one(cls) -> "FactoredRational":
-        return cls(ONE)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __mul__(self, other: "FactoredRational | LaurentPoly | int") -> "FactoredRational":
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __mul__(self, other: "FactoredRational") -> "FactoredRational":
+        if not isinstance(other, FactoredRational):
             return NotImplemented
         return FactoredRational(
             self.numerator * other.numerator, self.denominator + other.denominator
         )
 
-    __rmul__ = __mul__
-
-    def __add__(self, other: "FactoredRational | LaurentPoly | int") -> "FactoredRational":
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __add__(self, other: "FactoredRational") -> "FactoredRational":
+        if not isinstance(other, FactoredRational):
             return NotImplemented
         mine = Counter(self.denominator)
         thine = Counter(other.denominator)
@@ -478,28 +460,10 @@ class FactoredRational:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "FactoredRational":
-        return FactoredRational(-self.numerator, self.denominator)
-
-    def __sub__(self, other: "FactoredRational | LaurentPoly | int") -> "FactoredRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    # -- reduction and comparison -------------------------------------------
-
     def to_poly(self) -> LaurentPoly:
         """Reduce to a LaurentPoly; NotPolynomialError if any factor fails
         to divide the numerator exactly."""
         return _exact_quotient(self.numerator, self.denominator)
-
-    def value_equals(self, other: "FactoredRational | LaurentPoly | int") -> bool:
-        """Semantic equality, by cross-multiplying denominators."""
-        other = _coerce(other)
-        return self.numerator * product_of_factors(other.denominator) == (
-            other.numerator * product_of_factors(self.denominator)
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FactoredRational):
@@ -512,11 +476,3 @@ class FactoredRational:
     def __repr__(self) -> str:
         den = " * ".join(f"(1 - q^{a} t^{b})" for a, b in self.denominator) or "1"
         return f"FactoredRational(({self.numerator.to_text()}) / {den})"
-
-
-def _coerce(value) -> "FactoredRational":
-    if isinstance(value, FactoredRational):
-        return value
-    if isinstance(value, (LaurentPoly, int)):
-        return FactoredRational.from_poly(value)
-    return NotImplemented

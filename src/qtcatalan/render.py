@@ -20,10 +20,6 @@ from typing import Sequence
 from .poly import LaurentPoly, format_terms
 
 
-def render_text(p: LaurentPoly) -> str:
-    return p.to_text()
-
-
 def _latex_monomial(qe: int, te: int) -> str:
     parts = []
     for name, e in (("q", qe), ("t", te)):
@@ -67,7 +63,7 @@ def render_csv(p: LaurentPoly) -> str:
 
 
 RENDERERS = {
-    "text": lambda p, params: render_text(p),
+    "text": lambda p, params: p.to_text(),
     "latex": lambda p, params: render_latex(p),
     "json": render_json,
     "csv": lambda p, params: render_csv(p),

@@ -136,16 +136,20 @@ def _add_factor(bag: Counter, alpha: int, beta: int) -> None:
         bag[(alpha, beta)] += 1
 
 
-def omega_at(x: ExponentPair) -> FactoredRational:
-    """The cross factor (1-x)(1-qtx) / ((1-qx)(1-tx)) at the monomial
-    x = q^alpha t^beta, with vanishing factors dropped."""
-    alpha, beta = x
-    num: Counter = Counter()
-    den: Counter = Counter()
+def _add_cross_factor(num: Counter, den: Counter, alpha: int, beta: int) -> None:
+    # (1-x)(1-qtx) / ((1-qx)(1-tx)) at x = q^alpha t^beta
     _add_factor(num, alpha, beta)
     _add_factor(num, alpha + 1, beta + 1)
     _add_factor(den, alpha + 1, beta)
     _add_factor(den, alpha, beta + 1)
+
+
+def omega_at(x: ExponentPair) -> FactoredRational:
+    """The cross factor (1-x)(1-qtx) / ((1-qx)(1-tx)) at the monomial
+    x = q^alpha t^beta, with vanishing factors dropped."""
+    num: Counter = Counter()
+    den: Counter = Counter()
+    _add_cross_factor(num, den, *x)
     return FactoredRational(product_of_factors(num.elements()), den.elements())
 
 
@@ -163,12 +167,7 @@ def _weight_factors(z: Sequence[ExponentPair], reduced: bool) -> tuple[Counter, 
         _add_factor(den, qp - qa + 1, tp - ta + 1)  # (1 - qt z_{i-1}/z_i)
     for i in range(n):
         for j in range(i + 1, n):
-            a = z[i][0] - z[j][0]
-            b = z[i][1] - z[j][1]
-            _add_factor(num, a, b)
-            _add_factor(num, a + 1, b + 1)
-            _add_factor(den, a + 1, b)
-            _add_factor(den, a, b + 1)
+            _add_cross_factor(num, den, z[i][0] - z[j][0], z[i][1] - z[j][1])
     if reduced:
         _add_factor(num, -1, 1)  # multiply by (1 - t/q)
     common = num & den

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from qtcatalan.rational import product_of_factors
+
 # pytest finds the package through `pythonpath` in pyproject.toml; the
 # interpreters the tests start find it through PYTHONPATH.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -36,3 +38,16 @@ def run_capped():
         )
 
     return run
+
+
+@pytest.fixture
+def same_value():
+    """Whether two FactoredRationals have the same value, by cross-multiplying
+    their denominators."""
+
+    def same(x, y):
+        return x.numerator * product_of_factors(y.denominator) == (
+            y.numerator * product_of_factors(x.denominator)
+        )
+
+    return same

@@ -48,6 +48,19 @@ def test_immutability():
         Q._terms = {}
 
 
+def test_constants_hash_as_the_integers_they_equal():
+    assert LaurentPoly.from_int(3) == 3 and LaurentPoly.from_int(3) in {3}
+    assert ZERO in {0} and ONE in {1}
+    assert {LaurentPoly.from_int(-7): "x"}[-7] == "x"
+    assert len({ONE, 1, Q}) == 2
+
+
+@given(st.integers(-(10**30), 10**30))
+@settings(max_examples=100)
+def test_equal_values_hash_alike(n):
+    assert hash(LaurentPoly.from_int(n)) == hash(n)
+
+
 @given(polys, polys)
 @settings(max_examples=100)
 def test_add_commutes(p, r):

@@ -39,7 +39,20 @@ def test_zero_factor_rejected():
 
 def test_multiplicative_identity():
     x = FactoredRational(Q + T, [BinomialFactor(1, 0)])
-    assert x * FactoredRational.one() == x
+    assert x * FactoredRational(ONE) == x
+
+
+def test_sums_and_products_take_factored_rationals_only():
+    x = FactoredRational(Q, [BinomialFactor(1, 0)])
+    for other in (1, Q):
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            other + x
+        with pytest.raises(TypeError):
+            x * other
+        with pytest.raises(TypeError):
+            other * x
 
 
 def test_add_like_denominators():
@@ -53,13 +66,13 @@ def test_add_like_denominators():
     assert s.to_poly() == ONE
 
 
-def test_add_reciprocal_pair_is_one():
+def test_add_reciprocal_pair_is_one(same_value):
     # 1/(1-t/q) + 1/(1-q/t): clearing denominators by hand,
     # (1-q/t) + (1-t/q) = 2 - q/t - t/q = (1-t/q)(1-q/t), so the value is 1.
     x = FactoredRational(ONE, [BinomialFactor(-1, 1)])
     y = FactoredRational(ONE, [BinomialFactor(1, -1)])
     assert (x + y).to_poly() == ONE
-    assert (x + y).value_equals(ONE)
+    assert same_value(x + y, FactoredRational(ONE))
 
 
 def test_mul_concatenates_denominators():
