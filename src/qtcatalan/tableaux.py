@@ -29,6 +29,7 @@ with no unpacking in between (``rational.divide_sum_of_products``).
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,6 +41,18 @@ from .rational import BinomialFactor, FactoredRational, divide_sum_of_products, 
 
 #: Exhaustive sums over tableaux are kept to sizes where they stay cheap.
 MAX_TABLEAU_SIZE = 8
+
+
+def integer_entries(values: Sequence[int]) -> tuple[int, ...]:
+    """values as a tuple of ints.  An entry that is not an integer, such as
+    1.5 or "2", is refused rather than truncated."""
+    out = []
+    for x in values:
+        try:
+            out.append(operator.index(x))
+        except TypeError:
+            raise DomainError(f"entries must be integers, got {x!r}") from None
+    return tuple(out)
 
 
 def canonical_partition(parts: Sequence[int]) -> tuple[int, ...]:
@@ -236,7 +249,7 @@ def f_tableaux(a: Sequence[int]) -> LaurentPoly:
     """F(a_2, ..., a_n) as the exact sum over all standard tableaux of
     size n = len(a) + 1.  Defined for arbitrary integer entries; the sum
     always reduces to a Laurent polynomial."""
-    a = tuple(int(x) for x in a)
+    a = integer_entries(a)
     if not a:
         return ONE  # n = 1: a single one-box tableau with empty products
     return _weighted_sum(a, head_like_only=False)
@@ -244,7 +257,7 @@ def f_tableaux(a: Sequence[int]) -> LaurentPoly:
 
 def h_tableaux(a: Sequence[int]) -> LaurentPoly:
     """H(a_2, ..., a_n): the reduced-weight sum over head-like tableaux."""
-    a = tuple(int(x) for x in a)
+    a = integer_entries(a)
     if not a:
         raise DomainError("h_tableaux requires at least one entry (tableaux of size >= 2)")
     return _weighted_sum(a, head_like_only=True)
@@ -255,7 +268,7 @@ def combine_h_to_f(h: Callable[[tuple[int, ...]], LaurentPoly], a: Sequence[int]
 
     Swapping the variables of a polynomial transposes every exponent pair.
     """
-    a = tuple(int(x) for x in a)
+    a = integer_entries(a)
     hp = h(a)
     total = FactoredRational(hp, (BinomialFactor(-1, 1),)) + FactoredRational(
         hp.swap_qt(), (BinomialFactor(1, -1),)

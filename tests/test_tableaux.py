@@ -32,6 +32,16 @@ from qtcatalan import (
 )
 
 
+def test_non_integral_entries_rejected():
+    # read as int(x), 1.5 was truncated to 1 and gave the value of (1,)
+    with pytest.raises(DomainError):
+        f_tableaux((1.5,))
+    with pytest.raises(DomainError):
+        h_tableaux((1, 0.5))
+    with pytest.raises(DomainError):
+        combine_h_to_f(h_tableaux, (2.0,))
+
+
 def test_large_entries_cost_their_terms_not_their_span(run_capped):
     # F(a, 0) = [a + 1]_{q,t} has a + 1 terms but a q,t-span of a^2
     code = (

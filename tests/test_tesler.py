@@ -1,5 +1,7 @@
 """Tesler matrices: enumeration against brute force, weights, and t = 1."""
 
+from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -12,6 +14,7 @@ from qtcatalan import (
     T,
     bracket,
     enumerate_tesler,
+    f2,
     f_tableaux,
     f_tesler,
     lambda_partition,
@@ -19,6 +22,7 @@ from qtcatalan import (
     subpartitions,
     two_diagonal_subdiagrams,
 )
+from qtcatalan import tesler
 
 
 # -- independent oracle: brute-force solve the hook-sum equations ------------
@@ -82,6 +86,15 @@ def test_negative_entries_rejected():
         enumerate_tesler((1, -1))
     with pytest.raises(DomainError):
         f_tesler((-2,))
+
+
+def test_non_integral_entries_rejected():
+    # read as int(x), 1.5 was truncated to 1 and gave the value of (0, 1)
+    for a in [(0, 1.5), (0, 1.0), (2.5, 1), (0, "1")]:
+        with pytest.raises(DomainError):
+            f_tesler(a)
+    with pytest.raises(DomainError):
+        enumerate_tesler((1, 1.5))
 
 
 def test_cumulative_form_holds():
@@ -196,3 +209,112 @@ def test_trailing_zero_matrix_column():
     for a in [(1, 1), (2, 0, 1)]:
         assert len(enumerate_tesler(a + (0,))) == len(enumerate_tesler(a))
         assert f_tesler(a + (0,)) == f_tesler(a)
+
+
+# -- the packed route against matrix enumeration ------------------------------
+
+_WEIGHTS = {}
+
+
+def _weight_key(m):
+    """The superdiagonal entries and the entries further out, each as a
+    multiset: all that the weight of m depends on."""
+    return (
+        tuple(sorted(row[1] for row in m.rows[:-1])),
+        tuple(sorted(v for row in m.rows for v in row[2:])),
+    )
+
+
+@lru_cache(maxsize=None)
+def _weight_tally(a):
+    """(count, weight) per weight key over enumerate_tesler(a); each weight
+    is m.weight() of the first matrix with its key."""
+    counts = Counter()
+    for m in enumerate_tesler(a):
+        key = _weight_key(m)
+        if key not in _WEIGHTS:
+            _WEIGHTS[key] = m.weight()
+        counts[key] += 1
+    return [(k, _WEIGHTS[key]) for key, k in counts.items()]
+
+
+def _enumerated_sum(a):
+    total = LaurentPoly.zero()
+    for k, weight in _weight_tally(a):
+        total = total + weight * k
+    return total
+
+
+_GRID = [
+    (x,) + tail
+    for length in range(2, 6)
+    for x in (0, 3)
+    for tail in product(range(3), repeat=length - 1)
+]
+
+
+def test_packed_route_matches_matrix_enumeration():
+    for a in _GRID:
+        assert f_tesler(a) == _enumerated_sum(a), a
+
+
+def test_matrix_enumeration_on_each_side_of_the_packed_cap():
+    # D = 127 fits a 128 x 128 box; D = 128 needs 129 x 256 slots
+    below, above = (0, 125, 1), (0, 126, 1)
+    assert tesler._box(below).slots <= tesler.PACKED_SLOTS < tesler._box(above).slots
+    for a in (below, above):
+        assert f_tesler(a) == _enumerated_sum(a) == f2(a[1], a[2])
+
+
+# -- premises of the packed sizes ---------------------------------------------
+
+def _degree_bound(a):
+    return sum((i - 1) * x for i, x in enumerate(a, start=1))
+
+
+def test_weight_degrees_within_the_stride_bound():
+    # both degrees of every weight are at most sum (i - 1) a_i, below the stride
+    for a in _GRID:
+        d = _degree_bound(a)
+        assert tesler._box(a).q_hi == d < tesler._box(a).stride
+        for _, weight in _weight_tally(a):
+            assert all(qe <= d and te <= d for qe, te in weight.terms())
+
+
+def test_l1_bound_covers_every_coefficient():
+    for a in _GRID + [(0, 5, 6, 6), (0, 1, 1, 1, 1, 1, 1)]:
+        total = sum(abs(c) for c in f_tesler(a).terms().values())
+        assert tesler._l1_bound(a) >= total
+    for a in _GRID:
+        norms = (k * sum(map(abs, weight.terms().values())) for k, weight in _weight_tally(a))
+        assert tesler._l1_bound(a) >= sum(norms)
+
+
+def test_line_shaped_inputs_skip_the_packed_sum(run_capped):
+    # F(1000) = [1001] fills 1001 of the 1001 x 1024 slots of its box, and
+    # F(1000, 1) 2003 of 1003 x 1024: both take the LaurentPoly recursion
+    for a in [(0, 1000), (0, 1000, 1)]:
+        assert tesler._box(a).slots > tesler.PACKED_SLOTS
+    code = (
+        "from qtcatalan import bracket, f2, f_tesler; "
+        "assert f_tesler((0, 1000)) == bracket(1001); "
+        "assert f_tesler((0, 1000, 1)) == f2(1000, 1)"
+    )
+    proc = run_capped("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_long_vectors_on_each_side_of_the_width_cap():
+    # F(0, ..., 0, 1) = [n]: N(a) grows by about two bits an entry, so the
+    # shorter vector packs at width 128 and the longer one needs 256
+    packed, wide = (0,) * 40 + (1,), (0,) * 63 + (1,)
+    assert tesler._width(packed) <= tesler.PACKED_WIDTH < tesler._width(wide)
+    for a in (packed, wide):
+        assert tesler._box(a).slots <= tesler.PACKED_SLOTS
+        assert f_tesler(a) == bracket(len(a))
+
+
+def test_long_zero_tails_need_no_deep_recursion():
+    assert f_tesler((0,) * 1000) == ONE
+    assert f_tesler((2,) + (0,) * 1000) == ONE
+    assert f_tesler((0, 1) + (0,) * 1000) == bracket(2)
