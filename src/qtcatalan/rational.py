@@ -11,15 +11,17 @@ multiplies such values and reduces them (``to_poly``).
 
 Polynomials on a box of exponents are packed into one integer by Kronecker
 substitution (``PackedBox``), and one loop, ``_times_factors``, multiplies
-a packed value by binomials, one shift and subtract each.
-``sum_of_products`` expands sums of products of binomials with it.
+a packed value by binomials, one shift and subtract each.  A sum of such
+products is a ``ProductTree``: rows that share a factor add their partial
+sums first and multiply by it once, each partial sum on its own span.  A
+tableau plan builds its tree once; ``sum_of_products`` builds one per call.
 ``to_poly`` and ``divide_sum_of_products`` (which takes the packed sum as
 it is) divide by the denominator's inverse modulo a power of 2, one factor
-at a time (``exact_divide`` of a packed polynomial), and prove the quotient
-by multiplying it back through the same loop.  A numerator too sparse for
-its box, or one that no width tried proves, is divided by ``exact_divide``
-term by term along lattice lines, which also tells a numerator that does
-not divide.
+at a time (``exact_divide`` of a packed polynomial), on the window of the
+box where the quotient lies, and prove the quotient by multiplying it back
+through the same loop.  A numerator too sparse for its box, or one that no
+width tried proves, is divided by ``exact_divide`` term by term along
+lattice lines, which also tells a numerator that does not divide.
 """
 
 from __future__ import annotations
@@ -188,42 +190,143 @@ def _times_factors(x: int, factors: Iterable[tuple[int, int]], stride: int, widt
     return x, offset
 
 
-def _pack_sum(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]]) -> "Packed | LaurentPoly":
-    """The sum of ``sum_of_products``, packed on one box; or, when the
-    rows lie too far apart for one box, unpacked."""
-    products = []
+def _smallest_first(factor: tuple[int, int]) -> tuple[int, int]:
+    # factors with small exponents first, so that packed products grow slowly
+    return abs(factor[0]), abs(factor[1])
+
+
+def _presence(rows: list[tuple[int, Counter]]) -> Counter:
+    # how many of the rows have each factor
+    counts: Counter = Counter()
+    for _, bag in rows:
+        counts.update(bag.keys())
+    return counts
+
+
+class ProductTree:
+    """A sum of products of binomials, sum over rows r of
+    q^e_r t^f_r * prod (1 - q^alpha t^beta) over the row's factors, as a
+    program that multiplies by a factor shared by several rows once.
+
+    The rows are split on the factor that most of them contain: those rows
+    add their partial sums first and multiply by it once, and both halves
+    are split again; a row left alone keeps its own chain, smallest factor
+    first.  Factors every row of a part contains are taken together.  The
+    program is that tree in post-order: an int i pushes q^e_i t^f_i, a tuple
+    of factors multiplies the top of the stack by them, and None adds the
+    top two.  It depends on the factor multisets only, so a plan builds it
+    once and evaluates it at every vector's exponents (``_pack_sum``).
+    """
+
+    __slots__ = ("factors", "spans", "program")
+
+    def __init__(self, factor_lists: Iterable[Iterable[tuple[int, int]]]):
+        self.factors = tuple(
+            tuple((alpha, beta) for alpha, beta in factors) for factors in factor_lists
+        )
+        self.spans = tuple(_span(factors) for factors in self.factors)
+        program: list = []
+        rows = [(i, Counter(factors)) for i, factors in enumerate(self.factors)]
+        # a stack of ops, pushed in the reverse of the order they are emitted
+        # in, and of parts to split, lists [rows, counts]: (i, the factors
+        # left of row i) per row, and how many of those rows have a factor
+        todo: list = [[rows, _presence(rows)]] if rows else []
+        while todo:
+            item = todo.pop()
+            if not isinstance(item, list):
+                program.append(item)
+                continue
+            rows, counts = item
+            common = Counter(
+                {g: min(bag[g] for _, bag in rows) for g, c in counts.items() if c == len(rows)}
+            )
+            if common:
+                for _, bag in rows:
+                    for g, m in common.items():
+                        if bag[g] == m:
+                            del bag[g]
+                        else:
+                            bag[g] -= m
+                for g in common:
+                    left = sum(g in bag for _, bag in rows)
+                    if left:
+                        counts[g] = left
+                    else:
+                        del counts[g]
+                todo.append(tuple(sorted(common.elements(), key=_smallest_first)))
+            if len(rows) == 1:
+                todo.append(rows[0][0])
+                continue
+            if counts:  # else the rows' factors were all common
+                ((shared, _),) = counts.most_common(1)
+                sharing = [row for row in rows if shared in row[1]]
+                rest = [row for row in rows if shared not in row[1]]
+            else:
+                sharing, rest = rows[:1], rows[1:]
+            # count the smaller half; the larger one has the difference
+            if len(sharing) <= len(rest):
+                sharing_counts = _presence(sharing)
+                rest_counts = counts - sharing_counts
+            else:
+                rest_counts = _presence(rest)
+                sharing_counts = counts - rest_counts
+            todo += (None, [rest, rest_counts], [sharing, sharing_counts])
+        self.program = tuple(program)
+
+
+def _evaluate(tree: ProductTree, exponents: list[ExponentPair], box: PackedBox, width: int) -> int:
+    """The tree's sum packed on box at width.  Each partial sum is a pair
+    (lo, y) worth X^lo * y, so it costs only its own span, and two are
+    aligned by one shift.  lo is never negative: it is the slot of the
+    lowest term of one row's partial product, which lies in that row's box."""
+    stride = box.stride
+    stack: list[tuple[int, int]] = []
+    for op in tree.program:
+        if op is None:
+            lo, y = stack.pop()
+            lo2, y2 = stack.pop()
+            if lo > lo2:
+                lo, y, lo2, y2 = lo2, y2, lo, y
+            stack.append((lo, y + (y2 << ((lo2 - lo) * width))))
+        elif isinstance(op, int):
+            stack.append((box.slot(*exponents[op]), 1))
+        else:
+            lo, y = stack[-1]
+            y, offset = _times_factors(y, op, stride, width)
+            stack[-1] = lo + offset, y
+    ((lo, y),) = stack
+    return y << (lo * width)
+
+
+def _pack_sum(exponents: Iterable[ExponentPair], tree: ProductTree) -> "Packed | LaurentPoly":
+    """The sum of the tree at the rows' exponents, packed on one box; or,
+    when the rows lie too far apart for one box, unpacked."""
+    exponents = list(exponents)
+    if not exponents:
+        return LaurentPoly.zero()
     q_box: list[int] = []
     t_box: list[int] = []
     own_slots = 0
-    for (e, f), factors in rows:
-        factors = tuple(factors)
-        q_lo, q_hi, t_lo, t_hi = _span(factors)
-        products.append((e, f, factors))
+    for (e, f), (q_lo, q_hi, t_lo, t_hi) in zip(exponents, tree.spans):
         q_box += (e + q_lo, e + q_hi)
         t_box += (f + t_lo, f + t_hi)
         own_slots += (q_hi - q_lo + 1) * (t_hi - t_lo + 1)
-    if not products:
-        return LaurentPoly.zero()
     box = PackedBox(min(q_box), max(q_box), min(t_box), max(t_box))
     if box.slots > own_slots:
-        return sum((sum_of_products([((e, f), fs)]) for e, f, fs in products), ZERO)
-    max_m = max(len(factors) for _, _, factors in products)
-    width = _round_width(max_m + len(products).bit_length() + 1)
-    total = 0
-    for e, f, factors in products:
-        x, offset = _times_factors(1, factors, box.stride, width)
-        # digit 0 of x is the term taking -X^k from each factor with k < 0:
-        # a monomial inside the result's box, so its slot is not negative
-        total += x << ((box.slot(e, f) + offset) * width)
-    return Packed(box, width, total)
+        return sum((sum_of_products([row]) for row in zip(exponents, tree.factors)), ZERO)
+    max_m = max(len(factors) for factors in tree.factors)
+    width = _round_width(max_m + len(exponents).bit_length() + 1)
+    return Packed(box, width, _evaluate(tree, exponents, box, width))
 
 
 def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]]) -> LaurentPoly:
     """The sum over rows ((e, f), factors) of q^e t^f * prod (1 - q^alpha t^beta),
     expanded by Kronecker substitution into one big integer.
 
-    The box spans the rows' own boxes (``_span``), and each binomial is one
-    shift and subtract of the row's integer (``_times_factors``).
+    The box spans the rows' own boxes (``_span``), and the rows are summed
+    through their ``ProductTree``, each binomial one shift and subtract
+    (``_times_factors``).  Substitution is a ring map, so the order in which
+    the tree adds and multiplies does not change the integer.
 
     Exactness: every coefficient of a product of m binomials is at most 2^m
     in absolute value (the sum of the absolute values of its coefficients is
@@ -236,7 +339,8 @@ def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]
     has more slots than the rows' own boxes together, each row is packed on
     its own box and the results are added.
     """
-    total = _pack_sum(rows)
+    rows = list(rows)
+    total = _pack_sum([ef for ef, _ in rows], ProductTree(factors for _, factors in rows))
     return total if isinstance(total, LaurentPoly) else total.unpack()
 
 
@@ -331,14 +435,16 @@ PACKED_ATTEMPTS = 3
 
 
 def divide_sum_of_products(
-    rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]],
+    exponents: Iterable[ExponentPair],
+    tree: ProductTree,
     denominator: Iterable[tuple[int, int]],
 ) -> LaurentPoly:
-    """sum_of_products(rows) / prod (1 - q^alpha t^beta) over the
-    denominator, taken on the packed sum without unpacking it;
-    NotPolynomialError if that is not a Laurent polynomial."""
+    """The sum of tree at the rows' exponents (see ``sum_of_products``)
+    over prod (1 - q^alpha t^beta) over the denominator, taken on the packed
+    sum without unpacking it; NotPolynomialError if that is not a Laurent
+    polynomial."""
     # sorted as FactoredRational sorts it: the order the chain divides in
-    return _exact_quotient(_pack_sum(rows), tuple(sorted(denominator)))
+    return _exact_quotient(_pack_sum(exponents, tree), tuple(sorted(denominator)))
 
 
 def _exact_quotient(numerator: "Packed | LaurentPoly", factors: tuple) -> LaurentPoly:
@@ -374,25 +480,39 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
     proves it.
 
     With (1 - X^k) = -X^k (1 - X^-k) for k < 0, N = D Q reads
-    X^shift N = sign * d Q with d = prod (1 - X^|k|).  d is odd at X = 2^w,
-    so Q = sign * X^shift N / d modulo 2^L, L = slots * w: N is divided
-    there by one factor after another (``exact_divide`` of a packed
-    polynomial).  Q lies in N's box, since Newt(N) = Newt(D) + Newt(Q) and
-    0 is in Newt(D), so its digits are read off that box.  They are right
-    if every coefficient of Q fits in w bits; Q is returned only once D Q
-    is shown to equal N, and on a mismatch w is doubled.
+    X^shift N = sign * d Q with d = prod (1 - X^|k|) and shift the sum of
+    |k| over k < 0.  Since Newt(N) = Newt(D) + Newt(Q), Q lies in the q-rows
+    [q_lo - d_q_lo, q_hi - d_q_hi] of N's box, where D spans the q-degrees
+    [d_q_lo, d_q_hi] (0 is in Newt(D)): the window ``sub``, with all t and
+    the same stride, whose first slot is lo in N's box.  So X^shift N is
+    X^lo times sign * d Q_w, Q_w = Q / X^lo on sub; when D divides N, its
+    lowest lo slots are empty and are dropped exactly.  d is odd at
+    X = 2^w, so Q_w = sign * X^(shift - lo) N / d modulo 2^L, L = sub.slots
+    * w: the window is divided there by one factor after another
+    (``exact_divide`` of a packed polynomial).  Its digits are Q's if every
+    coefficient of Q fits in w bits; Q is returned only once D Q is shown
+    to equal N on N's box, and on a mismatch w is doubled.
     """
     box, width, value = numerator.box, numerator.width, numerator.value
     d_q_lo, d_q_hi, d_t_lo, d_t_hi = _span(factors)  # the box of D
     if d_q_hi - d_q_lo > box.q_hi - box.q_lo or d_t_hi - d_t_lo > box.t_hi - box.t_lo:
         return None  # D Q would have a wider box than N; this keeps every k nonzero
+    sub = PackedBox(box.q_lo - d_q_lo, box.q_hi - d_q_hi, box.t_lo, box.t_hi)
+    lo = -d_q_lo * box.stride
+    shift, sign, positive = 0, 1, []
+    for alpha, beta in factors:
+        k = alpha * box.stride + beta
+        if k < 0:
+            shift, sign, alpha, beta = shift - k, -sign, -alpha, -beta
+        positive.append((alpha, beta))
     n_bits = width - 1  # every coefficient of N is below 2^n_bits
     for _ in range(PACKED_ATTEMPTS):
-        quotient = Packed(box, width, value)
-        for f in factors:
+        y = (sign * (value << (shift * width))) >> (lo * width)
+        quotient = Packed(sub, width, y & ((1 << (sub.slots * width)) - 1))
+        for f in positive:
             quotient = exact_divide(quotient, f)
         y = quotient.value
-        terms = box.decode(y, width)
+        terms = sub.decode(y, width)
         # Proof that Q D = N.  Q D has the box box(Q) + box(D), since the
         # extreme terms of a product do not cancel.  When that box is
         # inside N's, the stride keeps every term of Q D - N in a slot of
@@ -411,8 +531,10 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
         ):
             q_bits = max(abs(c) for c in terms.values()).bit_length()
             check = max(_round_width(max(q_bits + len(factors), n_bits) + 1), width)
-            x, offset = _times_factors(box.widen(y, width, check), factors, box.stride, check)
-            if x == box.widen(value, width, check) << (-offset * check):
+            # D Q_w = X^offset x, and N = X^lo D Q_w
+            x, offset = _times_factors(sub.widen(y, width, check), factors, box.stride, check)
+            align = (lo + offset) * check
+            if x << max(align, 0) == box.widen(value, width, check) << max(-align, 0):
                 return LaurentPoly._from_dict(terms)
         value = box.widen(value, width, 2 * width)
         width *= 2

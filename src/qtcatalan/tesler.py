@@ -135,6 +135,14 @@ class TeslerMatrix:
                     f"hook sum {i} is {self.hook_sum(i)}, expected {self.hook_sums[i]}"
                 )
 
+    @classmethod
+    def _built_valid(cls, hook_sums: tuple[int, ...], rows: tuple[tuple[int, ...], ...]):
+        # for rows built valid (``_tesler_rows``): skips the checks above
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "hook_sums", hook_sums)
+        object.__setattr__(matrix, "rows", rows)
+        return matrix
+
     @property
     def n(self) -> int:
         return len(self.hook_sums)
@@ -214,7 +222,7 @@ def enumerate_tesler(a: Sequence[int]) -> list[TeslerMatrix]:
     """Every Tesler matrix with hook sums a, ordered lexicographically by
     the flattened off-diagonal vector."""
     a = _check_hook_vector(a)
-    matrices = [TeslerMatrix(a, rows) for rows in _tesler_rows(a)]
+    matrices = [TeslerMatrix._built_valid(a, rows) for rows in _tesler_rows(a)]
     matrices.sort(key=TeslerMatrix.off_diagonal_vector)
     return matrices
 

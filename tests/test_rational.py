@@ -18,7 +18,13 @@ from qtcatalan import (
     exact_divide,
 )
 from qtcatalan import rational
-from qtcatalan.rational import Packed, PackedBox, divide_sum_of_products, sum_of_products
+from qtcatalan.rational import (
+    Packed,
+    PackedBox,
+    ProductTree,
+    divide_sum_of_products,
+    sum_of_products,
+)
 
 pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda ab: ab != (0, 0))
 factors = pairs.map(lambda ab: BinomialFactor(*ab))
@@ -157,8 +163,27 @@ def _naive_sum(rows):
     return total
 
 
+# rows that share most of their factors, as the tableau plans do: each row
+# misses one factor of a common list with a repeated factor and factors with
+# k < 0, so the product tree multiplies their partial sums once per factor
+_COMMON = [(1, 0), (0, 1), (-1, 1), (-1, 1), (0, -2), (2, -1), (1, 1)]
+_SHARING_ROWS = [
+    ((i % 3, -i), _COMMON[:i] + _COMMON[i + 1 :] + [(1, 1)] * (i % 2)) for i in range(7)
+]
+
+
 @given(rows_of_products)
 @example([((0, 0), [])])
+@example(_SHARING_ROWS)
+@example(_SHARING_ROWS + [((1, 1), _COMMON), ((-1, 0), _COMMON), ((2, 2), [(-1, 1)] * 3)])
+@example([((0, 0), [(1, 0)] * 3), ((1, 2), [(1, 0)] * 3), ((-1, 0), [(1, 0)] * 3)])
+@example(
+    [
+        ((0, 0), [(0, 1)] * 4 + [(-2, 1)]),
+        ((1, 0), [(0, 1)] * 2 + [(-2, 1)] * 3),
+        ((0, 3), [(0, 1), (-2, 1)]),
+    ]
+)
 @example([((-2, 5), [(1, 0)] * 40 + [(-1, 2)] * 10), ((3, -4), [(0, -1)] * 45), ((0, 0), [])])
 @settings(max_examples=60, deadline=None)
 def test_packed_sum_matches_naive_product(rows):
@@ -241,7 +266,8 @@ def test_divided_packed_sum_matches_the_chain(rows, factors_list):
     # every row carries the whole denominator, so the sum divides by it
     over = [((e, f), list(fs) + [tuple(g) for g in factors_list]) for (e, f), fs in rows]
     quotient = sum_of_products(rows)
-    assert divide_sum_of_products(over, factors_list) == quotient
+    tree = ProductTree(fs for _, fs in over)
+    assert divide_sum_of_products([ef for ef, _ in over], tree, factors_list) == quotient
     assert _chain(sum_of_products(over), factors_list) == quotient
 
 
@@ -284,7 +310,22 @@ def test_non_divisible_numerator_is_refused():
     with pytest.raises(NotPolynomialError):
         FactoredRational(n + 1, factors_list).to_poly()
     with pytest.raises(NotPolynomialError):
-        divide_sum_of_products([((0, 0), []), ((1, 0), [(1, 0)])], [(1, 0)])
+        divide_sum_of_products([(0, 0), (1, 0)], ProductTree([[], [(1, 0)]]), [(1, 0)])
+
+
+def test_a_change_in_the_dropped_slots_is_refused():
+    # D spans the q-degrees -1..1, so Q lies one q-row above the bottom of
+    # N's box, and the packed division drops N's lowest slot, which D Q
+    # leaves empty; a numerator changed in that slot does not divide
+    factors_list = [BinomialFactor(-1, 1), BinomialFactor(1, 0), BinomialFactor(0, 1)]
+    n = (Q + T + 2) * (ONE + Q * T) * _product(factors_list)
+    box = PackedBox.around(n.terms())
+    bad = n + LaurentPoly.monomial(box.q_lo, box.t_lo)
+    assert _is_dense(bad)
+    with mock.patch.object(rational, "exact_divide", wraps=exact_divide) as divide:
+        with pytest.raises(NotPolynomialError):
+            FactoredRational(bad, factors_list).to_poly()
+    assert isinstance(divide.call_args_list[0].args[0], Packed)
 
 
 def test_sparse_far_apart_numerator_is_divided_by_its_terms(run_capped):

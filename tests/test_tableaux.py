@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 from itertools import product
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from qtcatalan import (
     DomainError,
     FactoredRational,
     LaurentPoly,
+    NotPolynomialError,
     ONE,
     Q,
     T,
@@ -30,6 +33,8 @@ from qtcatalan import (
     reduced_tableau_weight,
     tableau_weight,
 )
+from qtcatalan import rational, tableaux
+from qtcatalan.rational import Packed, PackedBox, divide_sum_of_products
 
 
 def test_non_integral_entries_rejected():
@@ -340,6 +345,12 @@ def test_vector_length_bound():
         f_tableaux((1,) * 8)
 
 
+def test_n8_tableau_sums_match_tesler():
+    # the first sums over the 764 tableaux of size 8
+    for vec in [(1,) * 7, (2, 0, 1, 1, 0, 1, 0)]:
+        assert f_tableaux(vec) == f_tesler((0,) + vec)
+
+
 def test_n7_tableau_plan_matches_tesler():
     for vec in [(1, 1, 1, 1, 1, 1), (1, 0, 1, 0, 1, 0), (2, 1, 1, 0, 0), (2, 1, 1, 0, 0, 0)]:
         assert f_tableaux(vec) == f_tesler((0,) + vec)
@@ -402,3 +413,62 @@ def test_tableau_sum_matches_fraction_oracle():
                     h_sum += mono * reduced
             assert _evaluate(f_poly, q, t) == f_sum, (vec, q, t)
             assert _evaluate(h_poly, q, t) == h_sum, (vec, q, t)
+
+
+# -- the plan's product tree and the division on the quotient's window --------
+
+def _per_row_total(exponents, factor_lists, box, width):
+    # every row multiplied out on its own, as the kernel did before the tree
+    total = 0
+    for (e, f), factors in zip(exponents, factor_lists):
+        x, offset = rational._times_factors(1, factors, box.stride, width)
+        total += x << ((box.slot(e, f) + offset) * width)
+    return total
+
+
+@pytest.mark.parametrize("head_like_only", [False, True])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_plan_tree_packs_the_per_row_integer(n, head_like_only):
+    # both sides are one polynomial in X evaluated at X = 2^width, so they
+    # agree at any width; 8 bits keep the per-row side cheap
+    tails, tree, _ = tableaux._plan(n, head_like_only)
+    for vec in [(1,) * (n - 1), (2, -1, 0, 1, 1, -1, 0)[: n - 1]]:
+        exponents = tableaux._row_exponents(vec, tails)
+        corners = [
+            (e + q_lo, e + q_hi, f + t_lo, f + t_hi)
+            for (e, f), (q_lo, q_hi, t_lo, t_hi) in zip(exponents, tree.spans)
+        ]
+        q_los, q_his, t_los, t_his = zip(*corners)
+        box = PackedBox(min(q_los), max(q_his), min(t_los), max(t_his))
+        got = rational._evaluate(tree, exponents, box, 8)
+        assert got == _per_row_total(exponents, tree.factors, box, 8)
+
+
+@pytest.mark.parametrize(
+    "vec", [(1, 2), (0, 1, 2), (2, 1, 1, 0), (1, 1, 1, 1, 1), (2, -1, 1, 0, 1)]
+)
+def test_each_tableau_sum_divides_once_per_factor_on_the_window(vec):
+    for fn, head_like_only in ((f_tableaux, False), (h_tableaux, True)):
+        tails, tree, common = tableaux._plan(len(vec) + 1, head_like_only)
+        numerator = rational._pack_sum(tableaux._row_exponents(vec, tails), tree)
+        # rows far apart are summed unpacked, and packed again to be divided
+        if isinstance(numerator, Packed):
+            box = numerator.box
+        else:
+            box = PackedBox.around(numerator.terms())
+        d_q_lo, d_q_hi, _, _ = rational._span(common)
+        window = box.slots - (d_q_hi - d_q_lo) * box.stride
+        with mock.patch.object(rational, "exact_divide", wraps=rational.exact_divide) as divide:
+            fn(vec)
+        assert divide.call_count == len(common)
+        for call in divide.call_args_list:
+            assert isinstance(call.args[0], Packed) and len(call.args[0]) == window
+
+
+def test_tableau_sum_over_a_wrong_denominator_is_refused():
+    # F(1, 1, 1, 1) is q,t-Catalan and nonzero at q = 1, so (1 - q) does not divide it
+    tails, tree, common = tableaux._plan(5, False)
+    exponents = tableaux._row_exponents((1, 1, 1, 1), tails)
+    assert divide_sum_of_products(exponents, tree, common) == f_tesler((0, 1, 1, 1, 1))
+    with pytest.raises(NotPolynomialError):
+        divide_sum_of_products(exponents, tree, common + ((1, 0),))

@@ -12,6 +12,7 @@ from qtcatalan import (
     ONE,
     Q,
     T,
+    TeslerMatrix,
     bracket,
     enumerate_tesler,
     f2,
@@ -95,6 +96,17 @@ def test_non_integral_entries_rejected():
             f_tesler(a)
     with pytest.raises(DomainError):
         enumerate_tesler((1, 1.5))
+
+
+def test_public_construction_is_validated():
+    # enumerate_tesler builds its matrices unchecked; the constructor checks
+    assert TeslerMatrix((1, 1), ((2, 1), (0,))).rows == ((2, 1), (0,))
+    # a wrong hook sum, a negative entry, and two arrays of the wrong shape
+    for rows in [((0, 1), (2,)), ((0, -1), (2,)), ((1, 0),), ((1,), (1,))]:
+        with pytest.raises(DomainError):
+            TeslerMatrix((1, 1), rows)
+    built = enumerate_tesler((1, 1))
+    assert built == [TeslerMatrix((1, 1), m.rows) for m in built]
 
 
 def test_cumulative_form_holds():
