@@ -7,7 +7,7 @@
     qtc rational --m M --n N
 
 Exit codes: 0 success, 1 verification or positivity failure, 2 usage or
-domain error.  QTC_JOBS sets the default worker count for verify and scan;
+domain error, or an input too deep for Python's recursion limit.  QTC_JOBS sets the default worker count for verify and scan;
 QTC_VERIFY_MAX sets the default sweep bound for verify.
 """
 
@@ -244,6 +244,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except (DomainError, NotPolynomialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the input needs a deeper recursion than Python allows", file=sys.stderr)
         return 2
 
 

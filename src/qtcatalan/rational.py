@@ -18,10 +18,11 @@ tableau plan builds its tree once; ``sum_of_products`` builds one per call.
 ``to_poly`` and ``divide_sum_of_products`` (which takes the packed sum as
 it is) divide by the denominator's inverse modulo a power of 2, one factor
 at a time (``exact_divide`` of a packed polynomial), on the window of the
-box where the quotient lies, and prove the quotient by multiplying it back
-through the same loop.  A numerator too sparse for its box, or one that no
-width tried proves, is divided by ``exact_divide`` term by term along
-lattice lines, which also tells a numerator that does not divide.
+box where the quotient lies, at the numerator's width, and prove the
+quotient by multiplying it back through the same loop.  A numerator given
+as terms too sparse for its box, or one whose quotient that width does not
+prove, is divided by ``exact_divide`` term by term along lattice lines,
+which also tells a numerator that does not divide.
 """
 
 from __future__ import annotations
@@ -120,16 +121,6 @@ class PackedBox:
                 qe, te = divmod(i // nbytes, stride)
                 data[(qe + q_lo, te + t_lo)] = int.from_bytes(digit, "little") - half
         return data
-
-    def count(self, value: int, width: int) -> int:
-        """The number of nonzero digits of value."""
-        nbytes = width // 8
-        bias = self._bias(nbytes)
-        raw = ((value + bias) ^ bias).to_bytes(self.slots * nbytes, "little")
-        nonzero = 0
-        for j in range(nbytes):
-            nonzero |= int.from_bytes(raw[j::nbytes], "little")
-        return self.slots - nonzero.to_bytes(self.slots, "little").count(0)
 
     def widen(self, value: int, width: int, new_width: int) -> int:
         """The same digits, each in new_width bits."""
@@ -419,19 +410,16 @@ def exact_divide(p: "LaurentPoly | Packed", factor: BinomialFactor) -> "LaurentP
     return LaurentPoly._from_dict(out)
 
 
-#: The packed division allocates the numerator's whole box, so it runs only
-#: while that box has at most this many slots per term.  The tableau sums
-#: of the benchmark and of the verify grids have at most 4.5 slots per
-#: term.  On the numerators of F(a, 0), F(a, b, c) and F(a, a, 0, 0) the
-#: packed division was faster than the chain up to 20-30 slots per term,
-#: and slower from 60 on.  F(a, 0) has 36 terms in (a + 9)^2 slots, so from
-#: a = 16 on it is divided factor by factor, at a cost that follows its
-#: terms rather than its span.
+#: The packed division allocates the numerator's whole box, so a numerator
+#: given as terms is packed only while that box has at most this many slots
+#: per term.  The tableau sums of the benchmark and of the verify grids have
+#: at most 4.5 slots per term.  On the numerators of F(a, 0), F(a, b, c) and
+#: F(a, a, 0, 0) the packed division was faster than the chain up to 20-30
+#: slots per term, and slower from 60 on.  F(a, 0) has 36 terms in
+#: (a + 9)^2 slots, so from a = 16 on it is divided factor by factor, at a
+#: cost that follows its terms rather than its span.  A numerator the kernel
+#: packed is divided as it is: its box is already allocated.
 SLOTS_PER_TERM = 16
-#: Widths the packed division tries (the first, then doubled) before a
-#: numerator is divided factor by factor, which also tells a numerator that
-#: does not divide.
-PACKED_ATTEMPTS = 3
 
 
 def divide_sum_of_products(
@@ -452,19 +440,17 @@ def _exact_quotient(numerator: "Packed | LaurentPoly", factors: tuple) -> Lauren
     if that is not a Laurent polynomial."""
     packed = None
     if isinstance(numerator, Packed):
-        box, width, value = numerator.box, numerator.width, numerator.value
-        if not value:
+        if not numerator.value:
             return ZERO
-        if box.slots <= SLOTS_PER_TERM * box.count(value, width):
-            packed = numerator
-    elif numerator and factors:
+        packed = numerator
+    elif not (numerator and factors):
+        return numerator
+    else:
         terms = numerator._terms
         box = PackedBox.around(terms)
         if box.slots <= SLOTS_PER_TERM * len(terms):
             width = _round_width(max(abs(c) for c in terms.values()).bit_length() + 1)
             packed = Packed(box, width, box.encode(terms, width))
-    else:
-        return numerator
     if packed is not None:
         quotient = _packed_quotient(packed, factors)
         if quotient is not None:
@@ -476,8 +462,8 @@ def _exact_quotient(numerator: "Packed | LaurentPoly", factors: tuple) -> Lauren
 
 
 def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
-    """The quotient Q = N / D for the packed N, or None if no width tried
-    proves it.
+    """The quotient Q = N / D for the packed N, or None if the packed
+    division does not prove it at N's width.
 
     With (1 - X^k) = -X^k (1 - X^-k) for k < 0, N = D Q reads
     X^shift N = sign * d Q with d = prod (1 - X^|k|) and shift the sum of
@@ -491,7 +477,8 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
     * w: the window is divided there by one factor after another
     (``exact_divide`` of a packed polynomial).  Its digits are Q's if every
     coefficient of Q fits in w bits; Q is returned only once D Q is shown
-    to equal N on N's box, and on a mismatch w is doubled.
+    to equal N on N's box.  Otherwise the caller divides term by term,
+    which also tells an N that D does not divide.
     """
     box, width, value = numerator.box, numerator.width, numerator.value
     d_q_lo, d_q_hi, d_t_lo, d_t_hi = _span(factors)  # the box of D
@@ -505,40 +492,37 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
         if k < 0:
             shift, sign, alpha, beta = shift - k, -sign, -alpha, -beta
         positive.append((alpha, beta))
-    n_bits = width - 1  # every coefficient of N is below 2^n_bits
-    for _ in range(PACKED_ATTEMPTS):
-        y = (sign * (value << (shift * width))) >> (lo * width)
-        quotient = Packed(sub, width, y & ((1 << (sub.slots * width)) - 1))
-        for f in positive:
-            quotient = exact_divide(quotient, f)
-        y = quotient.value
-        terms = sub.decode(y, width)
-        # Proof that Q D = N.  Q D has the box box(Q) + box(D), since the
-        # extreme terms of a product do not cancel.  When that box is
-        # inside N's, the stride keeps every term of Q D - N in a slot of
-        # its own.  A coefficient of Q D is at most max|Q| * ||D||_1 <=
-        # max|Q| * 2^m in absolute value, and one of N is below 2^n_bits,
-        # so at a width W above both bounds every digit of Q D - N is
-        # below 2^W.  Then (Q D - N)(2^W) = 0 only if Q D = N: else its
-        # lowest nonzero digit would be a multiple of 2^W, but smaller.
-        q_box = terms and PackedBox.around(terms)
-        if (
-            q_box
-            and box.q_lo <= q_box.q_lo + d_q_lo
-            and q_box.q_hi + d_q_hi <= box.q_hi
-            and box.t_lo <= q_box.t_lo + d_t_lo
-            and q_box.t_hi + d_t_hi <= box.t_hi
-        ):
-            q_bits = max(abs(c) for c in terms.values()).bit_length()
-            check = max(_round_width(max(q_bits + len(factors), n_bits) + 1), width)
-            # D Q_w = X^offset x, and N = X^lo D Q_w
-            x, offset = _times_factors(sub.widen(y, width, check), factors, box.stride, check)
-            align = (lo + offset) * check
-            if x << max(align, 0) == box.widen(value, width, check) << max(-align, 0):
-                return LaurentPoly._from_dict(terms)
-        value = box.widen(value, width, 2 * width)
-        width *= 2
-    return None
+    y = (sign * (value << (shift * width))) >> (lo * width)
+    quotient = Packed(sub, width, y & ((1 << (sub.slots * width)) - 1))
+    for f in positive:
+        quotient = exact_divide(quotient, f)
+    y = quotient.value
+    terms = sub.decode(y, width)
+    # Proof that Q D = N.  Q D has the box box(Q) + box(D), since the
+    # extreme terms of a product do not cancel.  When that box is inside
+    # N's, the stride keeps every term of Q D - N in a slot of its own.  A
+    # coefficient of Q D is at most max|Q| * ||D||_1 <= max|Q| * 2^m in
+    # absolute value, and one of N is below 2^(w-1), so at a width W above
+    # both bounds every digit of Q D - N is below 2^W.  Then
+    # (Q D - N)(2^W) = 0 only if Q D = N: else its lowest nonzero digit
+    # would be a multiple of 2^W, but smaller.
+    q_box = terms and PackedBox.around(terms)
+    if not (
+        q_box
+        and box.q_lo <= q_box.q_lo + d_q_lo
+        and q_box.q_hi + d_q_hi <= box.q_hi
+        and box.t_lo <= q_box.t_lo + d_t_lo
+        and q_box.t_hi + d_t_hi <= box.t_hi
+    ):
+        return None
+    q_bits = max(abs(c) for c in terms.values()).bit_length()
+    check = max(_round_width(max(q_bits + len(factors), width - 1) + 1), width)
+    # D Q_w = X^offset x, and N = X^lo D Q_w
+    x, offset = _times_factors(sub.widen(y, width, check), factors, box.stride, check)
+    align = (lo + offset) * check
+    if x << max(align, 0) != box.widen(value, width, check) << max(-align, 0):
+        return None
+    return LaurentPoly._from_dict(terms)
 
 
 class FactoredRational:

@@ -24,18 +24,24 @@ matrices with hook sums a satisfies
 with W(a_1) = 1.  Different columns lead to shared subproblems, so W is
 cached on the hook vector.
 
-Column sums by recurrence.  With v_i = m_in, the sum over last columns
-nests one coordinate at a time:
+One column walk.  With v_i = m_in, the sum over last columns nests one
+coordinate at a time:
 
     W(a) = sum_{v_{n-1}} B(v_{n-1}) sum_{v_{n-2}} A(v_{n-2}) ...
            sum_{v_1} A(v_1) W(a_1 + v_1, ..., a_{n-1} + v_{n-1}),
 
-with v_1 + ... + v_{n-1} <= a_n.  The generating functions of A and B
-have the denominator (1 - qz)(1 - tz), so each inner sum of c(v) g(v)
-over v = 0..K is one backward pass: U_v = g(v) + t U_{v+1} and
-R_v = U_v + q R_{v+1}, from U_{K+1} = R_{K+1} = 0, give
-R_v = sum_{u >= v} [u - v + 1] g(u), the three-term recurrence
-R_v = g(v) + (q + t) R_{v+1} - qt R_{v+2} run as its two factors.  Since
+with v_1 + ... + v_{n-1} <= a_n.  ``_column_walk`` runs these nested sums,
+given how one coordinate's terms are weighed by A or B, and memoizes the
+result on a.  Three sums are its instances: W on LaurentPoly
+(``_weight_sum``), W on packed integers (below) and the bound N(a) on
+integers (``_l1_bound``).  On LaurentPoly a coordinate's sum is
+sum_v A(v) g(v) or sum_v B(v) g(v) as it stands; on packed integers it is
+a recurrence.  The generating functions of A and B have the denominator
+(1 - qz)(1 - tz), so each inner sum of c(v) g(v) over v = 0..K is one
+backward pass: U_v = g(v) + t U_{v+1} and R_v = U_v + q R_{v+1}, from
+U_{K+1} = R_{K+1} = 0, give R_v = sum_{u >= v} [u - v + 1] g(u), the
+three-term recurrence R_v = g(v) + (q + t) R_{v+1} - qt R_{v+2} run as its
+two factors.  Since
 B(v) = [v + 1] - [v] and A(v) = -(1 - q)(1 - t) [v] for v >= 1,
 
     sum B(v) g(v) = R_0 - R_1,    sum A(v) g(v) = g(0) - (1 - q)(1 - t) R_1.
@@ -55,24 +61,26 @@ slots, which two bounds with proofs guarantee:
 - Width.  N(a) = sum over last columns of prod ||coeff||_1 * N(a'), with
   ||A(v)||_1 <= 4v and ||B(v)||_1 <= 2v + 1, bounds the sum of |coefficients|
   of F, since ||fg||_1 <= ||f||_1 ||g||_1.  It is computed on integers by
-  the same column sums and cached on a; w is the smallest 8 * 2^k with
+  the same column walk and cached on a; w is the smallest 8 * 2^k with
   2^(w-1) > N(a).
 
-Sizes in powers of two let calls share cached packed values, which are
-keyed on (a, S, w).  A sparse F wastes most of its box, and a long vector
-inflates N(a) far past F's coefficients, so a box with more than
-``PACKED_SLOTS`` slots, or a width above ``PACKED_WIDTH`` bits, is summed
-by the LaurentPoly recursion instead (``_weight_sum``).
+Sizes in powers of two let calls share cached packed values: there is one
+packed walk per (S, w), so its values are keyed on (S, w, a).  A sparse F
+wastes most of its box, and a long vector inflates N(a) far past F's
+coefficients, so a box with more than ``PACKED_SLOTS`` slots, or a width
+above ``PACKED_WIDTH`` bits, is summed on LaurentPoly instead
+(``_weight_sum``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError
-from .poly import LaurentPoly, ONE, ZERO, coeff_A, coeff_B
+from .poly import LaurentPoly, ONE, coeff_A, coeff_B
 from .rational import PackedBox
 from .tableaux import canonical_partition, integer_entries
 
@@ -185,36 +193,23 @@ def _check_hook_vector(a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def _last_columns(a: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every possible last column of a Tesler matrix with hook sums a.
-
-    Yields (off, smaller): off = (m_1n, ..., m_{n-1,n}) is the off-diagonal
-    part of the column and smaller = (a_1 + m_1n, ..., a_{n-1} + m_{n-1,n})
-    are the hook sums of the matrix left once the column is removed.  The
-    diagonal entry m_nn = a_n - sum(off) is left implicit.
-    """
-    *rest, last = a
-
-    def fill(i: int, left: int) -> Iterator[tuple[int, ...]]:
-        if i == len(rest):
-            yield ()
-            return
-        for v in range(left + 1):
-            for tail in fill(i + 1, left - v):
-                yield (v,) + tail
-
-    for off in fill(0, last):
-        yield off, tuple(x + v for x, v in zip(rest, off))
-
-
 def _tesler_rows(a: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The rows of every Tesler matrix with hook sums a, in no set order."""
+    """The rows of every Tesler matrix with hook sums a, in no set order.
+
+    The last column's off-diagonal part (m_1n, ..., m_{n-1,n}) sums to at
+    most a_n, so its partial sums are weakly increasing cuts in 0..a_n
+    (stars and bars); the diagonal entry m_nn takes the rest.  Removing the
+    column leaves a Tesler matrix with hook sums (a_1 + m_1n, ...,
+    a_{n-1} + m_{n-1,n}).
+    """
     if len(a) == 1:
         yield ((a[0],),)
         return
-    for off, smaller in _last_columns(a):
-        last_row = ((a[-1] - sum(off),),)
-        for rows in _tesler_rows(smaller):
+    *rest, last = a
+    for cuts in combinations_with_replacement(range(last + 1), len(rest)):
+        off = [right - left for left, right in zip((0,) + cuts, cuts)]
+        last_row = ((last - cuts[-1],),)
+        for rows in _tesler_rows(tuple(x + v for x, v in zip(rest, off))):
             yield tuple(row + (v,) for row, v in zip(rows, off)) + last_row
 
 
@@ -227,74 +222,84 @@ def enumerate_tesler(a: Sequence[int]) -> list[TeslerMatrix]:
     return matrices
 
 
-@lru_cache(maxsize=None)
-def _weight_sum(a: tuple[int, ...]) -> LaurentPoly:
-    """W(a) of the module docstring, one last column at a time."""
-    if len(a) == 1:
-        return ONE
-    total = ZERO
-    for off, smaller in _last_columns(a):
-        term = _weight_sum(smaller)
-        for i, v in enumerate(off):
-            if v:
-                term = term * (coeff_B(v) if i == len(off) - 1 else coeff_A(v))
-        total = total + term
-    return total
-
-
 #: The packed sum spends (D + 1) * S slots on F (see the module docstring),
 #: which a line-shaped F such as F(a) = [a + 1] fills only a + 1 of; its
-#: steps then shift mostly empty slots.  Timed on F(a), the packed sum beat
-#: ``_weight_sum`` up to a = 185 (47,616 slots) and lost from a = 200
-#: (51,456 slots: 0.07 s against 0.05 s) on; this cap keeps a margin below
-#: that.  Dense inputs it admits run many times faster packed:
-#: f_tesler((0, 0, 60)) (15,488 slots) in 1.7 s against 6.1 s.
+#: steps then shift mostly empty slots.  Timed on F(a), best of 5, the
+#: packed sum beat ``_weight_sum`` up to a = 255 (65,536 slots: 0.031 s
+#: against 0.037 s) and lost from a = 256 (131,584 slots: 0.049 s against
+#: 0.025 s) on; this cap keeps a margin below that.  Dense inputs it admits
+#: run a few times faster packed: f_tesler((0, 0, 63)) (16,256 slots) in
+#: 0.8 s against 2.3 s.  Past the cap dense inputs pay memory, not time:
+#: packed, (0, 0, 64) would take 2.2 s and 132 MB against 2.6 s and 28 MB,
+#: and (0, 0, 100) 8.8 s and 420 MB against 12.7 s and 49 MB.
 PACKED_SLOTS = 1 << 15
 #: The widest digit the packed sum uses.  N(a) gains about two bits per
 #: entry of a long vector, while F(0, ..., 0, 1) = [n] keeps coefficients of
-#: 1; on those the packed sum lost from width 256 on (0.42 s against 0.33 s
-#: at length 64, 9.8 s against 2.6 s at length 128), while every vector timed
-#: at width 128, such as (0,) + (1,) * 10 (2.4 s against 23 s), gained.
+#: 1.  On those the packed sum is even with ``_weight_sum`` at width 128 and
+#: length 32 (0.018 s each), slower at length 62 (0.18 s against 0.12 s),
+#: and from width 256 on slower still (0.27 s against 0.11 s at length 63).
+#: A dense vector at width 128 gains several times, as (0,) + (1,) * 10
+#: does (2.4 s against 13.4 s), so the cap stays at 128.
 PACKED_WIDTH = 128
 
 
-def _column_sum(a: tuple[int, ...], leaf: Callable, combine: Callable):
-    """The sum over the last columns of a, one coordinate at a time.
+def _column_walk(combine: Callable, one) -> Callable:
+    """The memoized function a -> W(a), summed by combine, with W(a_1) = one.
 
-    Level j sums over v_j, v_{n-1} (B-weighted) outermost and v_1 innermost.
-    With v_{j+1}, ..., v_{n-1} fixed, its terms g[v] are the level below at
+    W(a) sums over the last columns of a one coordinate at a time.  Level j
+    sums over v_j, v_{n-1} (B-weighted) outermost and v_1 innermost.  With
+    v_{j+1}, ..., v_{n-1} fixed, its terms g[v] are the level below at
     v_j = v, for v up to budgets[j], what the outer coordinates leave of
     a_n; tails[j] holds their hook sums (a_{j+1} + v_{j+1}, ...), and
-    combine(g, outermost) weighs the terms by B or A.  leaf(a') is the value
-    at the hook sums a' of the smaller matrix.  With no budget left every
-    inner v is 0 and A(0) = 1, so the level is a leaf.  The levels are an
-    explicit stack, so that the recursion into smaller hook vectors stays a
-    few frames per entry of a.
+    combine(g, outermost) weighs the terms by B or A.  Below level 1 lies
+    W at the hook sums a' of the smaller matrix.  With no budget left every
+    inner v is 0 and A(0) = 1, so the level is W(a').  The levels are an
+    explicit stack, and the walk calls itself for W(a'), so that the
+    recursion into smaller hook vectors stays a few frames per entry of a.
     """
-    *rest, last = a
-    m = len(rest)
-    tails, budgets, gs = [()] * (m + 1), [last] * (m + 1), [[] for _ in range(m + 1)]
-    j = m
-    while True:
-        if not budgets[j]:
-            value = leaf(tuple(rest[:j]) + tails[j])
-        elif j == 1:
-            x, tail = rest[0], tails[1]
-            value = combine([leaf((x + v,) + tail) for v in range(budgets[1] + 1)], m == 1)
-        else:
-            g = gs[j]
-            v = len(g)
-            if v <= budgets[j]:
-                tails[j - 1] = (rest[j - 1] + v,) + tails[j]
-                budgets[j - 1] = budgets[j] - v
-                gs[j - 1] = []
-                j -= 1
-                continue
-            value = combine(g, j == m)
-        if j == m:
-            return value
-        j += 1
-        gs[j].append(value)
+
+    @lru_cache(maxsize=None)
+    def walk(a: tuple[int, ...]):
+        if len(a) == 1:
+            return one
+        *rest, last = a
+        m = len(rest)
+        tails, budgets, gs = [()] * (m + 1), [last] * (m + 1), [[] for _ in range(m + 1)]
+        j = m
+        while True:
+            if not budgets[j]:
+                value = walk(tuple(rest[:j]) + tails[j])
+            elif j == 1:
+                # a loop, since a comprehension would add a frame per entry
+                x, tail, g = rest[0], tails[1], []
+                for v in range(budgets[1] + 1):
+                    g.append(walk((x + v,) + tail))
+                value = combine(g, m == 1)
+            else:
+                g = gs[j]
+                v = len(g)
+                if v <= budgets[j]:
+                    tails[j - 1] = (rest[j - 1] + v,) + tails[j]
+                    budgets[j - 1] = budgets[j] - v
+                    gs[j - 1] = []
+                    j -= 1
+                    continue
+                value = combine(g, j == m)
+            if j == m:
+                return value
+            j += 1
+            gs[j].append(value)
+
+    return walk
+
+
+def _poly_combine(g: list[LaurentPoly], outermost: bool) -> LaurentPoly:
+    # sum of coeff(v) g[v], with A(0) = B(0) = 1
+    coeff = coeff_B if outermost else coeff_A
+    total = g[0]
+    for v in range(1, len(g)):
+        total = total + coeff(v) * g[v]
+    return total
 
 
 def _l1_combine(g: list[int], outermost: bool) -> int:
@@ -304,20 +309,15 @@ def _l1_combine(g: list[int], outermost: bool) -> int:
     return g[0] + 4 * sum(v * x for v, x in enumerate(g))
 
 
-@lru_cache(maxsize=None)
-def _l1_bound(a: tuple[int, ...]) -> int:
-    """N(a) of the module docstring, a bound on the sum of |coefficients|
-    of F."""
-    if len(a) == 1:
-        return 1
-    return _column_sum(a, _l1_bound, _l1_combine)
+#: W(a) of the module docstring, summed on LaurentPoly.
+_weight_sum = _column_walk(_poly_combine, ONE)
+#: N(a) of the module docstring, a bound on the sum of |coefficients| of F.
+_l1_bound = _column_walk(_l1_combine, 1)
 
 
 @lru_cache(maxsize=None)
-def _packed(stride: int, width: int, a: tuple[int, ...]) -> int:
-    """W(a) at q = X^stride, t = X with X = 2^width."""
-    if len(a) == 1:
-        return 1
+def _packed_walk(stride: int, width: int) -> Callable[[tuple[int, ...]], int]:
+    """a -> W(a) at q = X^stride, t = X with X = 2^width."""
     q_shift = stride * width
 
     def combine(g: list[int], outermost: bool) -> int:
@@ -333,7 +333,7 @@ def _packed(stride: int, width: int, a: tuple[int, ...]) -> int:
         y = r - (r << q_shift)
         return g[0] - y + (y << width)
 
-    return _column_sum(a, partial(_packed, stride, width), combine)
+    return _column_walk(combine, 1)
 
 
 def _box(a: tuple[int, ...]) -> PackedBox:
@@ -363,7 +363,7 @@ def f_tesler(a: Sequence[int]) -> LaurentPoly:
     if box.slots <= PACKED_SLOTS:
         width = _width(a)
         if width <= PACKED_WIDTH:
-            return LaurentPoly._from_dict(box.decode(_packed(box.stride, width, a), width))
+            return LaurentPoly._from_dict(box.decode(_packed_walk(box.stride, width)(a), width))
     return _weight_sum(a)
 
 

@@ -144,6 +144,23 @@ def test_compute_domain_error_exit_2():
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--method", "recursion", "--abc", "1200,1200,1200"),
+        ("--method", "two-step", "--abc", "2400,2400,2400"),
+        ("--method", "tesler", "--a", ",".join(["0"] * 600 + ["1"])),
+    ],
+)
+def test_compute_too_deep_exit_2(args):
+    # each route recurses once per unit of an entry or per entry; past
+    # Python's depth limit that is one error line, not a traceback
+    proc = run_cli("compute", *args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_compute_bad_vector_exit_2():
     proc = run_cli("compute", "--method", "tableaux", "--a", "1,x")
     assert proc.returncode == 2

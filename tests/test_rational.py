@@ -231,7 +231,6 @@ def test_packed_box_round_trip(p):
     width = 8 * (max(abs(c) for c in p.terms().values()).bit_length() // 8 + 1)
     value = box.encode(p.terms(), width)
     assert box.decode(value, width) == p.terms()
-    assert box.count(value, width) == len(p)
     assert box.decode(box.widen(value, width, 2 * width), 2 * width) == p.terms()
 
 
@@ -266,27 +265,32 @@ def test_divided_packed_sum_matches_the_chain(rows, factors_list):
     # every row carries the whole denominator, so the sum divides by it
     over = [((e, f), list(fs) + [tuple(g) for g in factors_list]) for (e, f), fs in rows]
     quotient = sum_of_products(rows)
+    exponents = [ef for ef, _ in over]
     tree = ProductTree(fs for _, fs in over)
-    assert divide_sum_of_products([ef for ef, _ in over], tree, factors_list) == quotient
+    with mock.patch.object(rational, "exact_divide", wraps=exact_divide) as divide:
+        assert divide_sum_of_products(exponents, tree, factors_list) == quotient
+    if isinstance(rational._pack_sum(exponents, tree), Packed):
+        # the quotient's coefficients are below len(rows) * 2^m < 2^(w-1),
+        # so the kernel's width proves it: no factor is divided term by term
+        assert not any(isinstance(c.args[0], LaurentPoly) for c in divide.call_args_list)
     assert _chain(sum_of_products(over), factors_list) == quotient
 
 
-def test_packed_division_retries_at_a_wider_width(monkeypatch):
-    # the numerator's peak coefficient 6 sets the first width to 8 bits;
-    # the quotient's peak 670 needs the doubled width
+def test_packed_division_runs_once_at_the_numerator_width():
+    # the numerator's peak coefficient 6 sets the width to 8 bits, where the
+    # quotient's peak 670 does not fit: the packed pass runs once, its proof
+    # fails, and the chain of exact divisions finishes
     numerator = (ONE - Q**10) ** 4
     quotient = sum((Q**i for i in range(10)), LaurentPoly.zero()) ** 4
     assert max(numerator.terms().values()) == 6
     assert max(quotient.terms().values()) == 670
-
-    def packed_only(p, factor):
-        assert isinstance(p, Packed), "the chain must not run"
-        return exact_divide(p, factor)
-
-    monkeypatch.setattr(rational, "exact_divide", packed_only)
-    with mock.patch.object(PackedBox, "decode", autospec=True, side_effect=PackedBox.decode) as decode:
-        assert FactoredRational(numerator, [BinomialFactor(1, 0)] * 4).to_poly() == quotient
-    assert [width for (_, _, width), _ in decode.call_args_list] == [8, 16]
+    with mock.patch.object(rational, "exact_divide", wraps=exact_divide) as divide:
+        with mock.patch.object(
+            PackedBox, "decode", autospec=True, side_effect=PackedBox.decode
+        ) as decode:
+            assert FactoredRational(numerator, [BinomialFactor(1, 0)] * 4).to_poly() == quotient
+    assert [width for (_, _, width), _ in decode.call_args_list] == [8]
+    assert [type(c.args[0]) for c in divide.call_args_list] == [Packed] * 4 + [LaurentPoly] * 4
 
 
 def test_exact_divide_of_a_packed_polynomial():

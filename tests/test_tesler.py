@@ -270,6 +270,28 @@ def test_packed_route_matches_matrix_enumeration():
         assert f_tesler(a) == _enumerated_sum(a), a
 
 
+def test_weight_sum_matches_the_packed_route_on_the_grid():
+    # the LaurentPoly and the packed instances of the one column walk
+    for a in _GRID:
+        assert tesler._weight_sum(a) == f_tesler(a), a
+
+
+def test_the_column_walk_is_a_few_frames_per_entry(run_capped):
+    # each smaller hook vector is one call of the memoized walk, so at a
+    # recursion limit of 400 both instances reach a vector of length 196;
+    # one call first fills the caches of the coefficients A(1) and B(1), so
+    # that the deepest frames are the walk's own
+    code = (
+        "import sys; from qtcatalan import bracket, tesler; "
+        "tesler._weight_sum((0, 0, 1)); tesler._weight_sum.cache_clear(); "
+        "sys.setrecursionlimit(400); a = (0,) * 195 + (1,); "
+        "assert tesler._weight_sum(a) == bracket(196); "
+        "assert tesler._l1_bound(a) >= 196"
+    )
+    proc = run_capped("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_matrix_enumeration_on_each_side_of_the_packed_cap():
     # D = 127 fits a 128 x 128 box; D = 128 needs 129 x 256 slots
     below, above = (0, 125, 1), (0, 126, 1)
