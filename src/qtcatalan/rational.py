@@ -27,9 +27,12 @@ which also tells a numerator that does not divide.
 
 from __future__ import annotations
 
+import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .errors import DomainError, NotPolynomialError
 from .poly import ZERO, ExponentPair, LaurentPoly
@@ -59,6 +62,48 @@ def _zero_digit(nbytes: int) -> bytes:
     return bytes(nbytes - 1) + b"\x80"
 
 
+#: memoryview formats of the native unsigned integers of 1, 2, 4 and 8 bytes,
+#: which read little-endian digits only on a little-endian machine
+_UNSIGNED = {struct.calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
+#: a byte with its top bit flipped
+_FLIP_TOP_BIT = bytes(b ^ 0x80 for b in range(256))
+
+
+def _restride(raw: bytes, nbytes: int, new_nbytes: int) -> bytearray:
+    # the low new_nbytes bytes of each nbytes-byte digit, zero-padded if wider
+    out = bytearray(len(raw) // nbytes * new_nbytes)
+    for j in range(min(nbytes, new_nbytes)):
+        out[j::new_nbytes] = raw[j::nbytes]
+    return out
+
+
+def _digit_values(raw: bytes, nbytes: int) -> Sequence[int]:
+    """The unsigned little-endian digits of nbytes bytes each in raw, lowest
+    first: a memoryview cast to the narrowest native integer that holds
+    them, or slices past 64 bits."""
+    size = min((s for s in _UNSIGNED if s >= nbytes), default=None)
+    if size is None:
+        return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+    if size != nbytes:
+        raw = _restride(raw, nbytes, size)
+    return memoryview(raw).cast(_UNSIGNED[size])
+
+
+@lru_cache(maxsize=64)
+def _bias_of(slots: int, nbytes: int, pad: int) -> int:
+    # cached: the Tesler walk reads and re-packs boxes of a few sizes many times
+    return int.from_bytes((_zero_digit(nbytes) + bytes(pad)) * slots, "little")
+
+
+def fit_width(bound: int) -> int:
+    """The smallest width 8 * 2^k with 2^(w-1) > bound: a balanced digit of
+    that many bits holds every integer of absolute value at most bound."""
+    width = 8
+    while 1 << (width - 1) <= bound:
+        width *= 2
+    return width
+
+
 class PackedBox:
     """Kronecker substitution on a box of exponent pairs (Harvey 2009, J.
     Symbolic Comput.).
@@ -70,7 +115,8 @@ class PackedBox:
     is then one integer, its value at X = 2^width: one balanced digit of
     width bits per slot (width a multiple of 8), exact while every
     coefficient is below 2^(width-1) in absolute value.  Every pack and
-    unpack of the module goes through here.
+    unpack of the module goes through here, and every read of the digits
+    goes through ``_digits``.
     """
 
     __slots__ = ("q_lo", "q_hi", "t_lo", "t_hi", "stride", "slots")
@@ -90,7 +136,7 @@ class PackedBox:
 
     def _bias(self, nbytes: int, pad: int = 0) -> int:
         # 2^(8 nbytes - 1) in every slot of (nbytes + pad) bytes
-        return int.from_bytes((_zero_digit(nbytes) + bytes(pad)) * self.slots, "little")
+        return _bias_of(self.slots, nbytes, pad)
 
     def _digits(self, value: int, nbytes: int) -> bytes:
         # the biased digits of value modulo 2^(slots * width), lowest slot first
@@ -110,26 +156,39 @@ class PackedBox:
     def decode(self, value: int, width: int) -> dict[ExponentPair, int]:
         """The terms whose digits value holds, read modulo 2^(slots * width)."""
         nbytes = width // 8
-        zero_digit = _zero_digit(nbytes)
-        raw = self._digits(value, nbytes)
         half = 1 << (width - 1)
         stride, q_lo, t_lo = self.stride, self.q_lo, self.t_lo
         data: dict[ExponentPair, int] = {}
-        for i in range(0, len(raw), nbytes):
-            digit = raw[i : i + nbytes]
-            if digit != zero_digit:
-                qe, te = divmod(i // nbytes, stride)
-                data[(qe + q_lo, te + t_lo)] = int.from_bytes(digit, "little") - half
+        for i, digit in enumerate(_digit_values(self._digits(value, nbytes), nbytes)):
+            if digit != half:
+                qe, te = divmod(i, stride)
+                data[(qe + q_lo, te + t_lo)] = digit - half
         return data
 
     def widen(self, value: int, width: int, new_width: int) -> int:
-        """The same digits, each in new_width bits."""
+        """The same digits, each in new_width >= width bits."""
         nbytes, new_nbytes = width // 8, new_width // 8
-        raw = self._digits(value, nbytes)
-        out = bytearray(self.slots * new_nbytes)
-        for j in range(nbytes):
-            out[j::new_nbytes] = raw[j::nbytes]
+        out = _restride(self._digits(value, nbytes), nbytes, new_nbytes)
         return int.from_bytes(out, "little") - self._bias(nbytes, new_nbytes - nbytes)
+
+    def narrowest(self, value: int, width: int) -> tuple[int, int, int]:
+        """(value', w, m): m is the largest |digit| of value at width, and
+        value' holds the same digits at w = min(width, fit_width(m)) bits."""
+        nbytes = width // 8
+        half = 1 << (width - 1)
+        raw = self._digits(value, nbytes)
+        digits = _digit_values(raw, nbytes)
+        norm = max(max(digits) - half, half - min(digits))
+        new_width = fit_width(norm)
+        if new_width >= width:
+            return value, width, norm
+        # each digit's low bytes hold d + 2^(w-1) modulo 2^(new w), that is
+        # d; flipping their top bit adds the new bias 2^(new w - 1)
+        new_nbytes = new_width // 8
+        out = _restride(raw, nbytes, new_nbytes)
+        top = slice(new_nbytes - 1, None, new_nbytes)
+        out[top] = out[top].translate(_FLIP_TOP_BIT)
+        return int.from_bytes(out, "little") - self._bias(new_nbytes), new_width, norm
 
 
 class Packed:

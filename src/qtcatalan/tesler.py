@@ -11,18 +11,21 @@ which also proves F is a polynomial.  At t = 1 only the two-diagonal
 matrices survive, and those biject with subdiagrams of the staircase
 partition lambda(a) = (a_2+...+a_n, a_3+...+a_n, ..., a_n).
 
-Both the enumeration and the weight sum peel off the last column, the
-transpose of Haglund's Tesler recursion.  Row n has nothing to its right,
-so (m_1n, ..., m_{n-1,n}, m_nn) is a weak composition of a_n.  Removing
-the column leaves a Tesler matrix with hook sums
+The enumeration builds the matrices column by column from the first, in
+lexicographic order (``_tesler_rows``).  The weight sum peels off the last
+column, the transpose of Haglund's Tesler recursion.  Row n has nothing to
+its right, so (m_1n, ..., m_{n-1,n}, m_nn) is a weak composition of a_n.
+Removing the column leaves a Tesler matrix with hook sums
 a' = (a_1 + m_1n, ..., a_{n-1} + m_{n-1,n}), so the weight sum W over the
 matrices with hook sums a satisfies
 
     W(a) = sum over last columns of
            B(m_{n-1,n}) * prod_{i<n-1} A(m_in) * W(a'),
 
-with W(a_1) = 1.  Different columns lead to shared subproblems, so W is
-cached on the hook vector.
+with W(a_1) = 1.  No term reads a_1: W((a_1,)) = 1 whatever a_1 is, and
+the sum reads a_1 only through W(a'), whose first entry is a_1 + m_1n.  By
+induction on n, W(a) does not depend on a_1.  Different columns lead to
+shared subproblems, so W is cached on the hook vector with a_1 = 0.
 
 One column walk.  With v_i = m_in, the sum over last columns nests one
 coordinate at a time:
@@ -30,58 +33,73 @@ coordinate at a time:
     W(a) = sum_{v_{n-1}} B(v_{n-1}) sum_{v_{n-2}} A(v_{n-2}) ...
            sum_{v_1} A(v_1) W(a_1 + v_1, ..., a_{n-1} + v_{n-1}),
 
-with v_1 + ... + v_{n-1} <= a_n.  ``_column_walk`` runs these nested sums,
+with v_1 + ... + v_{n-1} <= a_n.  The innermost terms do not depend on
+v_1, so they are one value.  ``_column_walk`` runs these nested sums,
 given how one coordinate's terms are weighed by A or B, and memoizes the
-result on a.  Three sums are its instances: W on LaurentPoly
-(``_weight_sum``), W on packed integers (below) and the bound N(a) on
-integers (``_l1_bound``).  On LaurentPoly a coordinate's sum is
-sum_v A(v) g(v) or sum_v B(v) g(v) as it stands; on packed integers it is
-a recurrence.  The generating functions of A and B have the denominator
-(1 - qz)(1 - tz), so each inner sum of c(v) g(v) over v = 0..K is one
-backward pass: U_v = g(v) + t U_{v+1} and R_v = U_v + q R_{v+1}, from
-U_{K+1} = R_{K+1} = 0, give R_v = sum_{u >= v} [u - v + 1] g(u), the
-three-term recurrence R_v = g(v) + (q + t) R_{v+1} - qt R_{v+2} run as its
-two factors.  Since
+result on a.  Two sums are its instances: W on LaurentPoly
+(``_weight_sum``) and W on packed integers (below).  On LaurentPoly a
+coordinate's sum is sum_v A(v) g(v) or sum_v B(v) g(v) as it stands; on
+packed integers it is a recurrence.  The generating functions of A and B
+have the denominator (1 - qz)(1 - tz), so each inner sum of c(v) g(v) over
+v = 0..K is one backward pass: U_v = g(v) + t U_{v+1} and
+R_v = U_v + q R_{v+1}, from U_{K+1} = R_{K+1} = 0, give
+R_v = sum_{u >= v} [u - v + 1] g(u), the three-term recurrence
+R_v = g(v) + (q + t) R_{v+1} - qt R_{v+2} run as its two factors.  Since
 B(v) = [v + 1] - [v] and A(v) = -(1 - q)(1 - t) [v] for v >= 1,
 
     sum B(v) g(v) = R_0 - R_1,    sum A(v) g(v) = g(0) - (1 - q)(1 - t) R_1.
 
-Packed layout.  The sum runs on one integer per hook vector: the
-substitution q -> X^S, t -> X at X = 2^w, under which multiplying by q or
-t is a shift by S*w or w bits (Kronecker substitution, as in
-``rational.PackedBox``, which decodes the result).  The substitution is a
-ring map, so every intermediate is exact; only the result must fit its
-slots, which two bounds with proofs guarantee:
+Packed layout.  The sum runs on integers: the substitution q -> X^S,
+t -> X at X = 2^w, under which multiplying by q or t is a shift by S*w or
+w bits (Kronecker substitution, as in ``rational.PackedBox``, which reads
+the digits).  The substitution is a ring map, so every intermediate is
+exact; a value must fit its slots only where its digits are read, which
+two bounds with proofs guarantee:
 
 - Stride.  Summing (i - 1) times the i-th hook sum over the rows gives
   sum_i (i - 1) a_i = sum_i (i - 1) m_ii + sum_{r<c} (c - r) m_rc
   >= sum_{r<c} m_rc (1-indexed).  A(v) and B(v) have q- and t-degree v, so
   D(a) = sum_i (i - 1) a_i bounds both degrees of F, and S is the
   smallest power of two above D: F lies on a (D + 1) x S box of slots.
-- Width.  N(a) = sum over last columns of prod ||coeff||_1 * N(a'), with
-  ||A(v)||_1 <= 4v and ||B(v)||_1 <= 2v + 1, bounds the sum of |coefficients|
-  of F, since ||fg||_1 <= ||f||_1 ||g||_1.  It is computed on integers by
-  the same column walk and cached on a; w is the smallest 8 * 2^k with
-  2^(w-1) > N(a).
+  Each W(a') has D(a') <= D(a), and the value of a level of the walk is a
+  sum of matrix weights with some of their A and B factors left out, which
+  have nonnegative degrees, so every value of the walk lies on F's box
+  too.
+- Width.  The value of a level is sum_v c(v) g(v), with c = A or B, and
+  since ||fg||_inf <= ||f||_1 ||g||_inf, its largest |coefficient| is at
+  most sum_v ||c(v)||_1 m(v), where m(v) bounds that of g(v); here
+  ||A(0)||_1 = ||B(0)||_1 = 1, ||A(v)||_1 <= 4v and ||B(v)||_1 <= 2v + 1.
+  Taking m = ||W(a')||_inf, the exact largest |coefficient| of each W(a'),
+  and m of a level below its own bound, the outermost level gives
 
-Sizes in powers of two let calls share cached packed values: there is one
-packed walk per (S, w), so its values are keyed on (S, w, a).  A sparse F
-wastes most of its box, and a long vector inflates N(a) far past F's
-coefficients, so a box with more than ``PACKED_SLOTS`` slots, or a width
-above ``PACKED_WIDTH`` bits, is summed on LaurentPoly instead
-(``_weight_sum``).
+      ||W(a)||_inf <= sum over last columns of
+                      prod ||coefficient||_1 * ||W(a')||_inf.
+
+  The bound starts from exact values at each node, so its slack is that of
+  one node and does not compound down the recursion.  Each level runs at
+  the smallest width w = 8 * 2^k with 2^(w-1) above its bound, where a
+  balanced digit holds every coefficient.  Once a node is summed, its
+  digits are read once for their exact largest |coefficient|, and it is
+  kept at the smallest such w for that.  A level's bound is at least each
+  term's (every ||c(v)||_1 >= 1), so terms only widen
+  (``PackedBox.widen``), and a node keeps each wider copy a parent asks for.
+
+Strides in powers of two let calls share cached packed values: there is
+one packed walk per S, keyed on a.  A sparse F wastes most of its box, so
+a box with more than ``PACKED_SLOTS`` slots is summed on LaurentPoly
+instead (``_weight_sum``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError
 from .poly import LaurentPoly, ONE, coeff_A, coeff_B
-from .rational import PackedBox
+from .rational import PackedBox, fit_width
 from .tableaux import canonical_partition, integer_entries
 
 
@@ -193,54 +211,108 @@ def _check_hook_vector(a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def _tesler_rows(a: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The rows of every Tesler matrix with hook sums a, in no set order.
+def _columns(residuals: tuple[int, ...], hook_sum: int, room: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every column (m_0k, ..., m_{k-1,k}) that a partial matrix with these
+    residuals can take next, in lexicographic order, with the residuals
+    after it (see ``_tesler_rows``).
 
-    The last column's off-diagonal part (m_1n, ..., m_{n-1,n}) sums to at
-    most a_n, so its partial sums are weakly increasing cuts in 0..a_n
-    (stars and bars); the diagonal entry m_nn takes the rest.  Removing the
-    column leaves a Tesler matrix with hook sums (a_1 + m_1n, ...,
-    a_{n-1} + m_{n-1,n}).
+    With the entries e_r of the column, row r is short of
+    max(0, -(residuals[r] + e_r)) and row k of max(0, e_0 + ... - hook_sum);
+    the column fits when the shortfall is at most room.  Once e_0, ..., e_r
+    are chosen, the least shortfall the rest can reach spends what is left
+    of hook_sum on the rows below r that are short, so e_r runs upward
+    while that least shortfall can still shrink or fit.
     """
-    if len(a) == 1:
-        yield ((a[0],),)
-        return
-    *rest, last = a
-    for cuts in combinations_with_replacement(range(last + 1), len(rest)):
-        off = [right - left for left, right in zip((0,) + cuts, cuts)]
-        last_row = ((last - cuts[-1],),)
-        for rows in _tesler_rows(tuple(x + v for x, v in zip(rest, off))):
-            yield tuple(row + (v,) for row, v in zip(rows, off)) + last_row
+    k = len(residuals)
+    short_below = [0] * (k + 1)  # short_below[r]: sum over i >= r of max(0, -residuals[i])
+    for r in range(k - 1, -1, -1):
+        short_below[r] = short_below[r + 1] + max(0, -residuals[r])
+    out = []
+    column = [0] * k
+
+    def fill(r: int, short: int, total: int) -> None:
+        if r == k:
+            after = tuple(x + e for x, e in zip(residuals, column)) + (hook_sum - total,)
+            out.append((tuple(column), after))
+            return
+        floor = max(0, -residuals[r])
+        e = 0
+        while True:
+            least = short + max(0, floor - e) + max(0, total + e - hook_sum)
+            least += max(0, short_below[r + 1] - max(0, hook_sum - total - e))
+            if least <= room:
+                column[r] = e
+                fill(r + 1, short + max(0, floor - e), total + e)
+            elif e >= floor:
+                break
+            e += 1
+
+    fill(0, 0, 0)
+    return out
+
+
+def _tesler_rows(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows of every Tesler matrix with hook sums a, ordered
+    lexicographically by the flattened off-diagonal vector.
+
+    The matrices are built column by column, each partial matrix extended
+    by its next columns in lexicographic order, so the list stays in order.
+    After columns 1..k-1, row r < k has the residual
+    a_r - (its entries above the diagonal) + (its entries so far right of
+    it), and its diagonal entry will be that residual plus its entries in
+    the columns still to come.  A row with a negative residual is short by
+    its absolute value, which it must send right.  The partial matrix
+    completes exactly when the total shortfall is at most
+    a_k + ... + a_{n-1}.  It cannot complete otherwise: the entries from
+    rows r < k to columns c >= k, at least the shortfall, add up to at most
+    that sum by the cumulative form of the hook sums.  It completes
+    otherwise: the short rows send their shortfall to column k, whose row
+    passes on what exceeds a_k, and so on up to column n - 1.  After the
+    last column the room is 0, so every residual is a diagonal entry.
+    The next columns depend on the residuals only, so partial matrices
+    with equal residuals share them.
+    """
+    n = len(a)
+    # (the entries m_rc so far, column by column; the residuals of rows 0..k-1)
+    partial = [((), (a[0],))]
+    for k in range(1, n):
+        room, columns = sum(a[k + 1 :]), {}
+        for _, residuals in partial:
+            if residuals not in columns:
+                columns[residuals] = _columns(residuals, a[k], room)
+        partial = [
+            (entries + column, after)
+            for entries, residuals in partial
+            for column, after in columns[residuals]
+        ]
+    # row r < n - 1 reads its diagonal entry, at index r of the residuals
+    # after the entries, then m_rc, at index c (c - 1) / 2 + r of the entries
+    start = n * (n - 1) // 2
+    rows = [itemgetter(start + r, *(c * (c - 1) // 2 + r for c in range(r + 1, n))) for r in range(n - 1)]
+    return [
+        tuple([row(flat) for row in rows]) + ((flat[-1],),)
+        for flat in (entries + diagonal for entries, diagonal in partial)
+    ]
 
 
 def enumerate_tesler(a: Sequence[int]) -> list[TeslerMatrix]:
     """Every Tesler matrix with hook sums a, ordered lexicographically by
     the flattened off-diagonal vector."""
     a = _check_hook_vector(a)
-    matrices = [TeslerMatrix._built_valid(a, rows) for rows in _tesler_rows(a)]
-    matrices.sort(key=TeslerMatrix.off_diagonal_vector)
-    return matrices
+    return [TeslerMatrix._built_valid(a, rows) for rows in _tesler_rows(a)]
 
 
 #: The packed sum spends (D + 1) * S slots on F (see the module docstring),
 #: which a line-shaped F such as F(a) = [a + 1] fills only a + 1 of; its
-#: steps then shift mostly empty slots.  Timed on F(a), best of 5, the
-#: packed sum beat ``_weight_sum`` up to a = 255 (65,536 slots: 0.031 s
-#: against 0.037 s) and lost from a = 256 (131,584 slots: 0.049 s against
-#: 0.025 s) on; this cap keeps a margin below that.  Dense inputs it admits
-#: run a few times faster packed: f_tesler((0, 0, 63)) (16,256 slots) in
-#: 0.8 s against 2.3 s.  Past the cap dense inputs pay memory, not time:
-#: packed, (0, 0, 64) would take 2.2 s and 132 MB against 2.6 s and 28 MB,
-#: and (0, 0, 100) 8.8 s and 420 MB against 12.7 s and 49 MB.
-PACKED_SLOTS = 1 << 15
-#: The widest digit the packed sum uses.  N(a) gains about two bits per
-#: entry of a long vector, while F(0, ..., 0, 1) = [n] keeps coefficients of
-#: 1.  On those the packed sum is even with ``_weight_sum`` at width 128 and
-#: length 32 (0.018 s each), slower at length 62 (0.18 s against 0.12 s),
-#: and from width 256 on slower still (0.27 s against 0.11 s at length 63).
-#: A dense vector at width 128 gains several times, as (0,) + (1,) * 10
-#: does (2.4 s against 13.4 s), so the cap stays at 128.
-PACKED_WIDTH = 128
+#: steps then shift mostly empty slots.  Timed on F(a), best of 5 in one
+#: process, the packed sum beat ``_weight_sum`` up to a = 255 (65,536
+#: slots: 0.031 s against 0.034 s) and lost from a = 256 (131,584 slots:
+#: 0.074 s against 0.026 s) on.  A long vector is about even at the cap:
+#: (0,) * 195 + (1,) (50,176 slots) took 2.9 s against 3.1 s.  Dense inputs
+#: it admits run several times faster packed: (0, 0, 100) (51,456 slots) in
+#: 0.43 s against 4.8 s, and (0, 0, 127) (65,280 slots) in 0.90 s against
+#: 12.6 s.
+PACKED_SLOTS = 1 << 16
 
 
 def _column_walk(combine: Callable, one) -> Callable:
@@ -252,29 +324,27 @@ def _column_walk(combine: Callable, one) -> Callable:
     v_j = v, for v up to budgets[j], what the outer coordinates leave of
     a_n; tails[j] holds their hook sums (a_{j+1} + v_{j+1}, ...), and
     combine(g, outermost) weighs the terms by B or A.  Below level 1 lies
-    W at the hook sums a' of the smaller matrix.  With no budget left every
-    inner v is 0 and A(0) = 1, so the level is W(a').  The levels are an
-    explicit stack, and the walk calls itself for W(a'), so that the
-    recursion into smaller hook vectors stays a few frames per entry of a.
+    W at the hook sums a' of the smaller matrix, which does not read a'_1:
+    the walk reads a with a_1 = 0, and the terms of level 1 are one value.
+    With no budget left every inner v is 0 and A(0) = 1, so the level is
+    W(a').  The levels are an explicit stack, and the walk calls itself for
+    W(a'), so that the recursion into smaller hook vectors stays a few
+    frames per entry of a.
     """
 
     @lru_cache(maxsize=None)
     def walk(a: tuple[int, ...]):
         if len(a) == 1:
             return one
-        *rest, last = a
+        rest, last = [0, *a[1:-1]], a[-1]
         m = len(rest)
-        tails, budgets, gs = [()] * (m + 1), [last] * (m + 1), [[] for _ in range(m + 1)]
+        tails, budgets, gs = [()] * (m + 1), [last] * (m + 1), [None] * m + [[]]
         j = m
         while True:
             if not budgets[j]:
                 value = walk(tuple(rest[:j]) + tails[j])
             elif j == 1:
-                # a loop, since a comprehension would add a frame per entry
-                x, tail, g = rest[0], tails[1], []
-                for v in range(budgets[1] + 1):
-                    g.append(walk((x + v,) + tail))
-                value = combine(g, m == 1)
+                value = combine([walk((0,) + tails[1])] * (budgets[1] + 1), m == 1)
             else:
                 g = gs[j]
                 v = len(g)
@@ -302,38 +372,81 @@ def _poly_combine(g: list[LaurentPoly], outermost: bool) -> LaurentPoly:
     return total
 
 
-def _l1_combine(g: list[int], outermost: bool) -> int:
-    # ||B(v)||_1 <= 2v + 1, ||A(v)||_1 <= 4v and A(0) = 1
+def _norm_combine(g: list[int], outermost: bool) -> int:
+    # sum of ||coeff(v)||_1 g[v], with ||B(v)||_1 <= 2v + 1, ||A(v)||_1 <= 4v
+    # and A(0) = 1
     if outermost:
         return sum((2 * v + 1) * x for v, x in enumerate(g))
     return g[0] + 4 * sum(v * x for v, x in enumerate(g))
 
 
-#: W(a) of the module docstring, summed on LaurentPoly.
-_weight_sum = _column_walk(_poly_combine, ONE)
-#: N(a) of the module docstring, a bound on the sum of |coefficients| of F.
-_l1_bound = _column_walk(_l1_combine, 1)
+_poly_walk = _column_walk(_poly_combine, ONE)
+
+
+def _weight_sum(a: tuple[int, ...]) -> LaurentPoly:
+    """W(a) of the module docstring, summed on LaurentPoly."""
+    # a budget of the walk is at most sum(a[1:]), and at most sum(a[2:]) on
+    # an A-weighted level; building the cached coefficients here keeps their
+    # frames off the deepest level of the walk
+    for v in range(1, sum(a[1:]) + 1):
+        coeff_B(v)
+    for v in range(1, sum(a[2:]) + 1):
+        coeff_A(v)
+    return _poly_walk(a)
 
 
 @lru_cache(maxsize=None)
-def _packed_walk(stride: int, width: int) -> Callable[[tuple[int, ...]], int]:
-    """a -> W(a) at q = X^stride, t = X with X = 2^width."""
-    q_shift = stride * width
+def _rows(stride: int, q_hi: int) -> PackedBox:
+    # the first q_hi + 1 rows of stride slots
+    return PackedBox(0, q_hi, 0, stride - 1)
 
-    def combine(g: list[int], outermost: bool) -> int:
+
+def _box_of(value: int, stride: int, width: int) -> PackedBox:
+    # rows enough for every nonzero digit of value: if digit i is its top
+    # one, 2^(width i - 1) < |value| < 2^(width (i + 1) - 1), so
+    # i = bit_length // width
+    return _rows(stride, value.bit_length() // (stride * width))
+
+
+@lru_cache(maxsize=None)
+def _packed_walk(stride: int) -> Callable[[tuple[int, ...]], tuple]:
+    """a -> (W(a) at q = X^stride, t = X with X = 2^w, w, max |coefficient|
+    of W(a), {wider width: W(a) at it}, the bound on that maximum from the
+    W(a')), w the narrowest width that holds W(a)."""
+
+    def combine(g: list[tuple], outermost: bool) -> tuple:
+        # g[v] is (value, width, bound on its |coefficients|, widened
+        # copies, ...); the terms meet at the width of the level's bound
+        norms = []
+        for term in g:
+            norms.append(term[2])
+        bound = _norm_combine(norms, outermost)
+        width = fit_width(bound)
+        q_shift = stride * width
+        values, previous, x = [], None, 0
+        for term in g:
+            if term is not previous:
+                previous, (x, term_width, _, wider, _) = term, term
+                if term_width != width:
+                    if width not in wider:
+                        wider[width] = _box_of(x, stride, term_width).widen(x, term_width, width)
+                    x = wider[width]
+            values.append(x)
         # u = U_v and r = R_v, from v = K down to v = 1
         u = r = 0
-        for v in range(len(g) - 1, 0, -1):
-            u = g[v] + (u << width)
+        for v in range(len(values) - 1, 0, -1):
+            u = values[v] + (u << width)
             r = u + (r << q_shift)
         if outermost:
-            # R_0 - R_1
-            return g[0] + (u << width) + (r << q_shift) - r
+            # R_0 - R_1, kept at the width of its own largest coefficient,
+            # and at each wider width a parent asks for
+            value = values[0] + (u << width) + (r << q_shift) - r
+            return _box_of(value, stride, width).narrowest(value, width) + ({}, bound)
         # g(0) - (1 - q)(1 - t) R_1
         y = r - (r << q_shift)
-        return g[0] - y + (y << width)
+        return values[0] - y + (y << width), width, bound, {}, bound
 
-    return _column_walk(combine, 1)
+    return _column_walk(combine, (1, 8, 1, {}, 1))
 
 
 def _box(a: tuple[int, ...]) -> PackedBox:
@@ -342,28 +455,17 @@ def _box(a: tuple[int, ...]) -> PackedBox:
     return PackedBox(0, degree, 0, (1 << degree.bit_length()) - 1)
 
 
-def _width(a: tuple[int, ...]) -> int:
-    """The smallest 8 * 2^k with 2^(w-1) > N(a): every coefficient of F
-    fits a balanced digit of that many bits."""
-    bound = _l1_bound(a)
-    width = 8
-    while 1 << (width - 1) <= bound:
-        width *= 2
-    return width
-
-
 def f_tesler(a: Sequence[int]) -> LaurentPoly:
     """F(a_2, ..., a_n) as the weight sum over Tesler matrices with hook
     sums (a_1, ..., a_n).  The first entry changes the matrix set but not
     the value.  No division occurs."""
-    a = _check_hook_vector(a)
+    a = (0,) + _check_hook_vector(a)[1:]
     while len(a) > 1 and a[-1] == 0:
         a = a[:-1]  # a zero last hook sum forces a zero last column
     box = _box(a)
     if box.slots <= PACKED_SLOTS:
-        width = _width(a)
-        if width <= PACKED_WIDTH:
-            return LaurentPoly._from_dict(box.decode(_packed_walk(box.stride, width)(a), width))
+        value, width, *_ = _packed_walk(box.stride)(a)
+        return LaurentPoly._from_dict(box.decode(value, width))
     return _weight_sum(a)
 
 

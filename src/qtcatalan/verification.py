@@ -34,7 +34,9 @@ from .poly import bracket, qt_power, unimodality_check
 from .tableaux import f_tableaux, h_tableaux
 from .tesler import f_tesler, lambda_partition, subdiagram_area_gf
 
-#: First hook sums used to confirm that the Tesler value ignores a_1.
+#: First hook sums passed to f_tesler.  It reads a with a_1 = 0, so this
+#: checks that its answer ignores a_1 as its contract says; that the
+#: matrix sums ignore it is a test on ``enumerate_tesler``.
 TESLER_FIRST_ENTRIES = (0, 3)
 
 

@@ -234,6 +234,33 @@ def test_packed_box_round_trip(p):
     assert box.decode(box.widen(value, width, 2 * width), 2 * width) == p.terms()
 
 
+def test_digits_at_every_width_round_trip():
+    # 1-, 2-, 4- and 8-byte digits are read by a cast, 3-byte ones padded to
+    # 4, and wider ones by slices; extreme digits are the balanced ones
+    box = PackedBox(-1, 1, 2, 4)
+    for width in (8, 16, 24, 32, 64, 72, 128):
+        top = (1 << (width - 1)) - 1
+        for coeffs in ([top, -top, 1, 0, -1], [-top, 0, 5], [7], []):
+            terms = {(e, f): c for (e, f), c in zip([(-1, 2), (0, 3), (1, 4), (1, 2), (0, 2)], coeffs) if c}
+            value = box.encode(terms, width)
+            assert box.decode(value, width) == terms
+            norm = max(map(abs, terms.values()), default=0)
+            assert box.narrowest(value, width) == (value, width, norm) or rational.fit_width(norm) < width
+            wide = box.widen(value, width, 2 * width)
+            assert box.decode(wide, 2 * width) == terms
+            narrow, narrow_width, got = box.narrowest(wide, 2 * width)
+            assert got == norm and narrow_width == rational.fit_width(norm)
+            assert box.decode(narrow, narrow_width) == terms
+
+
+def test_fit_width_is_the_narrowest_balanced_digit():
+    for bound in list(range(600)) + [2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63, 2**100]:
+        width = rational.fit_width(bound)
+        assert width % 8 == 0 and (width // 8) & (width // 8 - 1) == 0
+        assert 1 << (width - 1) > bound
+        assert width == 8 or 1 << (width // 2 - 1) <= bound
+
+
 # factors in both directions, some with |beta| above the t-span of polys
 mixed_factors = st.lists(
     st.tuples(st.integers(-3, 3), st.integers(-9, 9)).filter(lambda ab: ab != (0, 0)).map(

@@ -3,6 +3,7 @@
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -143,6 +144,22 @@ def test_first_entry_does_not_change_value():
         assert len(vals) == 1
 
 
+def test_enumerated_weight_sum_ignores_a1():
+    # f_tesler and its walk read a with a_1 = 0, so there the first entry is
+    # ignored by construction; the matrices themselves do read it
+    for tail in [(1,), (2, 0), (1, 1), (0, 2, 1), (1, 1, 1)]:
+        sets, sums = [], []
+        for x in (0, 3):
+            matrices = enumerate_tesler((x,) + tail)
+            sets.append({m.rows for m in matrices})
+            total = LaurentPoly.zero()
+            for m in matrices:
+                total = total + m.weight()
+            sums.append(total)
+        assert sets[0] != sets[1], tail
+        assert sums[0] == sums[1] == f_tableaux(tail), tail
+
+
 def test_agrees_with_tableaux_on_grid():
     for tail in product(range(3), repeat=3):
         expected = f_tableaux(tail)
@@ -278,23 +295,21 @@ def test_weight_sum_matches_the_packed_route_on_the_grid():
 
 def test_the_column_walk_is_a_few_frames_per_entry(run_capped):
     # each smaller hook vector is one call of the memoized walk, so at a
-    # recursion limit of 400 both instances reach a vector of length 196;
-    # one call first fills the caches of the coefficients A(1) and B(1), so
-    # that the deepest frames are the walk's own
-    code = (
-        "import sys; from qtcatalan import bracket, tesler; "
-        "tesler._weight_sum((0, 0, 1)); tesler._weight_sum.cache_clear(); "
-        "sys.setrecursionlimit(400); a = (0,) * 195 + (1,); "
-        "assert tesler._weight_sum(a) == bracket(196); "
-        "assert tesler._l1_bound(a) >= 196"
-    )
-    proc = run_capped("-c", code)
-    assert proc.returncode == 0, proc.stderr
+    # recursion limit of 400 every instance reaches a vector of length 196,
+    # each in a fresh process, with every cache cold
+    setup = "import sys; from qtcatalan import bracket, tesler; a = (0,) * 195 + (1,); "
+    for check in [
+        "assert tesler._weight_sum(a) == bracket(196)",
+        "box = tesler._box(a); value, width, *_ = tesler._packed_walk(box.stride)(a); "
+        "assert box.decode(value, width) == bracket(196).terms()",
+    ]:
+        proc = run_capped("-c", setup + "sys.setrecursionlimit(400); " + check)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_matrix_enumeration_on_each_side_of_the_packed_cap():
-    # D = 127 fits a 128 x 128 box; D = 128 needs 129 x 256 slots
-    below, above = (0, 125, 1), (0, 126, 1)
+    # D = 255 fits a 256 x 256 box; D = 256 needs 257 x 512 slots
+    below, above = (0, 253, 1), (0, 254, 1)
     assert tesler._box(below).slots <= tesler.PACKED_SLOTS < tesler._box(above).slots
     for a in (below, above):
         assert f_tesler(a) == _enumerated_sum(a) == f2(a[1], a[2])
@@ -315,13 +330,39 @@ def test_weight_degrees_within_the_stride_bound():
             assert all(qe <= d and te <= d for qe, te in weight.terms())
 
 
-def test_l1_bound_covers_every_coefficient():
+def _largest(p):
+    return max(map(abs, p.terms().values()), default=0)
+
+
+def _bound_by_columns(a):
+    """The width bound of the module docstring, summed over the last
+    columns one by one: prod ||coefficient||_1 * ||W(a')||_inf."""
+    *rest, last = a
+    total = 0
+    for column in product(range(last + 1), repeat=len(rest)):
+        if sum(column) > last:
+            continue
+        *inner, v = column
+        weight = (2 * v + 1) * prod(4 * u if u else 1 for u in inner)
+        total += weight * _largest(f_tesler(tuple(x + u for x, u in zip(rest, column))))
+    return total
+
+
+def test_exact_norm_bound_covers_every_coefficient():
+    # each node of the packed walk holds the exact largest |coefficient| of
+    # W(a), at the narrowest width whose balanced digit holds it, and the
+    # bound it was summed under is the docstring's, which covers it
     for a in _GRID + [(0, 5, 6, 6), (0, 1, 1, 1, 1, 1, 1)]:
-        total = sum(abs(c) for c in f_tesler(a).terms().values())
-        assert tesler._l1_bound(a) >= total
-    for a in _GRID:
-        norms = (k * sum(map(abs, weight.terms().values())) for k, weight in _weight_tally(a))
-        assert tesler._l1_bound(a) >= sum(norms)
+        if not any(a[1:]):
+            continue  # W(a) = 1, with no last column to sum over
+        while a[-1] == 0:
+            a = a[:-1]  # the walk passes a zero last column straight through
+        box = tesler._box(a)
+        value, width, norm, _, bound = tesler._packed_walk(box.stride)(a)
+        assert norm == _largest(f_tesler(a)), a
+        assert bound == _bound_by_columns(a) >= norm, a
+        assert 1 << (width - 1) > norm and (width == 8 or 1 << (width // 2 - 1) <= norm), a
+        assert box.decode(value, width) == f_tesler(a).terms(), a
 
 
 def test_line_shaped_inputs_skip_the_packed_sum(run_capped):
@@ -338,13 +379,13 @@ def test_line_shaped_inputs_skip_the_packed_sum(run_capped):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_long_vectors_on_each_side_of_the_width_cap():
-    # F(0, ..., 0, 1) = [n]: N(a) grows by about two bits an entry, so the
-    # shorter vector packs at width 128 and the longer one needs 256
-    packed, wide = (0,) * 40 + (1,), (0,) * 63 + (1,)
-    assert tesler._width(packed) <= tesler.PACKED_WIDTH < tesler._width(wide)
-    for a in (packed, wide):
-        assert tesler._box(a).slots <= tesler.PACKED_SLOTS
+def test_long_vectors_pack_at_the_width_of_their_coefficients():
+    # F(0, ..., 0, 1) = [n] has coefficients of 1, so the walk keeps it at
+    # 8 bits however long the vector is
+    for a in [(0,) * 40 + (1,), (0,) * 63 + (1,), (0,) * 127 + (1,)]:
+        box = tesler._box(a)
+        assert box.slots <= tesler.PACKED_SLOTS
+        assert tesler._packed_walk(box.stride)(a)[1:3] == (8, 1)
         assert f_tesler(a) == bracket(len(a))
 
 
