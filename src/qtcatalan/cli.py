@@ -6,8 +6,11 @@
     qtc scan     --n N --max K [--monotone | --all]
     qtc rational --m M --n N
 
-Exit codes: 0 success, 1 verification or positivity failure, 2 usage or
-domain error, or an input too deep for Python's recursion limit.  QTC_JOBS sets the default worker count for verify and scan;
+Exit codes: 0 success; 1 verification or positivity failure, or an output
+pipe closed early; 2 usage or domain error, or an input too deep for
+Python's recursion limit.
+
+QTC_JOBS sets the default worker count for verify and scan;
 QTC_VERIFY_MAX sets the default sweep bound for verify.
 """
 
@@ -17,6 +20,7 @@ import argparse
 import csv as csv_module
 import io
 import math
+import os
 import sys
 from itertools import combinations_with_replacement, product
 from typing import Sequence
@@ -64,7 +68,7 @@ def _compute(args) -> int:
             raise DomainError(f"--method {method} requires --a (for tesler, including a_1)")
         vec = _parse_vector(args.a)
         poly = f_tesler(vec) if method == "tesler" else f_tableaux(vec)
-    print(RENDERERS[args.format](poly, vec))
+    print(RENDERERS[args.format](poly, vec), end="" if args.format == "csv" else "\n")
     return 0
 
 
@@ -142,9 +146,7 @@ def _scan_vectors(n: int, maxval: int, monotone: bool):
 
 
 def _scan_worker(vec: tuple[int, ...]):
-    poly = f_tableaux(vec)
-    negatives = [((qe, te), c) for (qe, te), c in poly.sorted_terms() if c < 0]
-    return vec, negatives
+    return vec, {e: c for e, c in f_tableaux(vec).terms().items() if c < 0}
 
 
 def _scan(args) -> int:
@@ -159,8 +161,7 @@ def _scan(args) -> int:
     mode = "weakly decreasing" if monotone else "all"
     print(f"scanned {count} vectors (n={args.n}, entries <= {args.max}, {mode})")
     for vec, negatives in findings:
-        negs = ", ".join(f"{c}*q^{qe}*t^{te}" for (qe, te), c in negatives)
-        print(f"negative coefficients at {vec}: {negs}")
+        print(f"negative coefficients at {vec}: {LaurentPoly(negatives).to_text()}")
     if not findings:
         print("no negative coefficients found")
     return 1 if (monotone and findings) else 0
@@ -241,7 +242,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here rather than at exit
+        return code
+    except BrokenPipeError:
+        # Python's documented recipe: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DomainError, NotPolynomialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,14 +15,16 @@ a packed value by binomials, one shift and subtract each.  A sum of such
 products is a ``ProductTree``: rows that share a factor add their partial
 sums first and multiply by it once, each partial sum on its own span.  A
 tableau plan builds its tree once; ``sum_of_products`` builds one per call.
-``to_poly`` and ``divide_sum_of_products`` (which takes the packed sum as
-it is) divide by the denominator's inverse modulo a power of 2, one factor
-at a time (``exact_divide`` of a packed polynomial), on the window of the
-box where the quotient lies, at the numerator's width, and prove the
-quotient by multiplying it back through the same loop.  A numerator given
-as terms too sparse for its box, or one whose quotient that width does not
-prove, is divided by ``exact_divide`` term by term along lattice lines,
-which also tells a numerator that does not divide.
+``_pack_sum`` packs a sum on one box unless that box has more than
+``SLOTS_PER_TERM`` slots per term its rows can make; else it sums each row
+on its own box, as terms.  ``divide_sum_of_products`` divides a packed sum
+by the denominator's inverse modulo a power of 2, one factor at a time
+(``exact_divide`` of a packed polynomial), on the window of the box where
+the quotient lies, at the numerator's width, and proves the quotient by
+multiplying it back through the same loop.  A numerator given as terms
+(such a sum, or a ``FactoredRational``'s), or one whose quotient that
+width does not prove, is divided by ``exact_divide`` term by term along
+lattice lines, which also tells a numerator that does not divide.
 """
 
 from __future__ import annotations
@@ -348,9 +350,22 @@ def _evaluate(tree: ProductTree, exponents: list[ExponentPair], box: PackedBox, 
     return y << (lo * width)
 
 
+#: The sparsest box a sum is packed on, in slots per term its rows can make
+#: (their own boxes' slots, added up).  The packed path costs the box, the
+#: per-row one the terms.  Timed on F and H of vectors whose box outgrows
+#: their rows' (best of 3, Python 3.11, Intel Xeon), packing was the faster
+#: up to 4-9 slots per term on F(0, b, 0), F(a, b, 0) and H(0, b, 0), and
+#: up to 20-55 on F(a, 0), F(a, a, a), F(0, b, c) and F(0, 0, c); at 16 the
+#: path taken was at most 1.5x and 1.8x slower than the other.  The sums of
+#: the benchmark and of verify have at most 0.9 slots per term; F(a, 0) has
+#: 17 at a = 44 and 6e5 at a = 10^4, where it costs its terms, not its span.
+SLOTS_PER_TERM = 16
+
+
 def _pack_sum(exponents: Iterable[ExponentPair], tree: ProductTree) -> "Packed | LaurentPoly":
     """The sum of the tree at the rows' exponents, packed on one box; or,
-    when the rows lie too far apart for one box, unpacked."""
+    when that box has more than ``SLOTS_PER_TERM`` slots per term the rows
+    can make, each row packed on its own box and the sum added as terms."""
     exponents = list(exponents)
     if not exponents:
         return LaurentPoly.zero()
@@ -362,7 +377,7 @@ def _pack_sum(exponents: Iterable[ExponentPair], tree: ProductTree) -> "Packed |
         t_box += (f + t_lo, f + t_hi)
         own_slots += (q_hi - q_lo + 1) * (t_hi - t_lo + 1)
     box = PackedBox(min(q_box), max(q_box), min(t_box), max(t_box))
-    if box.slots > own_slots:
+    if box.slots > SLOTS_PER_TERM * own_slots:
         return sum((sum_of_products([row]) for row in zip(exponents, tree.factors)), ZERO)
     max_m = max(len(factors) for factors in tree.factors)
     width = _round_width(max_m + len(exponents).bit_length() + 1)
@@ -385,9 +400,9 @@ def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]
     Every slot then is one balanced w-bit digit, and one pass over the bytes
     of the biased sum decodes them all.
 
-    Rows far apart would leave most slots of the common box empty; when it
-    has more slots than the rows' own boxes together, each row is packed on
-    its own box and the results are added.
+    Rows far apart would leave most slots of the common box empty; past
+    ``SLOTS_PER_TERM`` slots per term of the rows' own boxes, each row is
+    packed on its own box and the results are added.
     """
     rows = list(rows)
     total = _pack_sum([ef for ef, _ in rows], ProductTree(factors for _, factors in rows))
@@ -469,18 +484,6 @@ def exact_divide(p: "LaurentPoly | Packed", factor: BinomialFactor) -> "LaurentP
     return LaurentPoly._from_dict(out)
 
 
-#: The packed division allocates the numerator's whole box, so a numerator
-#: given as terms is packed only while that box has at most this many slots
-#: per term.  The tableau sums of the benchmark and of the verify grids have
-#: at most 4.5 slots per term.  On the numerators of F(a, 0), F(a, b, c) and
-#: F(a, a, 0, 0) the packed division was faster than the chain up to 20-30
-#: slots per term, and slower from 60 on.  F(a, 0) has 36 terms in
-#: (a + 9)^2 slots, so from a = 16 on it is divided factor by factor, at a
-#: cost that follows its terms rather than its span.  A numerator the kernel
-#: packed is divided as it is: its box is already allocated.
-SLOTS_PER_TERM = 16
-
-
 def divide_sum_of_products(
     exponents: Iterable[ExponentPair],
     tree: ProductTree,
@@ -496,28 +499,16 @@ def divide_sum_of_products(
 
 def _exact_quotient(numerator: "Packed | LaurentPoly", factors: tuple) -> LaurentPoly:
     """numerator / prod (1 - q^alpha t^beta) over factors; NotPolynomialError
-    if that is not a Laurent polynomial."""
-    packed = None
+    if that is not a Laurent polynomial.  A packed numerator is divided packed
+    first; one given as terms goes straight to the ``exact_divide`` chain."""
     if isinstance(numerator, Packed):
-        if not numerator.value:
-            return ZERO
-        packed = numerator
-    elif not (numerator and factors):
-        return numerator
-    else:
-        terms = numerator._terms
-        box = PackedBox.around(terms)
-        if box.slots <= SLOTS_PER_TERM * len(terms):
-            width = _round_width(max(abs(c) for c in terms.values()).bit_length() + 1)
-            packed = Packed(box, width, box.encode(terms, width))
-    if packed is not None:
-        quotient = _packed_quotient(packed, factors)
+        quotient = _packed_quotient(numerator, factors) if numerator.value else ZERO
         if quotient is not None:
             return quotient
-    p = numerator.unpack() if isinstance(numerator, Packed) else numerator
+        numerator = numerator.unpack()
     for f in factors:
-        p = exact_divide(p, f)
-    return p
+        numerator = exact_divide(numerator, f)
+    return numerator
 
 
 def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:

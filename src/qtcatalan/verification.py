@@ -186,8 +186,9 @@ def check_chain_partition(vec: tuple[int, ...]) -> list[CaseResult]:
     missing = set(subpartitions3(p)) - set(seen)
     if missing:
         problems.append(f"not covered: {sorted(missing)[:4]}...")
-    for lam in seen:
-        r, R = locate(p, lam).area_range
+    for lam, (r, R) in seen.items():
+        if lam not in locate(p, lam).members:
+            problems.append(f"locate({lam}) finds another chain")
         if stat(p, lam) != r + R - area(p, lam):
             problems.append(f"stat({lam}) disagrees with its chain")
     return [CaseResult("chain-partition[n=4]", vec, not problems, "; ".join(problems))]

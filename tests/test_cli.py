@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from itertools import product
@@ -101,6 +102,32 @@ def test_compute_tableaux_text():
     proc = run_cli("compute", "--method", "tableaux", "--a", "1")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "q + t"
+
+
+def test_compute_csv_ends_with_its_last_row():
+    proc = run_cli("compute", "--method", "tableaux", "--a", "1", "--format", "csv")
+    assert proc.returncode == 0
+    assert proc.stdout == "q,t,coeff\n1,0,1\n0,1,1\n"
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # 118 kB of CSV overfill the pipe, so the child is still writing when
+    # the reader closes it after one line.  Its stdout is buffered, as in a
+    # shell: unbuffered, Python drops the rest of a partial write silently.
+    args = ["compute", "--method", "tableaux", "--a", "10000,0", "--format", "csv"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtcatalan.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    assert proc.stdout.readline() == "q,t,coeff\n"
+    proc.stdout.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in proc.stderr.read()
+    proc.stderr.close()
 
 
 def test_compute_tesler_needs_first_entry():
@@ -225,6 +252,12 @@ def test_scan_all_finds_known_negative():
     proc = run_cli("scan", "--n", "4", "--max", "3", "--all")
     assert proc.returncode == 0
     assert "(0, 1, 2)" in proc.stdout
+
+
+def test_scan_prints_the_negative_part_as_a_polynomial():
+    proc = run_cli("scan", "--n", "4", "--max", "2", "--all")
+    assert proc.returncode == 0
+    assert "negative coefficients at (0, 0, 2): -q^2 t - q t^2\n" in proc.stdout
 
 
 def test_scan_monotone_n4():

@@ -218,8 +218,13 @@ def _chain(p, factors_list):
     return reduce(exact_divide, factors_list, p)
 
 
-def _is_dense(p):
-    return PackedBox.around(p.terms()).slots <= rational.SLOTS_PER_TERM * len(p)
+def _divide_packed(n, factors_list):
+    # n packed on its own box at the narrowest width of its coefficients,
+    # over the denominator sorted as FactoredRational sorts it
+    box = PackedBox.around(n.terms())
+    width = rational.fit_width(max(abs(c) for c in n.terms().values()))
+    packed = Packed(box, width, box.encode(n.terms(), width))
+    return rational._exact_quotient(packed, tuple(sorted(factors_list)))
 
 
 @given(polys)
@@ -276,12 +281,15 @@ mixed_factors = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_packed_division_recovers_the_quotient(p, factors_list):
     n = p * _product(factors_list)
-    with mock.patch.object(rational, "exact_divide", wraps=exact_divide) as divide:
-        assert FactoredRational(n, factors_list).to_poly() == p
-    if n and _is_dense(n):
+    if n:
+        with mock.patch.object(rational, "exact_divide", wraps=exact_divide) as divide:
+            assert _divide_packed(n, factors_list) == p
         # proved by the packed division alone: no factor divided term by term
         assert not any(isinstance(c.args[0], LaurentPoly) for c in divide.call_args_list)
+    assert FactoredRational(n, factors_list).to_poly() == p
     assert _chain(n, factors_list) == p
+    with pytest.raises(NotPolynomialError):
+        _divide_packed(n + 1, factors_list)
     with pytest.raises(NotPolynomialError):
         FactoredRational(n + 1, factors_list).to_poly()
 
@@ -306,7 +314,8 @@ def test_divided_packed_sum_matches_the_chain(rows, factors_list):
 def test_packed_division_runs_once_at_the_numerator_width():
     # the numerator's peak coefficient 6 sets the width to 8 bits, where the
     # quotient's peak 670 does not fit: the packed pass runs once, its proof
-    # fails, and the chain of exact divisions finishes
+    # fails, and the chain of exact divisions finishes on the numerator's
+    # terms: one decode of the quotient's window (41 - 4 slots), one of N
     numerator = (ONE - Q**10) ** 4
     quotient = sum((Q**i for i in range(10)), LaurentPoly.zero()) ** 4
     assert max(numerator.terms().values()) == 6
@@ -315,8 +324,8 @@ def test_packed_division_runs_once_at_the_numerator_width():
         with mock.patch.object(
             PackedBox, "decode", autospec=True, side_effect=PackedBox.decode
         ) as decode:
-            assert FactoredRational(numerator, [BinomialFactor(1, 0)] * 4).to_poly() == quotient
-    assert [width for (_, _, width), _ in decode.call_args_list] == [8]
+            assert _divide_packed(numerator, [BinomialFactor(1, 0)] * 4) == quotient
+    assert [(box.slots, width) for (box, _, width), _ in decode.call_args_list] == [(37, 8), (41, 8)]
     assert [type(c.args[0]) for c in divide.call_args_list] == [Packed] * 4 + [LaurentPoly] * 4
 
 
@@ -352,10 +361,9 @@ def test_a_change_in_the_dropped_slots_is_refused():
     n = (Q + T + 2) * (ONE + Q * T) * _product(factors_list)
     box = PackedBox.around(n.terms())
     bad = n + LaurentPoly.monomial(box.q_lo, box.t_lo)
-    assert _is_dense(bad)
     with mock.patch.object(rational, "exact_divide", wraps=exact_divide) as divide:
         with pytest.raises(NotPolynomialError):
-            FactoredRational(bad, factors_list).to_poly()
+            _divide_packed(bad, factors_list)
     assert isinstance(divide.call_args_list[0].args[0], Packed)
 
 

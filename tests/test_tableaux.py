@@ -55,6 +55,14 @@ def test_large_entries_cost_their_terms_not_their_span(run_capped):
     )
     proc = run_capped("-c", code)
     assert proc.returncode == 0, proc.stderr
+    # one rule on both sides: F(11, 11, 11) has 2.3 slots per term of its
+    # rows' own boxes and is summed on one box; F(10^4, 0) has 6e5 and is
+    # summed row by row, each of its 4 rows on its own box
+    cases = [((11, 11, 11), 0, f_tesler((0, 11, 11, 11))), ((10**4, 0), 4, bracket(10**4 + 1))]
+    for vec, per_row_sums, expected in cases:
+        with mock.patch.object(rational, "sum_of_products", wraps=rational.sum_of_products) as rows:
+            assert f_tableaux(vec) == expected
+        assert rows.call_count == per_row_sums
 
 
 # -- independent oracle: count SYT by the hook length formula ---------------
@@ -451,11 +459,8 @@ def test_each_tableau_sum_divides_once_per_factor_on_the_window(vec):
     for fn, head_like_only in ((f_tableaux, False), (h_tableaux, True)):
         tails, tree, common = tableaux._plan(len(vec) + 1, head_like_only)
         numerator = rational._pack_sum(tableaux._row_exponents(vec, tails), tree)
-        # rows far apart are summed unpacked, and packed again to be divided
-        if isinstance(numerator, Packed):
-            box = numerator.box
-        else:
-            box = PackedBox.around(numerator.terms())
+        assert isinstance(numerator, Packed)
+        box = numerator.box
         d_q_lo, d_q_hi, _, _ = rational._span(common)
         window = box.slots - (d_q_hi - d_q_lo) * box.stride
         with mock.patch.object(rational, "exact_divide", wraps=rational.exact_divide) as divide:

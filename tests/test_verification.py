@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from qtcatalan import verification
+from qtcatalan.chains import decompose
 from qtcatalan.verification import parallel_map, run_verify
 
 
@@ -63,3 +64,23 @@ def test_parallel_map_runs_inline_below_two_jobs(monkeypatch, jobs):
     monkeypatch.setattr(verification, "ProcessPoolExecutor", _InlinePool)
     assert parallel_map(abs, [-1, 2], jobs=jobs) == [1, 2]
     assert _InlinePool.sizes == []
+
+
+def test_chain_partition_refuses_a_locate_that_finds_another_chain(monkeypatch):
+    # (3, 1, 2) has two chains with one area range: a locate that returns
+    # the other one gives stat the right range, but not lam's chain
+    real = verification.locate
+
+    def other_chain(p, lam):
+        found = real(p, lam)
+        twins = [
+            ch for ch in decompose(p)
+            if ch.area_range == found.area_range and ch.members != found.members
+        ]
+        return twins[0] if twins else found
+
+    assert verification.check_chain_partition((3, 1, 2))[0].ok
+    monkeypatch.setattr(verification, "locate", other_chain)
+    (result,) = verification.check_chain_partition((3, 1, 2))
+    assert not result.ok
+    assert "finds another chain" in result.detail
