@@ -28,6 +28,7 @@ from .chains import (
     h_comb_poly,
     hcomb_recursion_residual,
     locate,
+    locate_tail,
     omega_inv,
     omega_map,
     phi,

@@ -431,8 +431,8 @@ def _stat(p: ABCParams, x: int, y: int, z: int) -> int:
     return y + z  # CASE_2
 
 
-def locate(p: ABCParams, lam: Sequence[int]) -> ChainRecord:
-    """The chain containing lam, resolved from its case:
+def locate_tail(p: ABCParams, lam: Sequence[int]) -> TailIndex:
+    """The tail of the chain containing lam, resolved from its case:
 
         1a   -> chain of pseudohead (y, z)
         1bi  -> chain of pseudohead (L+z-x, z)
@@ -442,14 +442,17 @@ def locate(p: ABCParams, lam: Sequence[int]) -> ChainRecord:
     x, y, z = _check_contained(p, lam)
     case = _case(p, x, y, z)
     if case is CaseLabel.CASE_1BII:
-        tail = TailIndex(p, p.leg - x, p.b + p.c - y)
-    elif case is CaseLabel.CASE_2:
+        return TailIndex(p, p.leg - x, p.b + p.c - y)
+    if case is CaseLabel.CASE_2:
         i, j = theta_inv(p, x, y)
-        tail = TailIndex(p, *psi_inv(p, i, j))
-    else:
-        i = y if case is CaseLabel.CASE_1A else p.leg + z - x
-        tail = TailIndex(p, *psi_inv(p, i, z))
-    return chain_of(tail)
+        return TailIndex(p, *psi_inv(p, i, j))
+    i = y if case is CaseLabel.CASE_1A else p.leg + z - x
+    return TailIndex(p, *psi_inv(p, i, z))
+
+
+def locate(p: ABCParams, lam: Sequence[int]) -> ChainRecord:
+    """The chain containing lam: the chain of ``locate_tail(p, lam)``."""
+    return chain_of(locate_tail(p, lam))
 
 
 def subpartitions3(p: ABCParams) -> list[Partition3]:

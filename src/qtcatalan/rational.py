@@ -15,6 +15,9 @@ a packed value by binomials, one shift and subtract each.  A sum of such
 products is a ``ProductTree``: rows that share a factor add their partial
 sums first and multiply by it once, each partial sum on its own span.  A
 tableau plan builds its tree once; ``sum_of_products`` builds one per call.
+A mirrored tree (F's) stands for its rows and their transposes, q and t
+swapped: the packed sum of its rows is added to its transpose on a square
+box (``PackedBox.transpose``), which gives the integer of all the rows.
 ``_pack_sum`` packs a sum on one box unless that box has more than
 ``SLOTS_PER_TERM`` slots per term its rows can make; else it sums each row
 on its own box, as terms.  ``divide_sum_of_products`` divides a packed sum
@@ -173,6 +176,31 @@ class PackedBox:
         out = _restride(self._digits(value, nbytes), nbytes, new_nbytes)
         return int.from_bytes(out, "little") - self._bias(nbytes, new_nbytes - nbytes)
 
+    def transpose(self, value: int, width: int) -> int:
+        """The polynomial with q and t swapped, packed at width on this box,
+        which must be square.  Slot (i, j) moves to (j, i): each t-column of
+        the digits becomes a q-row, one slice copy per column, of native
+        integers up to 64 bits and of byte planes past that."""
+        if (self.q_lo, self.q_hi) != (self.t_lo, self.t_hi):
+            raise DomainError("only a square box holds the transpose of its polynomials")
+        nbytes = width // 8
+        raw = self._digits(value, nbytes)
+        size = min((s for s in _UNSIGNED if s >= nbytes), default=nbytes)
+        if size != nbytes:
+            raw = _restride(raw, nbytes, size)
+        unit = size if size in _UNSIGNED else 1
+        fmt = _UNSIGNED.get(unit, "B")
+        out = bytearray(len(raw))
+        src, dst = memoryview(raw).cast(fmt), memoryview(out).cast(fmt)
+        planes = size // unit
+        row = self.stride * planes
+        for j in range(self.stride):
+            for k in range(planes):
+                dst[j * row + k : (j + 1) * row : planes] = src[j * planes + k :: row]
+        if size != nbytes:
+            out = _restride(out, size, nbytes)
+        return int.from_bytes(out, "little") - self._bias(nbytes)
+
     def narrowest(self, value: int, width: int) -> tuple[int, int, int]:
         """(value', w, m): m is the largest |digit| of value at width, and
         value' holds the same digits at w = min(width, fit_width(m)) bits."""
@@ -268,11 +296,16 @@ class ProductTree:
     of factors multiplies the top of the stack by them, and None adds the
     top two.  It depends on the factor multisets only, so a plan builds it
     once and evaluates it at every vector's exponents (``_pack_sum``).
+
+    A mirrored tree's sum also holds the transpose of each row, its
+    exponents and factors with q and t swapped, which the tree does not
+    store: ``_pack_sum`` adds them by transposing the rows' packed sum.
     """
 
-    __slots__ = ("factors", "spans", "program")
+    __slots__ = ("factors", "spans", "program", "mirrored")
 
-    def __init__(self, factor_lists: Iterable[Iterable[tuple[int, int]]]):
+    def __init__(self, factor_lists: Iterable[Iterable[tuple[int, int]]], mirrored: bool = False):
+        self.mirrored = mirrored
         self.factors = tuple(
             tuple((alpha, beta) for alpha, beta in factors) for factors in factor_lists
         )
@@ -365,7 +398,12 @@ SLOTS_PER_TERM = 16
 def _pack_sum(exponents: Iterable[ExponentPair], tree: ProductTree) -> "Packed | LaurentPoly":
     """The sum of the tree at the rows' exponents, packed on one box; or,
     when that box has more than ``SLOTS_PER_TERM`` slots per term the rows
-    can make, each row packed on its own box and the sum added as terms."""
+    can make, each row packed on its own box and the sum added as terms.
+
+    A mirrored tree's transposed rows count in the box, the rows and the
+    slots as if they were stored, so the box is square and the integer is
+    the one all rows give: the rows' sum plus its transpose
+    (``PackedBox.transpose``), at the width of twice the rows."""
     exponents = list(exponents)
     if not exponents:
         return LaurentPoly.zero()
@@ -376,12 +414,20 @@ def _pack_sum(exponents: Iterable[ExponentPair], tree: ProductTree) -> "Packed |
         q_box += (e + q_lo, e + q_hi)
         t_box += (f + t_lo, f + t_hi)
         own_slots += (q_hi - q_lo + 1) * (t_hi - t_lo + 1)
+    rows = len(exponents)
+    if tree.mirrored:  # a transposed row's box is the row's box swapped
+        q_box = t_box = q_box + t_box
+        rows, own_slots = 2 * rows, 2 * own_slots
     box = PackedBox(min(q_box), max(q_box), min(t_box), max(t_box))
     if box.slots > SLOTS_PER_TERM * own_slots:
-        return sum((sum_of_products([row]) for row in zip(exponents, tree.factors)), ZERO)
+        total = sum((sum_of_products([row]) for row in zip(exponents, tree.factors)), ZERO)
+        return total + total.swap_qt() if tree.mirrored else total
     max_m = max(len(factors) for factors in tree.factors)
-    width = _round_width(max_m + len(exponents).bit_length() + 1)
-    return Packed(box, width, _evaluate(tree, exponents, box, width))
+    width = _round_width(max_m + rows.bit_length() + 1)
+    value = _evaluate(tree, exponents, box, width)
+    if tree.mirrored:
+        value += box.transpose(value, width)
+    return Packed(box, width, value)
 
 
 def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]]) -> LaurentPoly:

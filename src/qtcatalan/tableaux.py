@@ -18,17 +18,27 @@ simply dropped, in numerator and denominator independently.  H restricts
 the sum to head-like tableaux (z_2 = q) with the reduced weight
 (1 - t/q) * wt(T).
 
+Transposing T swaps q and t in z(T), so in z(T)^a and in wt(T).  The cell
+labeled 2 lies at (0, 1) in exactly one of T and its transpose T', so the
+head-like tableaux hold one member of every conjugate pair (no tableau of
+size >= 2 is its own transpose), and F is the head-like half of its sum
+plus that half with q and t swapped.
+
 The sums put every weight over one common denominator D per size n (and
 per choice of F or H): for each factor, its largest multiplicity over the
-tableaux, 46 factors at n = 6.  A plan, built once per size, keeps only
-small integer data: per tableau, the content tail z[1:]; and the product
-tree (``rational.ProductTree``) of their factor lists, each list the
-numerator factors of T plus its cofactor D / den(T).  Almost every factor
-of D is in all rows but one, so the tree multiplies by most of them once
-for many rows: 947 shifts per vector at n = 6 instead of 3,116, one per
-factor per row.  A vector then costs one evaluation of the tree at its
-monomials and one division of that packed sum by D, run on the quotient's
-window of the box, with no unpacking in between
+tableaux, 46 factors at n = 6.  F's D is swap-symmetric, since den(T') is
+den(T) swapped.  A plan, built once per size, keeps only small integer
+data, for the head-like tableaux alone: per tableau, the content tail
+z[1:]; and the product tree (``rational.ProductTree``) of their factor
+lists, each list the numerator factors of T plus its cofactor D / den(T).
+F's tree is mirrored: as D is symmetric, the row of T' is the row of T
+swapped, so the packed sum of the rows stored is added to its transpose.
+Almost every factor of D is in all rows but one, so the tree multiplies
+by most of them once for many rows: at n = 6, F's 38 rows take 549 shifts
+per vector, where all 76 took 947 in one tree and 3,116 one per factor
+per row.  A vector then costs one evaluation of the tree at its monomials
+and one division of that packed sum by D, run on the quotient's window of
+the box, with no unpacking in between
 (``rational.divide_sum_of_products``).
 """
 
@@ -214,33 +224,43 @@ def reduced_tableau_weight(tab: StandardTableau) -> FactoredRational:
 
 
 @lru_cache(maxsize=None)
-def _plan(n: int, head_like_only: bool) -> tuple[tuple, ProductTree, tuple[ExponentPair, ...]]:
+def _plan(n: int, reduced: bool) -> tuple[tuple, ProductTree, tuple[ExponentPair, ...]]:
     """The sum over tableaux of size n as small integer data: the content
-    tails z[1:], one per tableau; the product tree of their numerator
-    factors over the common denominator D (each tableau's own numerator
-    factors and its cofactor D / den_T); and D, the largest multiplicity of
-    each factor over all tableaux."""
+    tails z[1:] of the head-like tableaux; the product tree of their
+    numerator factors over the common denominator D (each tableau's own
+    numerator factors and its cofactor D / den_T); and D, the largest
+    multiplicity of each factor over the tableaux summed.
+
+    H sums the reduced weights of these tableaux.  F sums the weights of
+    all tableaux, and its tree is mirrored: the row of a transposed tableau
+    is the head-like row with q and t swapped, in its contents, its factors
+    and, D being swap-symmetric, its cofactor."""
     weights = []
     common: Counter = Counter()
     for tab in enumerate_syt(n):
-        if head_like_only and not tab.is_head_like():
+        if not tab.is_head_like():
             continue
         z = tab.contents()
-        num, den = _weight_factors(z, head_like_only)
+        num, den = _weight_factors(z, reduced)
         weights.append((z[1:], num, den))
         common |= den
+    if not reduced:
+        # den(T') is den(T) swapped
+        common |= Counter({(beta, alpha): m for (alpha, beta), m in common.items()})
     tails = tuple(tail for tail, _, _ in weights)
-    tree = ProductTree((num + (common - den)).elements() for _, num, den in weights)
+    tree = ProductTree(
+        ((num + (common - den)).elements() for _, num, den in weights), mirrored=not reduced
+    )
     return tails, tree, tuple(common.elements())
 
 
-def _weighted_sum(a: tuple[int, ...], head_like_only: bool) -> LaurentPoly:
+def _weighted_sum(a: tuple[int, ...], reduced: bool) -> LaurentPoly:
     n = len(a) + 1
     if n > MAX_TABLEAU_SIZE:
         raise DomainError(
             f"tableau sums are limited to vectors of length <= {MAX_TABLEAU_SIZE - 1}, got {len(a)}"
         )
-    tails, tree, common = _plan(n, head_like_only)
+    tails, tree, common = _plan(n, reduced)
     return divide_sum_of_products(_row_exponents(a, tails), tree, common)
 
 
@@ -259,7 +279,7 @@ def f_tableaux(a: Sequence[int]) -> LaurentPoly:
     a = integer_entries(a)
     if not a:
         return ONE  # n = 1: a single one-box tableau with empty products
-    return _weighted_sum(a, head_like_only=False)
+    return _weighted_sum(a, reduced=False)
 
 
 def h_tableaux(a: Sequence[int]) -> LaurentPoly:
@@ -267,7 +287,7 @@ def h_tableaux(a: Sequence[int]) -> LaurentPoly:
     a = integer_entries(a)
     if not a:
         raise DomainError("h_tableaux requires at least one entry (tableaux of size >= 2)")
-    return _weighted_sum(a, head_like_only=True)
+    return _weighted_sum(a, reduced=True)
 
 
 def combine_h_to_f(h: Callable[[tuple[int, ...]], LaurentPoly], a: Sequence[int]) -> LaurentPoly:

@@ -1,6 +1,7 @@
 """Tableau enumeration, weights, and the defining F and H sums."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -57,8 +58,9 @@ def test_large_entries_cost_their_terms_not_their_span(run_capped):
     assert proc.returncode == 0, proc.stderr
     # one rule on both sides: F(11, 11, 11) has 2.3 slots per term of its
     # rows' own boxes and is summed on one box; F(10^4, 0) has 6e5 and is
-    # summed row by row, each of its 4 rows on its own box
-    cases = [((11, 11, 11), 0, f_tesler((0, 11, 11, 11))), ((10**4, 0), 4, bracket(10**4 + 1))]
+    # summed row by row, each of its 2 head-like rows on its own box, the
+    # other 2 being their transposes
+    cases = [((11, 11, 11), 0, f_tesler((0, 11, 11, 11))), ((10**4, 0), 2, bracket(10**4 + 1))]
     for vec, per_row_sums, expected in cases:
         with mock.patch.object(rational, "sum_of_products", wraps=rational.sum_of_products) as rows:
             assert f_tableaux(vec) == expected
@@ -434,12 +436,13 @@ def _per_row_total(exponents, factor_lists, box, width):
     return total
 
 
-@pytest.mark.parametrize("head_like_only", [False, True])
+@pytest.mark.parametrize("reduced", [False, True])
 @pytest.mark.parametrize("n", range(2, 8))
-def test_plan_tree_packs_the_per_row_integer(n, head_like_only):
+def test_plan_tree_packs_the_per_row_integer(n, reduced):
     # both sides are one polynomial in X evaluated at X = 2^width, so they
-    # agree at any width; 8 bits keep the per-row side cheap
-    tails, tree, _ = tableaux._plan(n, head_like_only)
+    # agree at any width; 8 bits keep the per-row side cheap.  The rows are
+    # the ones the tree stores; F's transposed rows are checked below.
+    tails, tree, _ = tableaux._plan(n, reduced)
     for vec in [(1,) * (n - 1), (2, -1, 0, 1, 1, -1, 0)[: n - 1]]:
         exponents = tableaux._row_exponents(vec, tails)
         corners = [
@@ -456,8 +459,8 @@ def test_plan_tree_packs_the_per_row_integer(n, head_like_only):
     "vec", [(1, 2), (0, 1, 2), (2, 1, 1, 0), (1, 1, 1, 1, 1), (2, -1, 1, 0, 1)]
 )
 def test_each_tableau_sum_divides_once_per_factor_on_the_window(vec):
-    for fn, head_like_only in ((f_tableaux, False), (h_tableaux, True)):
-        tails, tree, common = tableaux._plan(len(vec) + 1, head_like_only)
+    for fn, reduced in ((f_tableaux, False), (h_tableaux, True)):
+        tails, tree, common = tableaux._plan(len(vec) + 1, reduced)
         numerator = rational._pack_sum(tableaux._row_exponents(vec, tails), tree)
         assert isinstance(numerator, Packed)
         box = numerator.box
@@ -477,3 +480,39 @@ def test_tableau_sum_over_a_wrong_denominator_is_refused():
     assert divide_sum_of_products(exponents, tree, common) == f_tesler((0, 1, 1, 1, 1))
     with pytest.raises(NotPolynomialError):
         divide_sum_of_products(exponents, tree, common + ((1, 0),))
+
+
+# -- F's plan: the head-like rows, and their transposes by mirroring ----------
+
+def _all_tableau_rows(n):
+    # (tail of z, numerator factors, denominator factors) of every tableau
+    return [
+        (tab.contents()[1:], *tableaux._weight_factors(tab.contents(), False))
+        for tab in enumerate_syt(n)
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_f_plan_holds_the_head_like_tableaux_over_the_all_tableau_denominator(n):
+    tails, tree, common = tableaux._plan(n, False)
+    head_like = tuple(tab.contents()[1:] for tab in enumerate_syt(n) if tab.is_head_like())
+    assert tails == head_like and 2 * len(tails) == len(enumerate_syt(n))
+    assert tree.mirrored and not tableaux._plan(n, True)[1].mirrored
+    every_den = Counter()
+    for _, _, den in _all_tableau_rows(n):
+        every_den |= den
+    assert Counter(common) == every_den
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_mirrored_sum_packs_the_all_tableau_integer(n):
+    # the head-like rows' sum plus its transpose is, digit for digit, the
+    # integer of every tableau's row multiplied out on its own
+    tails, tree, common = tableaux._plan(n, False)
+    rows = _all_tableau_rows(n)
+    factor_lists = [list((num + (Counter(common) - den)).elements()) for _, num, den in rows]
+    for vec in [(1,) * (n - 1), (2, -1, 0, 1, 1, -1)[: n - 1], (3, 0, 2, 0, 1, 1)[: n - 1]]:
+        packed = rational._pack_sum(tableaux._row_exponents(vec, tails), tree)
+        assert isinstance(packed, Packed)
+        exponents = tableaux._row_exponents(vec, [tail for tail, _, _ in rows])
+        assert packed.value == _per_row_total(exponents, factor_lists, packed.box, packed.width)

@@ -1,12 +1,13 @@
 """The sweep layer behind `qtc verify`: which checks run, and the pool."""
 
+import dataclasses
 import os
 from collections import Counter
 
 import pytest
 
 from qtcatalan import verification
-from qtcatalan.chains import decompose
+from qtcatalan.chains import chain_of, decompose
 from qtcatalan.verification import parallel_map, run_verify
 
 
@@ -67,20 +68,34 @@ def test_parallel_map_runs_inline_below_two_jobs(monkeypatch, jobs):
 
 
 def test_chain_partition_refuses_a_locate_that_finds_another_chain(monkeypatch):
-    # (3, 1, 2) has two chains with one area range: a locate that returns
-    # the other one gives stat the right range, but not lam's chain
-    real = verification.locate
+    # (3, 1, 2) has two chains with one area range: a tail resolver that
+    # returns the other one gives stat the right range, but not lam's chain
+    real = verification.locate_tail
 
-    def other_chain(p, lam):
-        found = real(p, lam)
+    def other_tail(p, lam):
+        found = chain_of(real(p, lam))
         twins = [
             ch for ch in decompose(p)
             if ch.area_range == found.area_range and ch.members != found.members
         ]
-        return twins[0] if twins else found
+        return twins[0].tail if twins else found.tail
 
     assert verification.check_chain_partition((3, 1, 2))[0].ok
-    monkeypatch.setattr(verification, "locate", other_chain)
+    monkeypatch.setattr(verification, "locate_tail", other_tail)
     (result,) = verification.check_chain_partition((3, 1, 2))
     assert not result.ok
     assert "finds another chain" in result.detail
+
+
+def test_chain_partition_reports_a_member_outside_the_staircase(monkeypatch):
+    # a chain that strays past the staircase is a mismatch, not an error
+    real = verification.chain_of
+
+    def stray(tail):
+        ch = real(tail)
+        return dataclasses.replace(ch, members=ch.members + ((9, 9, 9),))
+
+    monkeypatch.setattr(verification, "chain_of", stray)
+    (result,) = verification.check_chain_partition((1, 1, 1))
+    assert not result.ok
+    assert "outside the staircase: [(9, 9, 9)]" in result.detail
