@@ -405,12 +405,13 @@ def stat(p: ABCParams, lam: Sequence[int]) -> int:
 
     Within a chain of area range [r, R] it equals r + R - area(lam).
     """
-    return _stat(p, *_check_contained(p, lam))
+    x, y, z = _check_contained(p, lam)
+    return _stat(p, _case(p, x, y, z), x, y, z)
 
 
-def _stat(p: ABCParams, x: int, y: int, z: int) -> int:
+def _stat(p: ABCParams, case: CaseLabel, x: int, y: int, z: int) -> int:
+    # stat of (x, y, z), whose case is case
     a, b, c, L = p.a, p.b, p.c, p.leg
-    case = _case(p, x, y, z)
     if case is CaseLabel.CASE_1A:
         return x + max(
             0,
@@ -440,7 +441,11 @@ def locate_tail(p: ABCParams, lam: Sequence[int]) -> TailIndex:
         2    -> chain of positive head (x, y)
     """
     x, y, z = _check_contained(p, lam)
-    case = _case(p, x, y, z)
+    return _tail_of(p, _case(p, x, y, z), x, y, z)
+
+
+def _tail_of(p: ABCParams, case: CaseLabel, x: int, y: int, z: int) -> TailIndex:
+    # the tail of the chain of (x, y, z), whose case is case
     if case is CaseLabel.CASE_1BII:
         return TailIndex(p, p.leg - x, p.b + p.c - y)
     if case is CaseLabel.CASE_2:
@@ -475,7 +480,9 @@ def f_chains(p: ABCParams) -> LaurentPoly:
 def f_stat(p: ABCParams) -> LaurentPoly:
     """F(a, b, c) as sum over subpartitions of q^area t^stat."""
     # subpartitions3 lists contained partitions only, so none is checked again
-    return LaurentPoly(((_area(p, *lam), _stat(p, *lam)), 1) for lam in subpartitions3(p))
+    return LaurentPoly(
+        ((_area(p, *lam), _stat(p, _case(p, *lam), *lam)), 1) for lam in subpartitions3(p)
+    )
 
 
 def h_comb_poly(a: int, b: int, c: int) -> LaurentPoly:

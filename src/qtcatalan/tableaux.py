@@ -132,6 +132,7 @@ class StandardTableau:
 def enumerate_syt(n: int) -> list[StandardTableau]:
     """All standard Young tableaux of size n, in lexicographic order of
     their growth sequences."""
+    (n,) = integer_entries((n,))
     if n < 1:
         raise DomainError(f"enumerate_syt requires n >= 1, got {n}")
     if n > MAX_TABLEAU_SIZE:

@@ -34,18 +34,15 @@ coordinate at a time:
            sum_{v_1} A(v_1) W(a_1 + v_1, ..., a_{n-1} + v_{n-1}),
 
 with v_1 + ... + v_{n-1} <= a_n.  The innermost terms do not depend on
-v_1, so they are one value.  ``_column_walk`` runs these nested sums,
-given how one coordinate's terms are weighed by A or B, and memoizes the
-result on a.  Two sums are its instances: W on LaurentPoly
-(``_weight_sum``) and W on packed integers (below).  On LaurentPoly a
-coordinate's sum is sum_v A(v) g(v) or sum_v B(v) g(v) as it stands; on
-packed integers it is a recurrence.  The generating functions of A and B
-have the denominator (1 - qz)(1 - tz), so each inner sum of c(v) g(v) over
-v = 0..K is one backward pass: U_v = g(v) + t U_{v+1} and
-R_v = U_v + q R_{v+1}, from U_{K+1} = R_{K+1} = 0, give
-R_v = sum_{u >= v} [u - v + 1] g(u), the three-term recurrence
-R_v = g(v) + (q + t) R_{v+1} - qt R_{v+2} run as its two factors.  Since
-B(v) = [v + 1] - [v] and A(v) = -(1 - q)(1 - t) [v] for v >= 1,
+v_1, so they are one value.  ``_packed_walk`` runs these nested sums on
+packed integers (below), memoized on a, and sums each coordinate by a
+recurrence.  The generating functions of A and B have the denominator
+(1 - qz)(1 - tz), so each inner sum of c(v) g(v) over v = 0..K is one
+backward pass: U_v = g(v) + t U_{v+1} and R_v = U_v + q R_{v+1}, from
+U_{K+1} = R_{K+1} = 0, give R_v = sum_{u >= v} [u - v + 1] g(u), the
+three-term recurrence R_v = g(v) + (q + t) R_{v+1} - qt R_{v+2} run as its
+two factors.  Since B(v) = [v + 1] - [v] and A(v) = -(1 - q)(1 - t) [v]
+for v >= 1,
 
     sum B(v) g(v) = R_0 - R_1,    sum A(v) g(v) = g(0) - (1 - q)(1 - t) R_1.
 
@@ -85,9 +82,9 @@ two bounds with proofs guarantee:
   (``PackedBox.widen``), and a node keeps each wider copy a parent asks for.
 
 Strides in powers of two let calls share cached packed values: there is
-one packed walk per S, keyed on a.  A sparse F wastes most of its box, so
-a box with more than ``PACKED_SLOTS`` slots is summed on LaurentPoly
-instead (``_weight_sum``).
+one packed walk per S, keyed on a.  A line-shaped F such as
+F(a) = [a + 1] fills only a + 1 of its box's slots, so its steps shift
+mostly empty slots; it is summed packed all the same.
 """
 
 from __future__ import annotations
@@ -302,97 +299,12 @@ def enumerate_tesler(a: Sequence[int]) -> list[TeslerMatrix]:
     return [TeslerMatrix._built_valid(a, rows) for rows in _tesler_rows(a)]
 
 
-#: The packed sum spends (D + 1) * S slots on F (see the module docstring),
-#: which a line-shaped F such as F(a) = [a + 1] fills only a + 1 of; its
-#: steps then shift mostly empty slots.  Timed on F(a), best of 5 in one
-#: process, the packed sum beat ``_weight_sum`` up to a = 255 (65,536
-#: slots: 0.031 s against 0.034 s) and lost from a = 256 (131,584 slots:
-#: 0.074 s against 0.026 s) on.  A long vector is about even at the cap:
-#: (0,) * 195 + (1,) (50,176 slots) took 2.9 s against 3.1 s.  Dense inputs
-#: it admits run several times faster packed: (0, 0, 100) (51,456 slots) in
-#: 0.43 s against 4.8 s, and (0, 0, 127) (65,280 slots) in 0.90 s against
-#: 12.6 s.
-PACKED_SLOTS = 1 << 16
-
-
-def _column_walk(combine: Callable, one) -> Callable:
-    """The memoized function a -> W(a), summed by combine, with W(a_1) = one.
-
-    W(a) sums over the last columns of a one coordinate at a time.  Level j
-    sums over v_j, v_{n-1} (B-weighted) outermost and v_1 innermost.  With
-    v_{j+1}, ..., v_{n-1} fixed, its terms g[v] are the level below at
-    v_j = v, for v up to budgets[j], what the outer coordinates leave of
-    a_n; tails[j] holds their hook sums (a_{j+1} + v_{j+1}, ...), and
-    combine(g, outermost) weighs the terms by B or A.  Below level 1 lies
-    W at the hook sums a' of the smaller matrix, which does not read a'_1:
-    the walk reads a with a_1 = 0, and the terms of level 1 are one value.
-    With no budget left every inner v is 0 and A(0) = 1, so the level is
-    W(a').  The levels are an explicit stack, and the walk calls itself for
-    W(a'), so that the recursion into smaller hook vectors stays a few
-    frames per entry of a.
-    """
-
-    @lru_cache(maxsize=None)
-    def walk(a: tuple[int, ...]):
-        if len(a) == 1:
-            return one
-        rest, last = [0, *a[1:-1]], a[-1]
-        m = len(rest)
-        tails, budgets, gs = [()] * (m + 1), [last] * (m + 1), [None] * m + [[]]
-        j = m
-        while True:
-            if not budgets[j]:
-                value = walk(tuple(rest[:j]) + tails[j])
-            elif j == 1:
-                value = combine([walk((0,) + tails[1])] * (budgets[1] + 1), m == 1)
-            else:
-                g = gs[j]
-                v = len(g)
-                if v <= budgets[j]:
-                    tails[j - 1] = (rest[j - 1] + v,) + tails[j]
-                    budgets[j - 1] = budgets[j] - v
-                    gs[j - 1] = []
-                    j -= 1
-                    continue
-                value = combine(g, j == m)
-            if j == m:
-                return value
-            j += 1
-            gs[j].append(value)
-
-    return walk
-
-
-def _poly_combine(g: list[LaurentPoly], outermost: bool) -> LaurentPoly:
-    # sum of coeff(v) g[v], with A(0) = B(0) = 1
-    coeff = coeff_B if outermost else coeff_A
-    total = g[0]
-    for v in range(1, len(g)):
-        total = total + coeff(v) * g[v]
-    return total
-
-
 def _norm_combine(g: list[int], outermost: bool) -> int:
     # sum of ||coeff(v)||_1 g[v], with ||B(v)||_1 <= 2v + 1, ||A(v)||_1 <= 4v
     # and A(0) = 1
     if outermost:
         return sum((2 * v + 1) * x for v, x in enumerate(g))
     return g[0] + 4 * sum(v * x for v, x in enumerate(g))
-
-
-_poly_walk = _column_walk(_poly_combine, ONE)
-
-
-def _weight_sum(a: tuple[int, ...]) -> LaurentPoly:
-    """W(a) of the module docstring, summed on LaurentPoly."""
-    # a budget of the walk is at most sum(a[1:]), and at most sum(a[2:]) on
-    # an A-weighted level; building the cached coefficients here keeps their
-    # frames off the deepest level of the walk
-    for v in range(1, sum(a[1:]) + 1):
-        coeff_B(v)
-    for v in range(1, sum(a[2:]) + 1):
-        coeff_A(v)
-    return _poly_walk(a)
 
 
 @lru_cache(maxsize=None)
@@ -408,45 +320,91 @@ def _box_of(value: int, stride: int, width: int) -> PackedBox:
     return _rows(stride, value.bit_length() // (stride * width))
 
 
+def _combine(g: list[tuple], outermost: bool, stride: int) -> tuple:
+    """sum_v c(v) g[v] on packed integers, with c = B outermost and A
+    elsewhere.  g[v] is (value, width, bound on its |coefficients|, widened
+    copies, ...); the terms meet at the width of the level's bound."""
+    norms = []
+    for term in g:
+        norms.append(term[2])
+    bound = _norm_combine(norms, outermost)
+    width = fit_width(bound)
+    q_shift = stride * width
+    values, previous, x = [], None, 0
+    for term in g:
+        if term is not previous:
+            previous, (x, term_width, _, wider, _) = term, term
+            if term_width != width:
+                if width not in wider:
+                    wider[width] = _box_of(x, stride, term_width).widen(x, term_width, width)
+                x = wider[width]
+        values.append(x)
+    # u = U_v and r = R_v, from v = K down to v = 1
+    u = r = 0
+    for v in range(len(values) - 1, 0, -1):
+        u = values[v] + (u << width)
+        r = u + (r << q_shift)
+    if outermost:
+        # R_0 - R_1, kept at the width of its own largest coefficient,
+        # and at each wider width a parent asks for
+        value = values[0] + (u << width) + (r << q_shift) - r
+        return _box_of(value, stride, width).narrowest(value, width) + ({}, bound)
+    # g(0) - (1 - q)(1 - t) R_1
+    y = r - (r << q_shift)
+    return values[0] - y + (y << width), width, bound, {}, bound
+
+
 @lru_cache(maxsize=None)
 def _packed_walk(stride: int) -> Callable[[tuple[int, ...]], tuple]:
-    """a -> (W(a) at q = X^stride, t = X with X = 2^w, w, max |coefficient|
-    of W(a), {wider width: W(a) at it}, the bound on that maximum from the
-    W(a')), w the narrowest width that holds W(a)."""
+    """The memoized function a -> (W(a) at q = X^stride, t = X with
+    X = 2^w, w, max |coefficient| of W(a), {wider width: W(a) at it}, the
+    bound on that maximum from the W(a')), w the narrowest width that
+    holds W(a).
 
-    def combine(g: list[tuple], outermost: bool) -> tuple:
-        # g[v] is (value, width, bound on its |coefficients|, widened
-        # copies, ...); the terms meet at the width of the level's bound
-        norms = []
-        for term in g:
-            norms.append(term[2])
-        bound = _norm_combine(norms, outermost)
-        width = fit_width(bound)
-        q_shift = stride * width
-        values, previous, x = [], None, 0
-        for term in g:
-            if term is not previous:
-                previous, (x, term_width, _, wider, _) = term, term
-                if term_width != width:
-                    if width not in wider:
-                        wider[width] = _box_of(x, stride, term_width).widen(x, term_width, width)
-                    x = wider[width]
-            values.append(x)
-        # u = U_v and r = R_v, from v = K down to v = 1
-        u = r = 0
-        for v in range(len(values) - 1, 0, -1):
-            u = values[v] + (u << width)
-            r = u + (r << q_shift)
-        if outermost:
-            # R_0 - R_1, kept at the width of its own largest coefficient,
-            # and at each wider width a parent asks for
-            value = values[0] + (u << width) + (r << q_shift) - r
-            return _box_of(value, stride, width).narrowest(value, width) + ({}, bound)
-        # g(0) - (1 - q)(1 - t) R_1
-        y = r - (r << q_shift)
-        return values[0] - y + (y << width), width, bound, {}, bound
+    W(a) sums over the last columns of a one coordinate at a time.  Level j
+    sums over v_j, v_{n-1} (B-weighted) outermost and v_1 innermost.  With
+    v_{j+1}, ..., v_{n-1} fixed, its terms g[v] are the level below at
+    v_j = v, for v up to budgets[j], what the outer coordinates leave of
+    a_n; tails[j] holds their hook sums (a_{j+1} + v_{j+1}, ...), and
+    ``_combine`` weighs the terms by B or A.  Below level 1 lies W at the
+    hook sums a' of the smaller matrix, which does not read a'_1: the walk
+    reads a with a_1 = 0, and the terms of level 1 are one value.  With no
+    budget left every inner v is 0 and A(0) = 1, so the level is W(a').
+    The levels are an explicit stack, and the walk calls itself for W(a'),
+    so that the recursion into smaller hook vectors stays a few frames per
+    entry of a.
+    """
+    one = (1, 8, 1, {}, 1)
 
-    return _column_walk(combine, (1, 8, 1, {}, 1))
+    @lru_cache(maxsize=None)
+    def walk(a: tuple[int, ...]) -> tuple:
+        if len(a) == 1:
+            return one
+        rest, last = [0, *a[1:-1]], a[-1]
+        m = len(rest)
+        tails, budgets, gs = [()] * (m + 1), [last] * (m + 1), [None] * m + [[]]
+        j = m
+        while True:
+            if not budgets[j]:
+                value = walk(tuple(rest[:j]) + tails[j])
+            elif j == 1:
+                value = _combine([walk((0,) + tails[1])] * (budgets[1] + 1), m == 1, stride)
+            else:
+                g = gs[j]
+                v = len(g)
+                if v <= budgets[j]:
+                    tails[j - 1] = (rest[j - 1] + v,) + tails[j]
+                    budgets[j - 1] = budgets[j] - v
+                    gs[j - 1] = []
+                    j -= 1
+                    continue
+                value = _combine(g, j == m, stride)
+            if j == m:
+                return value
+            j += 1
+            gs[j].append(value)
+
+    return walk
 
 
 def _box(a: tuple[int, ...]) -> PackedBox:
@@ -463,10 +421,8 @@ def f_tesler(a: Sequence[int]) -> LaurentPoly:
     while len(a) > 1 and a[-1] == 0:
         a = a[:-1]  # a zero last hook sum forces a zero last column
     box = _box(a)
-    if box.slots <= PACKED_SLOTS:
-        value, width, *_ = _packed_walk(box.stride)(a)
-        return LaurentPoly._from_dict(box.decode(value, width))
-    return _weight_sum(a)
+    value, width, *_ = _packed_walk(box.stride)(a)
+    return LaurentPoly._from_dict(box.decode(value, width))
 
 
 def two_diagonal_subdiagrams(a: Sequence[int]) -> list[tuple[TeslerMatrix, tuple[int, ...]]]:

@@ -16,7 +16,9 @@ from itertools import product
 
 from .chains import (
     _area,
+    _case,
     _stat,
+    _tail_of,
     chain_of,
     enumerate_heads,
     enumerate_pseudoheads,
@@ -25,7 +27,6 @@ from .chains import (
     f_chains,
     f_stat,
     hcomb_recursion_residual,
-    locate_tail,
     subpartitions3,
 )
 
@@ -162,8 +163,8 @@ def check_chain_partition(vec: tuple[int, ...]) -> list[CaseResult]:
     their area ranges bijectively, and each member's case resolves to the
     tail of its own chain; the four index sets are equinumerous with the
     bijections preserving area ranges.  Each chain is built once, and each
-    member's area computed once, after the member is known to be in the
-    staircase."""
+    member's area and case computed once, after the member is known to be
+    in the staircase."""
     p = ABCParams(*vec)
     problems = []
     tails = enumerate_tails(p)
@@ -199,10 +200,11 @@ def check_chain_partition(vec: tuple[int, ...]) -> list[CaseResult]:
             problems.append(f"chain of ({ch.tail.E},{ch.tail.F}) has areas {got} for range {ch.area_range}")
     for lam, lam_area in areas.items():
         ch = seen[lam]
-        if locate_tail(p, lam) != ch.tail:
+        case = _case(p, *lam)
+        if _tail_of(p, case, *lam) != ch.tail:
             problems.append(f"locate_tail({lam}) finds another chain")
         r, R = ch.area_range
-        if _stat(p, *lam) != r + R - lam_area:
+        if _stat(p, case, *lam) != r + R - lam_area:
             problems.append(f"stat({lam}) disagrees with its chain")
     return [CaseResult("chain-partition[n=4]", vec, not problems, "; ".join(problems))]
 

@@ -35,6 +35,7 @@ def run_capped():
             capture_output=True,
             text=True,
             preexec_fn=_cap_address_space,
+            timeout=300,  # a hung child fails its test; the slowest takes ~11 s
         )
 
     return run

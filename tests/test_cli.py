@@ -38,6 +38,7 @@ def run_cli(*args):
         [sys.executable, "-m", "qtcatalan.cli", *args],
         capture_output=True,
         text=True,
+        timeout=300,  # a hung child fails its test instead of stalling the suite
     )
     return proc
 

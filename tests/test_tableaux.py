@@ -122,6 +122,8 @@ def test_syt_size_bound():
         enumerate_syt(9)
     with pytest.raises(DomainError):
         enumerate_syt(0)
+    with pytest.raises(DomainError):
+        enumerate_syt(2.5)
 
 
 def test_known_content_vector_occurs():

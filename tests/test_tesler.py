@@ -287,30 +287,24 @@ def test_packed_route_matches_matrix_enumeration():
         assert f_tesler(a) == _enumerated_sum(a), a
 
 
-def test_weight_sum_matches_the_packed_route_on_the_grid():
-    # the LaurentPoly and the packed instances of the one column walk
-    for a in _GRID:
-        assert tesler._weight_sum(a) == f_tesler(a), a
-
-
 def test_the_column_walk_is_a_few_frames_per_entry(run_capped):
     # each smaller hook vector is one call of the memoized walk, so at a
-    # recursion limit of 400 every instance reaches a vector of length 196,
-    # each in a fresh process, with every cache cold
-    setup = "import sys; from qtcatalan import bracket, tesler; a = (0,) * 195 + (1,); "
-    for check in [
-        "assert tesler._weight_sum(a) == bracket(196)",
+    # recursion limit of 400 it reaches a vector of length 196, in a fresh
+    # process, with every cache cold
+    proc = run_capped(
+        "-c",
+        "import sys; from qtcatalan import bracket, tesler; a = (0,) * 195 + (1,); "
+        "sys.setrecursionlimit(400); "
         "box = tesler._box(a); value, width, *_ = tesler._packed_walk(box.stride)(a); "
         "assert box.decode(value, width) == bracket(196).terms()",
-    ]:
-        proc = run_capped("-c", setup + "sys.setrecursionlimit(400); " + check)
-        assert proc.returncode == 0, proc.stderr
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_matrix_enumeration_on_each_side_of_the_packed_cap():
     # D = 255 fits a 256 x 256 box; D = 256 needs 257 x 512 slots
     below, above = (0, 253, 1), (0, 254, 1)
-    assert tesler._box(below).slots <= tesler.PACKED_SLOTS < tesler._box(above).slots
+    assert (tesler._box(below).stride, tesler._box(above).stride) == (256, 512)
     for a in (below, above):
         assert f_tesler(a) == _enumerated_sum(a) == f2(a[1], a[2])
 
@@ -365,11 +359,10 @@ def test_exact_norm_bound_covers_every_coefficient():
         assert box.decode(value, width) == f_tesler(a).terms(), a
 
 
-def test_line_shaped_inputs_skip_the_packed_sum(run_capped):
+def test_line_shaped_inputs_pack_under_the_address_space_cap(run_capped):
     # F(1000) = [1001] fills 1001 of the 1001 x 1024 slots of its box, and
-    # F(1000, 1) 2003 of 1003 x 1024: both take the LaurentPoly recursion
-    for a in [(0, 1000), (0, 1000, 1)]:
-        assert tesler._box(a).slots > tesler.PACKED_SLOTS
+    # F(1000, 1) 2003 of 1003 x 1024: the packed walk shifts mostly empty
+    # slots, within the cap
     code = (
         "from qtcatalan import bracket, f2, f_tesler; "
         "assert f_tesler((0, 1000)) == bracket(1001); "
@@ -384,7 +377,6 @@ def test_long_vectors_pack_at_the_width_of_their_coefficients():
     # 8 bits however long the vector is
     for a in [(0,) * 40 + (1,), (0,) * 63 + (1,), (0,) * 127 + (1,)]:
         box = tesler._box(a)
-        assert box.slots <= tesler.PACKED_SLOTS
         assert tesler._packed_walk(box.stride)(a)[1:3] == (8, 1)
         assert f_tesler(a) == bracket(len(a))
 

@@ -70,10 +70,10 @@ def test_parallel_map_runs_inline_below_two_jobs(monkeypatch, jobs):
 def test_chain_partition_refuses_a_locate_that_finds_another_chain(monkeypatch):
     # (3, 1, 2) has two chains with one area range: a tail resolver that
     # returns the other one gives stat the right range, but not lam's chain
-    real = verification.locate_tail
+    real = verification._tail_of
 
-    def other_tail(p, lam):
-        found = chain_of(real(p, lam))
+    def other_tail(p, case, *lam):
+        found = chain_of(real(p, case, *lam))
         twins = [
             ch for ch in decompose(p)
             if ch.area_range == found.area_range and ch.members != found.members
@@ -81,7 +81,7 @@ def test_chain_partition_refuses_a_locate_that_finds_another_chain(monkeypatch):
         return twins[0].tail if twins else found.tail
 
     assert verification.check_chain_partition((3, 1, 2))[0].ok
-    monkeypatch.setattr(verification, "locate_tail", other_tail)
+    monkeypatch.setattr(verification, "_tail_of", other_tail)
     (result,) = verification.check_chain_partition((3, 1, 2))
     assert not result.ok
     assert "finds another chain" in result.detail
