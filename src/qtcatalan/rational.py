@@ -109,6 +109,27 @@ def fit_width(bound: int) -> int:
     return width
 
 
+def _within(value: int, masks: tuple[int, int], bound: int) -> bool:
+    """Whether every digit of value is at most bound in absolute value, for
+    the masks (TOP, ONES) of a width w with bound < 2^(w - 2) (the test of
+    ``PackedBox``)."""
+    top, ones = masks
+    k_ones = top - (bound + 1) * ones
+    return not ((value + k_ones) & top or (k_ones - value) & top)
+
+
+def _bisect(value: int, masks: tuple[int, int], lo: int, hi: int) -> int:
+    # the largest |digit| of value, known to lie in [lo, hi], for the masks
+    # of a width w with hi < 2^(w - 2)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _within(value, masks, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 class PackedBox:
     """Kronecker substitution on a box of exponent pairs (Harvey 2009, J.
     Symbolic Comput.).
@@ -121,7 +142,18 @@ class PackedBox:
     width bits per slot (width a multiple of 8), exact while every
     coefficient is below 2^(width-1) in absolute value.  Every pack and
     unpack of the module goes through here, and every read of the digits
-    goes through ``_digits``.
+    as bytes goes through ``_digits``.
+
+    Bounds on the digits are tested on the integer itself, all digits at
+    once (broadword, Knuth, TAOCP 4A 7.1.3).  With ONES = sum_i X^i and
+    TOP = ONES << (w - 1) (the bias), and T < 2^(w-2), every digit c has
+    |c| <= T exactly when (v + K ONES) & TOP and (K ONES - v) & TOP are 0,
+    where K = 2^(w-1) - 1 - T > T.  Proof for the first test (the second
+    is the first for -v): if every c lies in [-K, T], the digits c + K of
+    v + K ONES lie in [0, 2^(w-1)), so none carries and no top bit is set.
+    Else at the lowest slot with c outside [-K, T], nothing carries in, and
+    c + K lies in [2^(w-1), 2^w) or, borrowed, c + K + 2^w in [2^w - T, 2^w):
+    its top bit is set.
     """
 
     __slots__ = ("q_lo", "q_hi", "t_lo", "t_hi", "stride", "slots")
@@ -172,6 +204,8 @@ class PackedBox:
 
     def widen(self, value: int, width: int, new_width: int) -> int:
         """The same digits, each in new_width >= width bits."""
+        if new_width < width:
+            raise DomainError(f"cannot widen digits of {width} bits to {new_width} bits")
         nbytes, new_nbytes = width // 8, new_width // 8
         out = _restride(self._digits(value, nbytes), nbytes, new_nbytes)
         return int.from_bytes(out, "little") - self._bias(nbytes, new_nbytes - nbytes)
@@ -201,24 +235,44 @@ class PackedBox:
             out = _restride(out, size, nbytes)
         return int.from_bytes(out, "little") - self._bias(nbytes)
 
+    def _masks(self, width: int) -> tuple[int, int]:
+        # (TOP, ONES) at width: the bias, and 1 in every slot
+        top = self._bias(width // 8)
+        return top, top >> (width - 1)
+
     def narrowest(self, value: int, width: int) -> tuple[int, int, int]:
         """(value', w, m): m is the largest |digit| of value at width, and
-        value' holds the same digits at w = min(width, fit_width(m)) bits."""
-        nbytes = width // 8
-        half = 1 << (width - 1)
-        raw = self._digits(value, nbytes)
-        digits = _digit_values(raw, nbytes)
-        norm = max(max(digits) - half, half - min(digits))
-        new_width = fit_width(norm)
-        if new_width >= width:
-            return value, width, norm
-        # each digit's low bytes hold d + 2^(w-1) modulo 2^(new w), that is
-        # d; flipping their top bit adds the new bias 2^(new w - 1)
-        new_nbytes = new_width // 8
-        out = _restride(raw, nbytes, new_nbytes)
-        top = slice(new_nbytes - 1, None, new_nbytes)
-        out[top] = out[top].translate(_FLIP_TOP_BIT)
-        return int.from_bytes(out, "little") - self._bias(new_nbytes), new_width, norm
+        value' holds the same digits at w = min(width, fit_width(m)) bits.
+        Every digit must be below 2^(width - 1) in absolute value.
+
+        The digits are tested all at once (see the class docstring): at
+        the bounds 2^(w - 1) - 1 for w = 8, 16, 32, ... below width, which
+        gives w, then at bounds bisecting m, on value' at w; in the top
+        quarter of w's digits, past what a test at w reaches, on value'
+        widened to 2w."""
+        masks = self._masks(width)
+        new_width, lo = 8, 0
+        while new_width < width and not _within(value, masks, (1 << (new_width - 1)) - 1):
+            lo = 1 << (new_width - 1)
+            new_width *= 2
+        if new_width < width:
+            # each digit's low bytes hold d + 2^(w-1) modulo 2^(new w), that
+            # is d; flipping their top bit adds the new bias 2^(new w - 1)
+            nbytes, new_nbytes = width // 8, new_width // 8
+            out = _restride(self._digits(value, nbytes), nbytes, new_nbytes)
+            top = slice(new_nbytes - 1, None, new_nbytes)
+            out[top] = out[top].translate(_FLIP_TOP_BIT)
+            value = int.from_bytes(out, "little") - self._bias(new_nbytes)
+            masks = self._masks(new_width)
+        else:
+            new_width = width
+        quarter = 1 << (new_width - 2)
+        if _within(value, masks, quarter - 1):
+            norm = _bisect(value, masks, lo, quarter - 1)
+        else:
+            wide = self.widen(value, new_width, 2 * new_width)
+            norm = _bisect(wide, self._masks(2 * new_width), quarter, 2 * quarter - 1)
+        return value, new_width, norm
 
 
 class Packed:

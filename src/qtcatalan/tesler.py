@@ -76,13 +76,17 @@ two bounds with proofs guarantee:
   one node and does not compound down the recursion.  Each level runs at
   the smallest width w = 8 * 2^k with 2^(w-1) above its bound, where a
   balanced digit holds every coefficient.  Once a node is summed, its
-  digits are read once for their exact largest |coefficient|, and it is
-  kept at the smallest such w for that.  A level's bound is at least each
+  exact largest |coefficient| is found without reading its digits one by
+  one: a few big-integer operations test them all at once against a bound
+  (``PackedBox.narrowest``), first for the smallest such w, at which the
+  node is kept, then bisecting the bound.  A level's bound is at least each
   term's (every ||c(v)||_1 >= 1), so terms only widen
   (``PackedBox.widen``), and a node keeps each wider copy a parent asks for.
 
 Strides in powers of two let calls share cached packed values: there is
-one packed walk per S, keyed on a.  A line-shaped F such as
+one packed walk per S, keyed on a.  F is decoded from it once per hook
+vector read with a_1 = 0 and no trailing zero, and repeats share that
+immutable ``LaurentPoly``.  A line-shaped F such as
 F(a) = [a + 1] fills only a + 1 of its box's slots, so its steps shift
 mostly empty slots; it is summed packed all the same.
 """
@@ -130,9 +134,27 @@ def subpartitions(lam: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def subdiagram_area_gf(lam: Sequence[int]) -> LaurentPoly:
-    """Sum of q^(|lam| - |mu|) over all subpartitions mu of lam."""
-    size = sum(canonical_partition(lam))
-    return LaurentPoly(((size - sum(mu), 0), 1) for mu in subpartitions(lam))
+    """Sum of q^(|lam| - |mu|) over all subpartitions mu of lam.
+
+    The subpartitions are counted row by row, not listed: counts[p][s] is
+    the number of choices of mu's rows so far with size s and last part p.
+    Row i takes a part p <= lam_i no larger than the row above's, so its
+    counts at p are those of the parts >= p above, a running sum from the
+    top of the row above's cap down, moved up by p in size."""
+    lam = canonical_partition(lam)
+    size = sum(lam)
+    # no row yet: one empty choice, as if under a row of part lam_1
+    counts = [[0] * (size + 1)] * (lam[0] if lam else 0) + [[1] + [0] * size]
+    for cap in lam:
+        above, running = counts, [0] * (size + 1)
+        counts = [None] * (cap + 1)
+        for p in range(len(above) - 1, -1, -1):
+            running = [x + y for x, y in zip(running, above[p])]
+            if p <= cap:
+                counts[p] = [0] * p + running[: size + 1 - p]
+    return LaurentPoly(
+        ((size - s, 0), c) for s, c in enumerate(map(sum, zip(*counts))) if c
+    )
 
 
 @dataclass(frozen=True)
@@ -420,6 +442,13 @@ def f_tesler(a: Sequence[int]) -> LaurentPoly:
     a = (0,) + _check_hook_vector(a)[1:]
     while len(a) > 1 and a[-1] == 0:
         a = a[:-1]  # a zero last hook sum forces a zero last column
+    return _decoded(a)
+
+
+@lru_cache(maxsize=None)
+def _decoded(a: tuple[int, ...]) -> LaurentPoly:
+    # F at the hook vector a with a_1 = 0 and no trailing zero, decoded once
+    # from the packed walk; a LaurentPoly is immutable, so repeats share it
     box = _box(a)
     value, width, *_ = _packed_walk(box.stride)(a)
     return LaurentPoly._from_dict(box.decode(value, width))

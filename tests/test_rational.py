@@ -259,6 +259,52 @@ def test_digits_at_every_width_round_trip():
             assert box.decode(narrow, narrow_width) == terms
 
 
+def _largest_digit(box, value, width):
+    # the reference: every digit decoded, one at a time
+    return max(map(abs, box.decode(value, width).values()), default=0)
+
+
+def test_mask_test_agrees_with_a_digit_scan():
+    # seeded values with digits of every size at 1-, 2-, 3-, 4-, 8- and
+    # 9-byte widths and past them: the extreme balanced digits, norms in
+    # the top quarter of the width's digit (where the bisection widens),
+    # a negative top digit, zero, and one-slot boxes
+    rng = random.Random(15)
+    for box in (PackedBox(-1, 2, 0, 3), PackedBox(0, 0, 0, 0), PackedBox(3, 3, -2, -2)):
+        for width in (8, 16, 24, 32, 64, 72, 128):
+            top = (1 << (width - 1)) - 1
+            masks = box._masks(width)
+            for _ in range(40):
+                norm = rng.choice([0, 1, top, top - 1, rng.randint(0, top), min(top, rng.randint(0, 300))])
+                norm = rng.choice([norm, (1 << (width - 2)) + rng.randint(0, (1 << (width - 2)) - 1)])
+                coeffs = [rng.randint(-norm, norm) for _ in range(box.slots)]
+                coeffs[rng.randrange(box.slots)] = rng.choice([norm, -norm])
+                if rng.random() < 0.3:
+                    coeffs[-1] = -norm  # the top digit negative
+                terms = {
+                    (box.q_lo + i // box.stride, box.t_lo + i % box.stride): c
+                    for i, c in enumerate(coeffs)
+                    if c
+                }
+                value = box.encode(terms, width)
+                expected = _largest_digit(box, value, width)
+                narrow, narrow_width, got = box.narrowest(value, width)
+                assert got == expected
+                assert narrow_width == min(width, rational.fit_width(expected))
+                assert box.decode(narrow, narrow_width) == terms
+                for bound in {0, expected - 1, expected, rng.randint(0, top)}:
+                    if 0 <= bound < 1 << (width - 2):
+                        assert rational._within(value, masks, bound) == (expected <= bound)
+            assert box.narrowest(0, width) == (0, 8, 0)
+
+
+def test_widen_refuses_a_narrower_width():
+    box = PackedBox(0, 1, 0, 1)
+    value = box.encode({(0, 0): 3, (1, 1): -2}, 16)
+    with pytest.raises(DomainError, match="16 bits to 8 bits"):
+        box.widen(value, 16, 8)
+
+
 def test_transpose_swaps_q_and_t_at_every_width():
     # native digits of 1, 2, 4 and 8 bytes, 3 and 7 bytes padded to 4 and 8,
     # and byte planes past 64 bits; the extreme balanced digits included

@@ -144,6 +144,20 @@ def test_first_entry_does_not_change_value():
         assert len(vals) == 1
 
 
+def test_first_entry_and_trailing_zeros_share_one_value():
+    # f_tesler reads a with a_1 = 0 and no trailing zero, and decodes F once
+    # per such vector: every spelling gives the same immutable value
+    for tail in [(1, 1), (2, 0, 1), (0, 2, 2, 1)]:
+        values = [f_tesler((x,) + tail + zeros) for x in (0, 3, 7) for zeros in ((), (0,), (0, 0, 0))]
+        assert all(v is values[0] for v in values), tail
+        expected = f_tableaux(tail)
+        assert values[0] == expected
+        terms = values[0].terms()
+        terms[(0, 0)] = terms.get((0, 0), 0) + 1
+        terms[(99, 99)] = 5
+        assert f_tesler((7,) + tail) == expected
+
+
 def test_enumerated_weight_sum_ignores_a1():
     # f_tesler and its walk read a with a_1 = 0, so there the first entry is
     # ignored by construction; the matrices themselves do read it
@@ -225,6 +239,18 @@ def test_subdiagram_gf_staircase():
     assert expected == LaurentPoly(
         {(6, 0): 1, (5, 0): 1, (4, 0): 2, (3, 0): 3, (2, 0): 3, (1, 0): 3, (0, 0): 1}
     )
+
+
+def _listed_area_gf(lam):
+    # the subpartitions listed one by one, independent of the row counts
+    size = sum(lam)
+    return LaurentPoly(((size - sum(mu), 0), 1) for mu in subpartitions(lam))
+
+
+def test_subdiagram_count_equals_the_listing():
+    lams = {lambda_partition(tail) for n in range(5) for tail in product(range(4), repeat=n)}
+    for lam in sorted(lams) + [(15, 10, 5), (8, 6, 4, 2)]:
+        assert subdiagram_area_gf(lam) == _listed_area_gf(lam), lam
 
 
 def test_t_one_specialization_identity():
