@@ -32,7 +32,7 @@ from .poly import LaurentPoly
 from .render import RENDERERS
 from .tableaux import f_tableaux
 from .tesler import f_tesler
-from .verification import default_jobs, env_int, parallel_map, run_verify
+from .verification import check_sweep, default_jobs, env_int, parallel_map, run_verify
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -86,15 +86,11 @@ def _parse_n_range(text: str) -> list[int]:
     return lengths
 
 
-def _check_max(maxval: int) -> int:
-    if maxval < 0:
-        raise DomainError(f"--max must be nonnegative, got {maxval}")
-    return maxval
-
-
 def _verify(args) -> int:
     lengths = _parse_n_range(args.n)
-    maxval = _check_max(env_int("QTC_VERIFY_MAX", 3) if args.max is None else args.max)
+    maxval = env_int("QTC_VERIFY_MAX", 3) if args.max is None else args.max
+    for n in lengths:  # refuse the whole range before printing any report
+        check_sweep(n, maxval)
     failures = 0
     for n in lengths:
         report = run_verify(n, maxval, args.jobs)
@@ -152,7 +148,8 @@ def _scan_worker(vec: tuple[int, ...]):
 def _scan(args) -> int:
     if not 2 <= args.n <= 5:
         raise DomainError(f"scan supports n in 2..5, got {args.n}")
-    _check_max(args.max)
+    if args.max < 0:
+        raise DomainError(f"--max must be nonnegative, got {args.max}")
     monotone = not args.all
     vectors = list(_scan_vectors(args.n, args.max, monotone))
     results = parallel_map(_scan_worker, vectors, default_jobs())

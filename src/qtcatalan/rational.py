@@ -101,12 +101,10 @@ def _bias_of(slots: int, nbytes: int, pad: int) -> int:
 
 
 def fit_width(bound: int) -> int:
-    """The smallest width 8 * 2^k with 2^(w-1) > bound: a balanced digit of
-    that many bits holds every integer of absolute value at most bound."""
-    width = 8
-    while 1 << (width - 1) <= bound:
-        width *= 2
-    return width
+    """The smallest multiple of 8 bits w with 2^(w-1) > bound >= 0: a
+    balanced digit of w bits holds every integer of absolute value at most
+    bound.  Every packed value of the package is sized by this rule."""
+    return 8 * (bound.bit_length() // 8 + 1)
 
 
 def _within(value: int, masks: tuple[int, int], bound: int) -> bool:
@@ -246,15 +244,15 @@ class PackedBox:
         Every digit must be below 2^(width - 1) in absolute value.
 
         The digits are tested all at once (see the class docstring): at
-        the bounds 2^(w - 1) - 1 for w = 8, 16, 32, ... below width, which
+        the bounds 2^(w - 1) - 1 for w = 8, 16, 24, ... below width, which
         gives w, then at bounds bisecting m, on value' at w; in the top
         quarter of w's digits, past what a test at w reaches, on value'
-        widened to 2w."""
+        widened to w + 8."""
         masks = self._masks(width)
         new_width, lo = 8, 0
         while new_width < width and not _within(value, masks, (1 << (new_width - 1)) - 1):
             lo = 1 << (new_width - 1)
-            new_width *= 2
+            new_width += 8
         if new_width < width:
             # each digit's low bytes hold d + 2^(w-1) modulo 2^(new w), that
             # is d; flipping their top bit adds the new bias 2^(new w - 1)
@@ -264,14 +262,12 @@ class PackedBox:
             out[top] = out[top].translate(_FLIP_TOP_BIT)
             value = int.from_bytes(out, "little") - self._bias(new_nbytes)
             masks = self._masks(new_width)
-        else:
-            new_width = width
         quarter = 1 << (new_width - 2)
         if _within(value, masks, quarter - 1):
             norm = _bisect(value, masks, lo, quarter - 1)
         else:
-            wide = self.widen(value, new_width, 2 * new_width)
-            norm = _bisect(wide, self._masks(2 * new_width), quarter, 2 * quarter - 1)
+            wide = self.widen(value, new_width, new_width + 8)
+            norm = _bisect(wide, self._masks(new_width + 8), quarter, 2 * quarter - 1)
         return value, new_width, norm
 
 
@@ -289,10 +285,6 @@ class Packed:
 
     def unpack(self) -> LaurentPoly:
         return LaurentPoly._from_dict(self.box.decode(self.value, self.width))
-
-
-def _round_width(bits: int) -> int:
-    return -(-bits // 8) * 8
 
 
 def _span(factors: Iterable[tuple[int, int]]) -> tuple[int, int, int, int]:
@@ -477,7 +469,7 @@ def _pack_sum(exponents: Iterable[ExponentPair], tree: ProductTree) -> "Packed |
         total = sum((sum_of_products([row]) for row in zip(exponents, tree.factors)), ZERO)
         return total + total.swap_qt() if tree.mirrored else total
     max_m = max(len(factors) for factors in tree.factors)
-    width = _round_width(max_m + rows.bit_length() + 1)
+    width = fit_width(rows << max_m)
     value = _evaluate(tree, exponents, box, width)
     if tree.mirrored:
         value += box.transpose(value, width)
@@ -652,8 +644,9 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
     # extreme terms of a product do not cancel.  When that box is inside
     # N's, the stride keeps every term of Q D - N in a slot of its own.  A
     # coefficient of Q D is at most max|Q| * ||D||_1 <= max|Q| * 2^m in
-    # absolute value, and one of N is below 2^(w-1), so at a width W above
-    # both bounds every digit of Q D - N is below 2^W.  Then
+    # absolute value, and one of N is below 2^(w-1), so at the width
+    # W = max(fit_width(max|Q| * 2^m), w), whose balanced digit holds both,
+    # every digit of Q D - N is below 2^W.  Then
     # (Q D - N)(2^W) = 0 only if Q D = N: else its lowest nonzero digit
     # would be a multiple of 2^W, but smaller.
     q_box = terms and PackedBox.around(terms)
@@ -665,8 +658,7 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
         and q_box.t_hi + d_t_hi <= box.t_hi
     ):
         return None
-    q_bits = max(abs(c) for c in terms.values()).bit_length()
-    check = max(_round_width(max(q_bits + len(factors), width - 1) + 1), width)
+    check = max(fit_width(max(map(abs, terms.values())) << len(factors)), width)
     # D Q_w = X^offset x, and N = X^lo D Q_w
     x, offset = _times_factors(sub.widen(y, width, check), factors, box.stride, check)
     align = (lo + offset) * check

@@ -35,7 +35,7 @@ coordinate at a time:
 
 with v_1 + ... + v_{n-1} <= a_n.  The innermost terms do not depend on
 v_1, so they are one value.  ``_packed_walk`` runs these nested sums on
-packed integers (below), memoized on a, and sums each coordinate by a
+packed integers (below), memoized on (a, S), and sums each coordinate by a
 recurrence.  The generating functions of A and B have the denominator
 (1 - qz)(1 - tz), so each inner sum of c(v) g(v) over v = 0..K is one
 backward pass: U_v = g(v) + t U_{v+1} and R_v = U_v + q R_{v+1}, from
@@ -74,8 +74,9 @@ two bounds with proofs guarantee:
 
   The bound starts from exact values at each node, so its slack is that of
   one node and does not compound down the recursion.  Each level runs at
-  the smallest width w = 8 * 2^k with 2^(w-1) above its bound, where a
-  balanced digit holds every coefficient.  Once a node is summed, its
+  the smallest multiple of 8 bits w with 2^(w-1) above its bound, where a
+  balanced digit holds every coefficient (``rational.fit_width``, the one
+  rule that also sizes the tableau kernel).  Once a node is summed, its
   exact largest |coefficient| is found without reading its digits one by
   one: a few big-integer operations test them all at once against a bound
   (``PackedBox.narrowest``), first for the smallest such w, at which the
@@ -83,12 +84,12 @@ two bounds with proofs guarantee:
   term's (every ||c(v)||_1 >= 1), so terms only widen
   (``PackedBox.widen``), and a node keeps each wider copy a parent asks for.
 
-Strides in powers of two let calls share cached packed values: there is
-one packed walk per S, keyed on a.  F is decoded from it once per hook
-vector read with a_1 = 0 and no trailing zero, and repeats share that
-immutable ``LaurentPoly``.  A line-shaped F such as
-F(a) = [a + 1] fills only a + 1 of its box's slots, so its steps shift
-mostly empty slots; it is summed packed all the same.
+The walk is one memo, keyed on (a, S), and strides in powers of two let
+vectors of different D share its packed values.  F is decoded from it once
+per hook vector read with a_1 = 0 and no trailing zero, and repeats share
+that immutable ``LaurentPoly``.  A line-shaped F such as F(a) = [a + 1]
+fills only a + 1 of its box's slots, so its steps shift mostly empty
+slots; it is summed packed all the same.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .poly import LaurentPoly, ONE, coeff_A, coeff_B
@@ -377,11 +378,10 @@ def _combine(g: list[tuple], outermost: bool, stride: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _packed_walk(stride: int) -> Callable[[tuple[int, ...]], tuple]:
-    """The memoized function a -> (W(a) at q = X^stride, t = X with
-    X = 2^w, w, max |coefficient| of W(a), {wider width: W(a) at it}, the
-    bound on that maximum from the W(a')), w the narrowest width that
-    holds W(a).
+def _packed_walk(a: tuple[int, ...], stride: int) -> tuple:
+    """(W(a) at q = X^stride, t = X with X = 2^w, w, max |coefficient| of
+    W(a), {wider width: W(a) at it}, the bound on that maximum from the
+    W(a')), w the narrowest width that holds W(a).
 
     W(a) sums over the last columns of a one coordinate at a time.  Level j
     sums over v_j, v_{n-1} (B-weighted) outermost and v_1 innermost.  With
@@ -396,37 +396,31 @@ def _packed_walk(stride: int) -> Callable[[tuple[int, ...]], tuple]:
     so that the recursion into smaller hook vectors stays a few frames per
     entry of a.
     """
-    one = (1, 8, 1, {}, 1)
-
-    @lru_cache(maxsize=None)
-    def walk(a: tuple[int, ...]) -> tuple:
-        if len(a) == 1:
-            return one
-        rest, last = [0, *a[1:-1]], a[-1]
-        m = len(rest)
-        tails, budgets, gs = [()] * (m + 1), [last] * (m + 1), [None] * m + [[]]
-        j = m
-        while True:
-            if not budgets[j]:
-                value = walk(tuple(rest[:j]) + tails[j])
-            elif j == 1:
-                value = _combine([walk((0,) + tails[1])] * (budgets[1] + 1), m == 1, stride)
-            else:
-                g = gs[j]
-                v = len(g)
-                if v <= budgets[j]:
-                    tails[j - 1] = (rest[j - 1] + v,) + tails[j]
-                    budgets[j - 1] = budgets[j] - v
-                    gs[j - 1] = []
-                    j -= 1
-                    continue
-                value = _combine(g, j == m, stride)
-            if j == m:
-                return value
-            j += 1
-            gs[j].append(value)
-
-    return walk
+    if len(a) == 1:
+        return 1, 8, 1, {}, 1  # W = 1 at 8 bits, one node per stride
+    rest, last = [0, *a[1:-1]], a[-1]
+    m = len(rest)
+    tails, budgets, gs = [()] * (m + 1), [last] * (m + 1), [None] * m + [[]]
+    j = m
+    while True:
+        if not budgets[j]:
+            value = _packed_walk(tuple(rest[:j]) + tails[j], stride)
+        elif j == 1:
+            value = _combine([_packed_walk((0,) + tails[1], stride)] * (budgets[1] + 1), m == 1, stride)
+        else:
+            g = gs[j]
+            v = len(g)
+            if v <= budgets[j]:
+                tails[j - 1] = (rest[j - 1] + v,) + tails[j]
+                budgets[j - 1] = budgets[j] - v
+                gs[j - 1] = []
+                j -= 1
+                continue
+            value = _combine(g, j == m, stride)
+        if j == m:
+            return value
+        j += 1
+        gs[j].append(value)
 
 
 def _box(a: tuple[int, ...]) -> PackedBox:
@@ -450,7 +444,7 @@ def _decoded(a: tuple[int, ...]) -> LaurentPoly:
     # F at the hook vector a with a_1 = 0 and no trailing zero, decoded once
     # from the packed walk; a LaurentPoly is immutable, so repeats share it
     box = _box(a)
-    value, width, *_ = _packed_walk(box.stride)(a)
+    value, width, *_ = _packed_walk(a, box.stride)
     return LaurentPoly._from_dict(box.decode(value, width))
 
 

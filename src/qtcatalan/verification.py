@@ -239,10 +239,17 @@ _SUITE = {
 _POSITIVE_ENTRY = {check_reflection: 0, check_hcomb_recursion: 2}
 
 
-def build_case_specs(n: int, maxval: int) -> list:
-    """(check, vector) pairs; n = 4 sweeps the validated triples only."""
+def check_sweep(n: int, maxval: int) -> None:
+    """Refuse a sweep that verify cannot run, or that would run no check."""
     if n not in _SUITE:
         raise DomainError(f"verify supports n in 2..5, got {n}")
+    if maxval < 0:
+        raise DomainError(f"verify needs a nonnegative max entry, got {maxval}")
+
+
+def build_case_specs(n: int, maxval: int) -> list:
+    """(check, vector) pairs; n = 4 sweeps the validated triples only."""
+    check_sweep(n, maxval)
     grid = valid_triples(maxval) if n == 4 else product(range(maxval + 1), repeat=n - 1)
     return [
         (check, vec)

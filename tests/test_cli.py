@@ -343,6 +343,14 @@ def test_verify_unsupported_n_exit_2():
     assert proc.returncode == 2
 
 
+def test_verify_range_is_checked_before_any_report():
+    # n = 6 is out of range: nothing runs, not even n = 4 and n = 5
+    proc = run_cli("verify", "--n", "4-6", "--max", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: verify supports n in 2..5, got 6\n"
+
+
 def test_verify_parallel_matches_serial():
     serial = run_cli("verify", "--n", "3", "--max", "2")
     parallel = run_cli("verify", "--n", "3", "--max", "2", "--jobs", "2")

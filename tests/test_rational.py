@@ -332,11 +332,13 @@ def test_transpose_swaps_q_and_t_at_every_width():
 
 
 def test_fit_width_is_the_narrowest_balanced_digit():
-    for bound in list(range(600)) + [2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63, 2**100]:
+    # whole bytes, wide enough, and one byte less would not be
+    bounds = list(range(600)) + [2**k + d for k in range(8, 130) for d in (-1, 0, 1)]
+    for bound in bounds:
         width = rational.fit_width(bound)
-        assert width % 8 == 0 and (width // 8) & (width // 8 - 1) == 0
+        assert width % 8 == 0
         assert 1 << (width - 1) > bound
-        assert width == 8 or 1 << (width // 2 - 1) <= bound
+        assert width == 8 or 1 << (width - 9) <= bound
 
 
 # factors in both directions, some with |beta| above the t-span of polys

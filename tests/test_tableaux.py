@@ -475,6 +475,56 @@ def test_each_tableau_sum_divides_once_per_factor_on_the_window(vec):
             assert isinstance(call.args[0], Packed) and len(call.args[0]) == window
 
 
+def _whole_bytes(bits):
+    return -(-bits // 8) * 8
+
+
+def _sweep_vectors(length):
+    # the benchmark's tableau vectors at this length: weakly decreasing
+    # ones with small entries, one that is not, and a signed one
+    top = 3 if length <= 4 else 1
+    vectors = [v for v in product(range(top + 1), repeat=length) if list(v) == sorted(v, reverse=True)]
+    return vectors + [(0,) * (length - 1) + (top,), (top,) * (length - 1) + (-1,)]
+
+
+def test_kernel_and_proof_widths_are_the_byte_rounded_bits(monkeypatch):
+    # fit_width(rows << max_m) is max_m + bit_length(rows) + 1 bits and
+    # max(fit_width(max|Q| << m), w) is max(q_bits + m, w - 1) + 1 bits,
+    # each rounded up to whole bytes: the widths every plan ran at before
+    # one rule sized both packed engines
+    evaluate, times_factors, packed_quotient = rational._evaluate, rational._times_factors, rational._packed_quotient
+    proof_widths, seen = [], Counter()
+
+    def logged_evaluate(tree, exponents, box, width):
+        rows = len(exponents) * (2 if tree.mirrored else 1)
+        max_m = max(len(factors) for factors in tree.factors)
+        assert width == _whole_bytes(max_m + rows.bit_length() + 1)
+        seen["kernel"] += 1
+        return evaluate(tree, exponents, box, width)
+
+    def logged_times_factors(x, factors, stride, width):
+        proof_widths.append(width)
+        return times_factors(x, factors, stride, width)
+
+    def logged_quotient(numerator, factors):
+        proof_widths.clear()
+        quotient = packed_quotient(numerator, factors)
+        if quotient is not None:
+            q_bits = max(map(abs, quotient.terms().values())).bit_length()
+            width = numerator.width
+            assert proof_widths == [max(_whole_bytes(max(q_bits + len(factors), width - 1) + 1), width)]
+            seen["proof"] += 1
+        return quotient
+
+    monkeypatch.setattr(rational, "_evaluate", logged_evaluate)
+    monkeypatch.setattr(rational, "_times_factors", logged_times_factors)
+    monkeypatch.setattr(rational, "_packed_quotient", logged_quotient)
+    vectors = [v for n in range(2, 8) for v in _sweep_vectors(n - 1)]
+    nonzero = sum(bool(fn(vec)) for vec in vectors for fn in (f_tableaux, h_tableaux))
+    # a zero sum, such as F(3, -1), has nothing to divide
+    assert seen["kernel"] == 2 * len(vectors) and seen["proof"] == nonzero > 150
+
+
 def test_tableau_sum_over_a_wrong_denominator_is_refused():
     # F(1, 1, 1, 1) is q,t-Catalan and nonzero at q = 1, so (1 - q) does not divide it
     tails, tree, common = tableaux._plan(5, False)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from qtcatalan import verification
+from qtcatalan import DomainError, verification
 from qtcatalan.chains import chain_of, decompose
 from qtcatalan.verification import parallel_map, run_verify
 
@@ -27,6 +27,14 @@ def test_checks_per_identity(n, maxval, expected):
     report = run_verify(n, maxval, jobs=1)
     assert Counter(c.identity for c in report.cases) == expected
     assert not report.mismatches
+
+
+@pytest.mark.parametrize("n, maxval", [(4, -1), (2, -3), (6, 1), (1, 0)])
+def test_run_verify_refuses_a_sweep_it_cannot_run(n, maxval):
+    # a negative max would build an empty grid and report 0 mismatches;
+    # n outside 2..5 has no suite
+    with pytest.raises(DomainError):
+        run_verify(n, maxval, jobs=1)
 
 
 class _InlinePool:
