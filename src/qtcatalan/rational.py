@@ -12,12 +12,15 @@ multiplies such values and reduces them (``to_poly``).
 Polynomials on a box of exponents are packed into one integer by Kronecker
 substitution (``PackedBox``), and one loop, ``_times_factors``, multiplies
 a packed value by binomials, one shift and subtract each.  A sum of such
-products is a ``ProductTree``: rows that share a factor add their partial
-sums first and multiply by it once, each partial sum on its own span.  A
-tableau plan builds its tree once; ``sum_of_products`` builds one per call.
-A mirrored tree (F's) stands for its rows and their transposes, q and t
-swapped: the packed sum of its rows is added to its transpose on a square
-box (``PackedBox.transpose``), which gives the integer of all the rows.
+products, each row a signed monomial +-q^e t^f times binomials, is a
+``ProductTree``: rows that share a factor add their partial sums first and
+multiply by it once, each partial sum on its own span, and a row's sign is
+its leaf's value.  A tableau plan builds its tree once; ``sum_of_products``
+builds one per call, with every sign +1.  A mirrored tree (F's) stands for
+its rows and eps q^K t^-K times their transposes, q and t swapped, eps =
++1 or -1: the packed sum of its rows, shifted by t^K, is added to eps times
+its transpose on a square box (``PackedBox.transpose``), which gives the
+integer of all the rows, shifted back by relabeling the box.
 ``_pack_sum`` packs a sum on one box unless that box has more than
 ``SLOTS_PER_TERM`` slots per term its rows can make; else it sums each row
 on its own box, as terms.  ``divide_sum_of_products`` divides a packed sum
@@ -331,30 +334,39 @@ def _presence(rows: list[tuple[int, Counter]]) -> Counter:
 
 class ProductTree:
     """A sum of products of binomials, sum over rows r of
-    q^e_r t^f_r * prod (1 - q^alpha t^beta) over the row's factors, as a
-    program that multiplies by a factor shared by several rows once.
+    s_r q^e_r t^f_r * prod (1 - q^alpha t^beta) over the row's factors, with
+    s_r = +1 or -1 (``signs``, all +1 by default), as a program that
+    multiplies by a factor shared by several rows once.
 
     The rows are split on the factor that most of them contain: those rows
     add their partial sums first and multiply by it once, and both halves
     are split again; a row left alone keeps its own chain, smallest factor
     first.  Factors every row of a part contains are taken together.  The
-    program is that tree in post-order: an int i pushes q^e_i t^f_i, a tuple
-    of factors multiplies the top of the stack by them, and None adds the
-    top two.  It depends on the factor multisets only, so a plan builds it
-    once and evaluates it at every vector's exponents (``_pack_sum``).
+    program is that tree in post-order: an int i pushes s_i q^e_i t^f_i, a
+    tuple of factors multiplies the top of the stack by them, and None adds
+    the top two.  It depends on the factor multisets and signs only, so a
+    plan builds it once and evaluates it at every vector's exponents
+    (``_pack_sum``).
 
-    A mirrored tree's sum also holds the transpose of each row, its
-    exponents and factors with q and t swapped, which the tree does not
-    store: ``_pack_sum`` adds them by transposing the rows' packed sum.
+    A mirrored tree, ``mirror`` = (eps, K) with eps = +1 or -1, stands also
+    for eps q^K t^-K times the transpose of each row (its exponents and
+    factors with q and t swapped), which it does not store: ``_pack_sum``
+    adds them by transposing the rows' packed sum.
     """
 
-    __slots__ = ("factors", "spans", "program", "mirrored")
+    __slots__ = ("factors", "signs", "spans", "program", "mirror")
 
-    def __init__(self, factor_lists: Iterable[Iterable[tuple[int, int]]], mirrored: bool = False):
-        self.mirrored = mirrored
+    def __init__(
+        self,
+        factor_lists: Iterable[Iterable[tuple[int, int]]],
+        signs: Sequence[int] | None = None,
+        mirror: tuple[int, int] | None = None,
+    ):
+        self.mirror = mirror
         self.factors = tuple(
             tuple((alpha, beta) for alpha, beta in factors) for factors in factor_lists
         )
+        self.signs = tuple(signs) if signs is not None else (1,) * len(self.factors)
         self.spans = tuple(_span(factors) for factors in self.factors)
         program: list = []
         rows = [(i, Counter(factors)) for i, factors in enumerate(self.factors)]
@@ -420,7 +432,7 @@ def _evaluate(tree: ProductTree, exponents: list[ExponentPair], box: PackedBox, 
                 lo, y, lo2, y2 = lo2, y2, lo, y
             stack.append((lo, y + (y2 << ((lo2 - lo) * width))))
         elif isinstance(op, int):
-            stack.append((box.slot(*exponents[op]), 1))
+            stack.append((box.slot(*exponents[op]), tree.signs[op]))
         else:
             lo, y = stack[-1]
             y, offset = _times_factors(y, op, stride, width)
@@ -447,12 +459,19 @@ def _pack_sum(exponents: Iterable[ExponentPair], tree: ProductTree) -> "Packed |
     can make, each row packed on its own box and the sum added as terms.
 
     A mirrored tree's transposed rows count in the box, the rows and the
-    slots as if they were stored, so the box is square and the integer is
-    the one all rows give: the rows' sum plus its transpose
-    (``PackedBox.transpose``), at the width of twice the rows."""
+    slots as if they were stored, and the integer is the one all rows give.
+    With mirror (eps, K), the rows' sum S has the mirror eps q^K t^-K
+    swap(S), so t^K S has the mirror eps swap(t^K S): the rows are packed
+    at t^K on a square box, eps times the transpose of their sum
+    (``PackedBox.transpose``) is added, at the width of twice the rows, and
+    the box is relabeled K lower in t, which divides the integer's
+    polynomial by t^K at no cost."""
     exponents = list(exponents)
     if not exponents:
         return LaurentPoly.zero()
+    if tree.mirror:
+        eps, k = tree.mirror
+        exponents = [(e, f + k) for e, f in exponents]
     q_box: list[int] = []
     t_box: list[int] = []
     own_slots = 0
@@ -461,18 +480,22 @@ def _pack_sum(exponents: Iterable[ExponentPair], tree: ProductTree) -> "Packed |
         t_box += (f + t_lo, f + t_hi)
         own_slots += (q_hi - q_lo + 1) * (t_hi - t_lo + 1)
     rows = len(exponents)
-    if tree.mirrored:  # a transposed row's box is the row's box swapped
+    if tree.mirror:  # a transposed row's box is the row's box swapped
         q_box = t_box = q_box + t_box
         rows, own_slots = 2 * rows, 2 * own_slots
     box = PackedBox(min(q_box), max(q_box), min(t_box), max(t_box))
     if box.slots > SLOTS_PER_TERM * own_slots:
-        total = sum((sum_of_products([row]) for row in zip(exponents, tree.factors)), ZERO)
-        return total + total.swap_qt() if tree.mirrored else total
+        rows = zip(exponents, tree.factors, tree.signs)
+        total = sum((sign * sum_of_products([(ef, fs)]) for ef, fs, sign in rows), ZERO)
+        if tree.mirror:
+            total = (total + eps * total.swap_qt()) * LaurentPoly.monomial(0, -k)
+        return total
     max_m = max(len(factors) for factors in tree.factors)
     width = fit_width(rows << max_m)
     value = _evaluate(tree, exponents, box, width)
-    if tree.mirrored:
-        value += box.transpose(value, width)
+    if tree.mirror:
+        value += eps * box.transpose(value, width)
+        box = PackedBox(box.q_lo, box.q_hi, box.t_lo - k, box.t_hi - k)
     return Packed(box, width, value)
 
 

@@ -25,21 +25,26 @@ size >= 2 is its own transpose), and F is the head-like half of its sum
 plus that half with q and t swapped.
 
 The sums put every weight over one common denominator D per size n (and
-per choice of F or H): for each factor, its largest multiplicity over the
-tableaux, 46 factors at n = 6.  F's D is swap-symmetric, since den(T') is
-den(T) swapped.  A plan, built once per size, keeps only small integer
-data, for the head-like tableaux alone: per tableau, the content tail
-z[1:]; and the product tree (``rational.ProductTree``) of their factor
-lists, each list the numerator factors of T plus its cofactor D / den(T).
-F's tree is mirrored: as D is symmetric, the row of T' is the row of T
-swapped, so the packed sum of the rows stored is added to its transpose.
-Almost every factor of D is in all rows but one, so the tree multiplies
-by most of them once for many rows: at n = 6, F's 38 rows take 549 shifts
-per vector, where all 76 took 947 in one tree and 3,116 one per factor
-per row.  A vector then costs one evaluation of the tree at its monomials
-and one division of that packed sum by D, run on the quotient's window of
-the box, with no unpacking in between
-(``rational.divide_sum_of_products``).
+per choice of F or H), reduced up to units: (1 - x^v) and its associate
+(1 - x^-v) = -x^-v (1 - x^v) count as one factor, so D holds one
+representative per class (``_representative``), at its largest
+multiplicity over the tableaux, 24 factors at n = 6 (46 with the two
+counted apart).  A tableau's own factors that are not representatives give
+its row a sign and a unit monomial q^i t^j.  A plan, built once per size,
+keeps only small integer data, for the head-like tableaux alone: per
+tableau, the content tail z[1:] and that unit monomial; and the product
+tree (``rational.ProductTree``) of their signed factor lists, each list
+the numerator factors of T plus its cofactor D / den'(T), den'(T) its
+denominator in representatives.  F's tree is mirrored: D is its own swap
+up to the unit eps q^-K t^K, which its factors (k, -k) give, so the row of
+T' is eps q^K t^-K times the row of T swapped, and the packed sum of the
+rows stored is added to eps times its transpose.  Almost every factor of D
+is in all rows but one, so the tree multiplies by most of them once for
+many rows: at n = 6, F's 38 rows take 193 shifts per vector, where all 76
+took 357 in one tree and 1,444 one per factor per row.  A vector then
+costs one evaluation of the tree at its monomials and one division of that
+packed sum by D, run on the quotient's window of the box, with no
+unpacking in between (``rational.divide_sum_of_products``).
 """
 
 from __future__ import annotations
@@ -224,35 +229,65 @@ def reduced_tableau_weight(tab: StandardTableau) -> FactoredRational:
     return _weight(tab.contents(), reduced=True)
 
 
+def _representative(alpha: int, beta: int) -> ExponentPair:
+    """The factor a plan's denominator holds for (1 - q^alpha t^beta): of it
+    and its associate (1 - q^-alpha t^-beta) = -q^-alpha t^-beta (1 - q^alpha
+    t^beta), the one of positive total degree, or of positive q-degree when
+    the total is 0.  The swap of a representative is one, except for (k, -k),
+    whose swap (-k, k) is its associate."""
+    if alpha + beta < 0 or (alpha + beta == 0 and alpha < 0):
+        return -alpha, -beta
+    return alpha, beta
+
+
+def _represented(den: Counter) -> tuple[int, ExponentPair, Counter]:
+    """(sign, (i, j), den'): 1 / prod over den equals sign q^i t^j / prod
+    over den', den' the representatives of den's factors.  A factor v that
+    is not one gives 1 / (1 - x^v) = -x^-v / (1 - x^-v)."""
+    sign, i, j = 1, 0, 0
+    out: Counter = Counter()
+    for (alpha, beta), m in den.items():
+        rep = _representative(alpha, beta)
+        out[rep] += m
+        if rep != (alpha, beta):
+            sign, i, j = sign * (-1) ** m, i + m * rep[0], j + m * rep[1]
+    return sign, (i, j), out
+
+
 @lru_cache(maxsize=None)
-def _plan(n: int, reduced: bool) -> tuple[tuple, ProductTree, tuple[ExponentPair, ...]]:
+def _plan(n: int, reduced: bool) -> tuple[tuple, tuple, ProductTree, tuple[ExponentPair, ...]]:
     """The sum over tableaux of size n as small integer data: the content
-    tails z[1:] of the head-like tableaux; the product tree of their
-    numerator factors over the common denominator D (each tableau's own
-    numerator factors and its cofactor D / den_T); and D, the largest
-    multiplicity of each factor over the tableaux summed.
+    tails z[1:] of the head-like tableaux; the unit monomial of each one's
+    row; the product tree of the rows, each its unit sign, its numerator
+    factors and its cofactor D / den'_T (``_represented``); and D, each
+    representative at its largest multiplicity over the tableaux summed.
 
     H sums the reduced weights of these tableaux.  F sums the weights of
-    all tableaux, and its tree is mirrored: the row of a transposed tableau
-    is the head-like row with q and t swapped, in its contents, its factors
-    and, D being swap-symmetric, its cofactor."""
-    weights = []
+    all tableaux, and its tree is mirrored: swap(D) = eps q^-K t^K D, as
+    each factor (k, -k) of D, of multiplicity mu_k, swaps to its associate
+    -q^-k t^k (1 - q^k t^-k), so row(T') = eps q^K t^-K swap(row(T)) with
+    eps = (-1)^(sum mu_k) and K = sum k mu_k."""
+    rows = []
     common: Counter = Counter()
     for tab in enumerate_syt(n):
         if not tab.is_head_like():
             continue
         z = tab.contents()
         num, den = _weight_factors(z, reduced)
-        weights.append((z[1:], num, den))
+        sign, unit, den = _represented(den)
+        rows.append((z[1:], sign, unit, num, den))
         common |= den
+    mirror = None
     if not reduced:
-        # den(T') is den(T) swapped
-        common |= Counter({(beta, alpha): m for (alpha, beta), m in common.items()})
-    tails = tuple(tail for tail, _, _ in weights)
+        # den'(T') is den'(T) swapped, up to units
+        common |= Counter({_representative(beta, alpha): m for (alpha, beta), m in common.items()})
+        antidiagonal = [(alpha, m) for (alpha, beta), m in common.items() if alpha + beta == 0]
+        mirror = (-1) ** sum(m for _, m in antidiagonal), sum(alpha * m for alpha, m in antidiagonal)
+    tails, signs, units, nums, dens = zip(*rows)
     tree = ProductTree(
-        ((num + (common - den)).elements() for _, num, den in weights), mirrored=not reduced
+        ((num + (common - den)).elements() for num, den in zip(nums, dens)), signs, mirror
     )
-    return tails, tree, tuple(common.elements())
+    return tails, units, tree, tuple(common.elements())
 
 
 def _weighted_sum(a: tuple[int, ...], reduced: bool) -> LaurentPoly:
@@ -261,15 +296,19 @@ def _weighted_sum(a: tuple[int, ...], reduced: bool) -> LaurentPoly:
         raise DomainError(
             f"tableau sums are limited to vectors of length <= {MAX_TABLEAU_SIZE - 1}, got {len(a)}"
         )
-    tails, tree, common = _plan(n, reduced)
-    return divide_sum_of_products(_row_exponents(a, tails), tree, common)
+    tails, units, tree, common = _plan(n, reduced)
+    return divide_sum_of_products(_row_exponents(a, tails, units), tree, common)
 
 
-def _row_exponents(a: tuple[int, ...], tails: tuple) -> list[ExponentPair]:
-    """The monomial z_2^{a_2} ... z_n^{a_n} of each tableau, as (e, f)."""
+def _row_exponents(a: tuple[int, ...], tails: tuple, units: tuple) -> list[ExponentPair]:
+    """The monomial of each row, z_2^{a_2} ... z_n^{a_n} times its unit
+    q^i t^j, as (e, f)."""
     return [
-        (sum(ai * zq for ai, (zq, _) in zip(a, tail)), sum(ai * zt for ai, (_, zt) in zip(a, tail)))
-        for tail in tails
+        (
+            i + sum(ai * zq for ai, (zq, _) in zip(a, tail)),
+            j + sum(ai * zt for ai, (_, zt) in zip(a, tail)),
+        )
+        for tail, (i, j) in zip(tails, units)
     ]
 
 

@@ -1,0 +1,62 @@
+"""The routes stay independent: no route imports another to get its answer."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qtcatalan"
+ROUTES = {"tableaux", "tesler", "chains", "closed_forms", "verification"}
+
+
+def _package_imports(module):
+    """{imported module: names taken from it} over every import of the
+    package's own modules in module.py, relative or absolute."""
+    imports = {}
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 1 and not node.module:  # from . import tesler
+                for alias in node.names:
+                    imports.setdefault(alias.name, set()).add("*")
+                continue
+            if node.level == 1:
+                target = parts[0]
+            elif node.level == 0 and parts[0] == "qtcatalan":
+                target = parts[1] if len(parts) > 1 else "__init__"
+            else:
+                continue
+            imports.setdefault(target, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "qtcatalan":
+                    imports.setdefault(parts[1] if len(parts) > 1 else "__init__", set()).add("*")
+    return imports
+
+
+def _reach(module):
+    # every package module that module.py imports, directly or through others
+    seen, todo = set(), [module]
+    while todo:
+        for target in _package_imports(todo.pop()):
+            if target not in seen:
+                seen.add(target)
+                todo.append(target)
+    return seen
+
+
+def test_the_parser_sees_the_package_imports():
+    assert set(_package_imports("verification")) >= {"chains", "tableaux", "tesler", "closed_forms"}
+    assert _package_imports("tesler")["tableaux"] == {"integer_entries", "canonical_partition"}
+
+
+def test_the_tableau_route_imports_no_other_route():
+    assert _reach("tableaux") & ROUTES == set()
+    assert "__init__" not in _reach("tableaux")
+
+
+def test_the_tesler_route_takes_only_input_checks_from_tableaux():
+    imports = _package_imports("tesler")
+    assert imports["tableaux"] <= {"integer_entries", "canonical_partition"}
+    # nor does anything it reaches, tableaux included, import another route
+    assert _reach("tesler") & ((ROUTES - {"tesler", "tableaux"}) | {"__init__"}) == set()
