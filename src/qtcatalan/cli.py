@@ -49,25 +49,30 @@ def _parse_abc(text: str) -> ABCParams:
     return ABCParams(*vec)
 
 
+#: compute's methods: the function, and whether it takes --abc (else --a)
+METHODS = {
+    "tableaux": (f_tableaux, False),
+    "tesler": (f_tesler, False),
+    "recursion": (f3_recursive, True),
+    "two-step": (f3_two_step, True),
+    "chains": (f_chains, True),
+    "stat": (f_stat, True),
+}
+
+
 def _compute(args) -> int:
     method = args.method
-    if method in ("recursion", "two-step", "chains", "stat"):
+    fn, takes_abc = METHODS[method]
+    if takes_abc:
         if args.abc is None:
             raise DomainError(f"--method {method} requires --abc a,b,c")
         p = _parse_abc(args.abc)
-        vec = (p.a, p.b, p.c)
-        fn = {
-            "recursion": f3_recursive,
-            "two-step": f3_two_step,
-            "chains": f_chains,
-            "stat": f_stat,
-        }[method]
-        poly = fn(p)
+        vec, poly = (p.a, p.b, p.c), fn(p)
     else:
         if args.a is None:
             raise DomainError(f"--method {method} requires --a (for tesler, including a_1)")
         vec = _parse_vector(args.a)
-        poly = f_tesler(vec) if method == "tesler" else f_tableaux(vec)
+        poly = fn(vec)
     print(RENDERERS[args.format](poly, vec), end="" if args.format == "csv" else "\n")
     return 0
 
@@ -184,11 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compute", help="evaluate F(a_2, ..., a_n) by one method")
-    c.add_argument(
-        "--method",
-        required=True,
-        choices=["tableaux", "tesler", "recursion", "two-step", "chains", "stat"],
-    )
+    c.add_argument("--method", required=True, choices=METHODS)
     c.add_argument(
         "--a",
         help="comma-separated vector; for tesler it includes a_1; "

@@ -9,7 +9,7 @@ after construction and safe to share freely.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError
 
@@ -56,10 +56,6 @@ class LaurentPoly:
         return ZERO
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
-        return ONE
-
-    @classmethod
     def from_int(cls, n: int) -> "LaurentPoly":
         return cls({(0, 0): n})
 
@@ -84,9 +80,6 @@ class LaurentPoly:
     def sorted_terms(self) -> list[tuple[ExponentPair, int]]:
         """Terms sorted by q-degree descending, then t-degree ascending."""
         return sorted(self._terms.items(), key=_term_sort_key)
-
-    def coefficient(self, q_exp: int, t_exp: int) -> int:
-        return self._terms.get((q_exp, t_exp), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -205,7 +198,7 @@ class LaurentPoly:
 
     def to_text(self) -> str:
         """Plain-text form, q-degree descending then t-degree ascending."""
-        return format_terms(self, _monomial_text, " ")
+        return format_terms(self, "{}^{}", " ")
 
     def __str__(self) -> str:
         return self.to_text()
@@ -214,15 +207,18 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()!r})"
 
 
-def format_terms(p: LaurentPoly, monomial: Callable[[int, int], str], sep: str) -> str:
+def format_terms(p: LaurentPoly, power: str, sep: str) -> str:
     """Signed sum of the terms of p, q-degree descending then t-degree
-    ascending.  monomial(qe, te) renders q^qe t^te, as "" for the constant
-    monomial, and sep goes between a coefficient and its monomial."""
+    ascending.  A variable with exponent e != 0 is written as its name if
+    e = 1 and as power.format(name, e) otherwise; sep goes between a
+    coefficient and its monomial and between q and t."""
     if p.is_zero():
         return "0"
     pieces: list[str] = []
     for (qe, te), coeff in p.sorted_terms():
-        mono = monomial(qe, te)
+        mono = sep.join(
+            name if e == 1 else power.format(name, e) for name, e in (("q", qe), ("t", te)) if e
+        )
         mag = abs(coeff)
         if not mono:
             body = str(mag)
@@ -235,16 +231,6 @@ def format_terms(p: LaurentPoly, monomial: Callable[[int, int], str], sep: str) 
         else:
             pieces.append((" + " if coeff > 0 else " - ") + body)
     return "".join(pieces)
-
-
-def _monomial_text(qe: int, te: int) -> str:
-    parts = []
-    for name, e in (("q", qe), ("t", te)):
-        if e == 1:
-            parts.append(name)
-        elif e != 0:
-            parts.append(f"{name}^{e}")
-    return " ".join(parts)
 
 
 def _coerce(value) -> "LaurentPoly":

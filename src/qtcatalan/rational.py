@@ -10,7 +10,11 @@ binomial factors so that common factors cancel exactly; it adds and
 multiplies such values and reduces them (``to_poly``).
 
 Polynomials on a box of exponents are packed into one integer by Kronecker
-substitution (``PackedBox``), and one loop, ``_times_factors``, multiplies
+substitution (``PackedBox``, which maps exponents to slots).  The digit
+operations read nothing of the box but its number of slots: ``widen``
+re-packs the digits wider, and ``narrowest`` finds their largest absolute
+value by tests on all of them at once (``_within``) and re-packs them at
+the narrowest width that holds it.  One loop, ``_times_factors``, multiplies
 a packed value by binomials, one shift and subtract each.  A sum of such
 products, each row a signed monomial +-q^e t^f times binomials, is a
 ``ProductTree``: rows that share a factor add their partial sums first and
@@ -99,7 +103,8 @@ def _digit_values(raw: bytes, nbytes: int) -> Sequence[int]:
 
 @lru_cache(maxsize=64)
 def _bias_of(slots: int, nbytes: int, pad: int) -> int:
-    # cached: the Tesler walk reads and re-packs boxes of a few sizes many times
+    # 2^(8 nbytes - 1) in each of slots digits of (nbytes + pad) bytes; cached:
+    # the Tesler walk reads and re-packs values of a few slot counts many times
     return int.from_bytes((_zero_digit(nbytes) + bytes(pad)) * slots, "little")
 
 
@@ -110,10 +115,43 @@ def fit_width(bound: int) -> int:
     return 8 * (bound.bit_length() // 8 + 1)
 
 
+def _digits(value: int, slots: int, nbytes: int) -> bytes:
+    # the biased digits of value modulo 2^(slots * width), lowest slot first
+    size = slots * nbytes
+    biased = (value + _bias_of(slots, nbytes, 0)) & ((1 << (8 * size)) - 1)
+    return biased.to_bytes(size, "little")
+
+
+def widen(value: int, slots: int, width: int, new_width: int) -> int:
+    """The same slots digits of value, each in new_width >= width bits."""
+    if new_width < width:
+        raise DomainError(f"cannot widen digits of {width} bits to {new_width} bits")
+    nbytes, new_nbytes = width // 8, new_width // 8
+    out = _restride(_digits(value, slots, nbytes), nbytes, new_nbytes)
+    return int.from_bytes(out, "little") - _bias_of(slots, nbytes, new_nbytes - nbytes)
+
+
+def _masks(slots: int, width: int) -> tuple[int, int]:
+    # (TOP, ONES) at width: the bias, and 1 in every slot
+    top = _bias_of(slots, width // 8, 0)
+    return top, top >> (width - 1)
+
+
 def _within(value: int, masks: tuple[int, int], bound: int) -> bool:
     """Whether every digit of value is at most bound in absolute value, for
-    the masks (TOP, ONES) of a width w with bound < 2^(w - 2) (the test of
-    ``PackedBox``)."""
+    the masks (TOP, ONES) of a width w with bound < 2^(w - 2).
+
+    The digits are tested on the integer itself, all at once (broadword,
+    Knuth, TAOCP 4A 7.1.3).  With ONES = sum_i X^i and TOP = ONES << (w - 1)
+    (the bias), and T = bound < 2^(w-2), every digit c has |c| <= T exactly
+    when (v + K ONES) & TOP and (K ONES - v) & TOP are 0, where
+    K = 2^(w-1) - 1 - T > T.  Proof for the first test (the second is the
+    first for -v): if every c lies in [-K, T], the digits c + K of
+    v + K ONES lie in [0, 2^(w-1)), so none carries and no top bit is set.
+    Else at the lowest slot with c outside [-K, T], nothing carries in, and
+    c + K lies in [2^(w-1), 2^w) or, borrowed, c + K + 2^w in [2^w - T, 2^w):
+    its top bit is set.
+    """
     top, ones = masks
     k_ones = top - (bound + 1) * ones
     return not ((value + k_ones) & top or (k_ones - value) & top)
@@ -131,6 +169,39 @@ def _bisect(value: int, masks: tuple[int, int], lo: int, hi: int) -> int:
     return lo
 
 
+def narrowest(value: int, slots: int, width: int) -> tuple[int, int, int]:
+    """(value', w, m): m is the largest |digit| of the slots digits of value
+    at width, and value' holds the same digits at w = min(width,
+    fit_width(m)) bits.  Every digit must be below 2^(width - 1) in
+    absolute value.
+
+    The digits are tested all at once (``_within``): at the bounds
+    2^(w - 1) - 1 for w = 8, 16, 24, ... below width, which gives w, then
+    at bounds bisecting m, on value' at w; in the top quarter of w's
+    digits, past what a test at w reaches, on value' widened to w + 8."""
+    masks = _masks(slots, width)
+    new_width, lo = 8, 0
+    while new_width < width and not _within(value, masks, (1 << (new_width - 1)) - 1):
+        lo = 1 << (new_width - 1)
+        new_width += 8
+    if new_width < width:
+        # each digit's low bytes hold d + 2^(w-1) modulo 2^(new w), that
+        # is d; flipping their top bit adds the new bias 2^(new w - 1)
+        nbytes, new_nbytes = width // 8, new_width // 8
+        out = _restride(_digits(value, slots, nbytes), nbytes, new_nbytes)
+        top = slice(new_nbytes - 1, None, new_nbytes)
+        out[top] = out[top].translate(_FLIP_TOP_BIT)
+        value = int.from_bytes(out, "little") - _bias_of(slots, new_nbytes, 0)
+        masks = _masks(slots, new_width)
+    quarter = 1 << (new_width - 2)
+    if _within(value, masks, quarter - 1):
+        norm = _bisect(value, masks, lo, quarter - 1)
+    else:
+        wide = widen(value, slots, new_width, new_width + 8)
+        norm = _bisect(wide, _masks(slots, new_width + 8), quarter, 2 * quarter - 1)
+    return value, new_width, norm
+
+
 class PackedBox:
     """Kronecker substitution on a box of exponent pairs (Harvey 2009, J.
     Symbolic Comput.).
@@ -141,20 +212,10 @@ class PackedBox:
     t^beta moves a slot by alpha * stride + beta.  A polynomial on the box
     is then one integer, its value at X = 2^width: one balanced digit of
     width bits per slot (width a multiple of 8), exact while every
-    coefficient is below 2^(width-1) in absolute value.  Every pack and
-    unpack of the module goes through here, and every read of the digits
-    as bytes goes through ``_digits``.
-
-    Bounds on the digits are tested on the integer itself, all digits at
-    once (broadword, Knuth, TAOCP 4A 7.1.3).  With ONES = sum_i X^i and
-    TOP = ONES << (w - 1) (the bias), and T < 2^(w-2), every digit c has
-    |c| <= T exactly when (v + K ONES) & TOP and (K ONES - v) & TOP are 0,
-    where K = 2^(w-1) - 1 - T > T.  Proof for the first test (the second
-    is the first for -v): if every c lies in [-K, T], the digits c + K of
-    v + K ONES lie in [0, 2^(w-1)), so none carries and no top bit is set.
-    Else at the lowest slot with c outside [-K, T], nothing carries in, and
-    c + K lies in [2^(w-1), 2^w) or, borrowed, c + K + 2^w in [2^w - T, 2^w):
-    its top bit is set.
+    coefficient is below 2^(width-1) in absolute value.  The box maps
+    exponents to slots and back; the digit operations that need only the
+    number of slots (``widen``, ``narrowest``) are module functions, and
+    every read of the digits as bytes goes through ``_digits``.
     """
 
     __slots__ = ("q_lo", "q_hi", "t_lo", "t_hi", "stride", "slots")
@@ -172,16 +233,6 @@ class PackedBox:
     def slot(self, e: int, f: int) -> int:
         return (e - self.q_lo) * self.stride + f - self.t_lo
 
-    def _bias(self, nbytes: int, pad: int = 0) -> int:
-        # 2^(8 nbytes - 1) in every slot of (nbytes + pad) bytes
-        return _bias_of(self.slots, nbytes, pad)
-
-    def _digits(self, value: int, nbytes: int) -> bytes:
-        # the biased digits of value modulo 2^(slots * width), lowest slot first
-        size = self.slots * nbytes
-        biased = (value + self._bias(nbytes)) & ((1 << (8 * size)) - 1)
-        return biased.to_bytes(size, "little")
-
     def encode(self, terms: dict[ExponentPair, int], width: int) -> int:
         nbytes = width // 8
         half = 1 << (width - 1)
@@ -189,7 +240,7 @@ class PackedBox:
         for (e, f), coeff in terms.items():
             i = self.slot(e, f) * nbytes
             raw[i : i + nbytes] = (coeff + half).to_bytes(nbytes, "little")
-        return int.from_bytes(raw, "little") - self._bias(nbytes)
+        return int.from_bytes(raw, "little") - _bias_of(self.slots, nbytes, 0)
 
     def decode(self, value: int, width: int) -> dict[ExponentPair, int]:
         """The terms whose digits value holds, read modulo 2^(slots * width)."""
@@ -197,19 +248,11 @@ class PackedBox:
         half = 1 << (width - 1)
         stride, q_lo, t_lo = self.stride, self.q_lo, self.t_lo
         data: dict[ExponentPair, int] = {}
-        for i, digit in enumerate(_digit_values(self._digits(value, nbytes), nbytes)):
+        for i, digit in enumerate(_digit_values(_digits(value, self.slots, nbytes), nbytes)):
             if digit != half:
                 qe, te = divmod(i, stride)
                 data[(qe + q_lo, te + t_lo)] = digit - half
         return data
-
-    def widen(self, value: int, width: int, new_width: int) -> int:
-        """The same digits, each in new_width >= width bits."""
-        if new_width < width:
-            raise DomainError(f"cannot widen digits of {width} bits to {new_width} bits")
-        nbytes, new_nbytes = width // 8, new_width // 8
-        out = _restride(self._digits(value, nbytes), nbytes, new_nbytes)
-        return int.from_bytes(out, "little") - self._bias(nbytes, new_nbytes - nbytes)
 
     def transpose(self, value: int, width: int) -> int:
         """The polynomial with q and t swapped, packed at width on this box,
@@ -219,7 +262,7 @@ class PackedBox:
         if (self.q_lo, self.q_hi) != (self.t_lo, self.t_hi):
             raise DomainError("only a square box holds the transpose of its polynomials")
         nbytes = width // 8
-        raw = self._digits(value, nbytes)
+        raw = _digits(value, self.slots, nbytes)
         size = min((s for s in _UNSIGNED if s >= nbytes), default=nbytes)
         if size != nbytes:
             raw = _restride(raw, nbytes, size)
@@ -234,44 +277,7 @@ class PackedBox:
                 dst[j * row + k : (j + 1) * row : planes] = src[j * planes + k :: row]
         if size != nbytes:
             out = _restride(out, size, nbytes)
-        return int.from_bytes(out, "little") - self._bias(nbytes)
-
-    def _masks(self, width: int) -> tuple[int, int]:
-        # (TOP, ONES) at width: the bias, and 1 in every slot
-        top = self._bias(width // 8)
-        return top, top >> (width - 1)
-
-    def narrowest(self, value: int, width: int) -> tuple[int, int, int]:
-        """(value', w, m): m is the largest |digit| of value at width, and
-        value' holds the same digits at w = min(width, fit_width(m)) bits.
-        Every digit must be below 2^(width - 1) in absolute value.
-
-        The digits are tested all at once (see the class docstring): at
-        the bounds 2^(w - 1) - 1 for w = 8, 16, 24, ... below width, which
-        gives w, then at bounds bisecting m, on value' at w; in the top
-        quarter of w's digits, past what a test at w reaches, on value'
-        widened to w + 8."""
-        masks = self._masks(width)
-        new_width, lo = 8, 0
-        while new_width < width and not _within(value, masks, (1 << (new_width - 1)) - 1):
-            lo = 1 << (new_width - 1)
-            new_width += 8
-        if new_width < width:
-            # each digit's low bytes hold d + 2^(w-1) modulo 2^(new w), that
-            # is d; flipping their top bit adds the new bias 2^(new w - 1)
-            nbytes, new_nbytes = width // 8, new_width // 8
-            out = _restride(self._digits(value, nbytes), nbytes, new_nbytes)
-            top = slice(new_nbytes - 1, None, new_nbytes)
-            out[top] = out[top].translate(_FLIP_TOP_BIT)
-            value = int.from_bytes(out, "little") - self._bias(new_nbytes)
-            masks = self._masks(new_width)
-        quarter = 1 << (new_width - 2)
-        if _within(value, masks, quarter - 1):
-            norm = _bisect(value, masks, lo, quarter - 1)
-        else:
-            wide = self.widen(value, new_width, new_width + 8)
-            norm = _bisect(wide, self._masks(new_width + 8), quarter, 2 * quarter - 1)
-        return value, new_width, norm
+        return int.from_bytes(out, "little") - _bias_of(self.slots, nbytes, 0)
 
 
 class Packed:
@@ -683,9 +689,9 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
         return None
     check = max(fit_width(max(map(abs, terms.values())) << len(factors)), width)
     # D Q_w = X^offset x, and N = X^lo D Q_w
-    x, offset = _times_factors(sub.widen(y, width, check), factors, box.stride, check)
+    x, offset = _times_factors(widen(y, sub.slots, width, check), factors, box.stride, check)
     align = (lo + offset) * check
-    if x << max(align, 0) != box.widen(value, width, check) << max(-align, 0):
+    if x << max(align, 0) != widen(value, box.slots, width, check) << max(-align, 0):
         return None
     return LaurentPoly._from_dict(terms)
 

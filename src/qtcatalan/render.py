@@ -20,19 +20,9 @@ from typing import Sequence
 from .poly import LaurentPoly, format_terms
 
 
-def _latex_monomial(qe: int, te: int) -> str:
-    parts = []
-    for name, e in (("q", qe), ("t", te)):
-        if e == 1:
-            parts.append(name)
-        elif e != 0:
-            parts.append(f"{name}^{{{e}}}")
-    return "".join(parts)
-
-
 def render_latex(p: LaurentPoly) -> str:
     """LaTeX form in the same term order as the text renderer."""
-    return format_terms(p, _latex_monomial, "")
+    return format_terms(p, "{}^{{{}}}", "")
 
 
 def render_json(p: LaurentPoly, params: Sequence[int]) -> str:

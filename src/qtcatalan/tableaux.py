@@ -121,10 +121,6 @@ class StandardTableau:
     def n(self) -> int:
         return len(self.cells)
 
-    def shape(self) -> tuple[int, ...]:
-        counts = Counter(r for r, _ in self.cells)
-        return tuple(counts[r] for r in range(len(counts)))
-
     def contents(self) -> tuple[ExponentPair, ...]:
         """The content exponent vector z(T): cell (r, c) gives (c, r)."""
         return tuple((c, r) for r, c in self.cells)

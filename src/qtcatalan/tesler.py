@@ -79,10 +79,10 @@ two bounds with proofs guarantee:
   rule that also sizes the tableau kernel).  Once a node is summed, its
   exact largest |coefficient| is found without reading its digits one by
   one: a few big-integer operations test them all at once against a bound
-  (``PackedBox.narrowest``), first for the smallest such w, at which the
+  (``rational.narrowest``), first for the smallest such w, at which the
   node is kept, then bisecting the bound.  A level's bound is at least each
   term's (every ||c(v)||_1 >= 1), so terms only widen
-  (``PackedBox.widen``), and a node keeps each wider copy a parent asks for.
+  (``rational.widen``), and a node keeps each wider copy a parent asks for.
 
 The walk is one memo, keyed on (a, S), and strides in powers of two let
 vectors of different D share its packed values.  F is decoded from it once
@@ -101,7 +101,7 @@ from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .poly import LaurentPoly, ONE, coeff_A, coeff_B
-from .rational import PackedBox, fit_width
+from .rational import PackedBox, fit_width, narrowest, widen
 from .tableaux import canonical_partition, integer_entries
 
 
@@ -330,17 +330,11 @@ def _norm_combine(g: list[int], outermost: bool) -> int:
     return g[0] + 4 * sum(v * x for v, x in enumerate(g))
 
 
-@lru_cache(maxsize=None)
-def _rows(stride: int, q_hi: int) -> PackedBox:
-    # the first q_hi + 1 rows of stride slots
-    return PackedBox(0, q_hi, 0, stride - 1)
-
-
-def _box_of(value: int, stride: int, width: int) -> PackedBox:
-    # rows enough for every nonzero digit of value: if digit i is its top
-    # one, 2^(width i - 1) < |value| < 2^(width (i + 1) - 1), so
+def _slots(value: int, stride: int, width: int) -> int:
+    # whole rows enough for every nonzero digit of value: if digit i is its
+    # top one, 2^(width i - 1) < |value| < 2^(width (i + 1) - 1), so
     # i = bit_length // width
-    return _rows(stride, value.bit_length() // (stride * width))
+    return (value.bit_length() // (stride * width) + 1) * stride
 
 
 def _combine(g: list[tuple], outermost: bool, stride: int) -> tuple:
@@ -359,7 +353,7 @@ def _combine(g: list[tuple], outermost: bool, stride: int) -> tuple:
             previous, (x, term_width, _, wider, _) = term, term
             if term_width != width:
                 if width not in wider:
-                    wider[width] = _box_of(x, stride, term_width).widen(x, term_width, width)
+                    wider[width] = widen(x, _slots(x, stride, term_width), term_width, width)
                 x = wider[width]
         values.append(x)
     # u = U_v and r = R_v, from v = K down to v = 1
@@ -371,7 +365,7 @@ def _combine(g: list[tuple], outermost: bool, stride: int) -> tuple:
         # R_0 - R_1, kept at the width of its own largest coefficient,
         # and at each wider width a parent asks for
         value = values[0] + (u << width) + (r << q_shift) - r
-        return _box_of(value, stride, width).narrowest(value, width) + ({}, bound)
+        return narrowest(value, _slots(value, stride, width), width) + ({}, bound)
     # g(0) - (1 - q)(1 - t) R_1
     y = r - (r << q_shift)
     return values[0] - y + (y << width), width, bound, {}, bound

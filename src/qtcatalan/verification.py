@@ -83,52 +83,33 @@ def _result(identity, vector, pairs) -> CaseResult:
     return CaseResult(identity, tuple(vector), ok, detail)
 
 
-def _tesler_pairs(vec: tuple[int, ...]) -> list:
-    """F(vec) by Tesler sums, once per first hook sum."""
-    return [(f"tesler[a1={x}]", f_tesler((x,) + vec)) for x in TESLER_FIRST_ENTRIES]
-
-
 def _vanishes(identity, vec, value) -> CaseResult:
     """The identity holds iff value is zero; report the residual otherwise."""
     ok = value == 0
     return CaseResult(identity, tuple(vec), ok, "" if ok else f"residual = {value.to_text()}")
 
 
-def check_methods_n2(vec: tuple[int, ...]) -> list[CaseResult]:
-    (a,) = vec
-    pairs = [("tableaux", f_tableaux(vec)), ("bracket", bracket(a + 1))] + _tesler_pairs(vec)
-    out = [_result("methods-agree[n=2]", vec, pairs)]
-    out.append(_result("h-closed-form[n=2]", vec, [("h_tableaux", h_tableaux(vec)), ("h2", h2(a))]))
+def check_methods(vec: tuple[int, ...]) -> list[CaseResult]:
+    """All-route agreement on F(vec): the tableau sum, the closed forms and
+    recursions of vec's length, and the Tesler sums; at n = 2 and 3, also
+    H(vec) against its closed form."""
+    n = len(vec) + 1
+    pairs = [("tableaux", f_tableaux(vec))]
+    if n == 2:
+        pairs.append(("bracket", bracket(vec[0] + 1)))
+    elif n == 3 and vec[0] >= vec[1] - 1:
+        pairs.append(("double-sum", f2(*vec)))
+    elif n == 4:
+        p = ABCParams(*vec)
+        pairs += [("recursion", f3_recursive(p)), ("chains", f_chains(p)), ("stat", f_stat(p))]
+        if p.c >= 1:
+            pairs.append(("two-step", f3_two_step(p)))
+    pairs += [(f"tesler[a1={x}]", f_tesler((x,) + vec)) for x in TESLER_FIRST_ENTRIES]
+    out = [_result(f"methods-agree[n={n}]", vec, pairs)]
+    if n in (2, 3):
+        h = [("h_tableaux", h_tableaux(vec)), (f"h{n}", h2(*vec) if n == 2 else h3(*vec))]
+        out.append(_result(f"h-closed-form[n={n}]", vec, h))
     return out
-
-
-def check_methods_n3(vec: tuple[int, ...]) -> list[CaseResult]:
-    a, b = vec
-    pairs = [("tableaux", f_tableaux(vec))] + _tesler_pairs(vec)
-    if a >= b - 1:
-        pairs.append(("double-sum", f2(a, b)))
-    out = [_result("methods-agree[n=3]", vec, pairs)]
-    out.append(_result("h-closed-form[n=3]", vec, [("h_tableaux", h_tableaux(vec)), ("h3", h3(a, b))]))
-    return out
-
-
-def check_methods_n4(vec: tuple[int, ...]) -> list[CaseResult]:
-    """All-route agreement on a validated triple."""
-    p = ABCParams(*vec)
-    pairs = [
-        ("tableaux", f_tableaux(vec)),
-        ("recursion", f3_recursive(p)),
-        ("chains", f_chains(p)),
-        ("stat", f_stat(p)),
-    ]
-    if p.c >= 1:
-        pairs.append(("two-step", f3_two_step(p)))
-    return [_result("methods-agree[n=4]", vec, pairs + _tesler_pairs(vec))]
-
-
-def check_methods_n5(vec: tuple[int, ...]) -> list[CaseResult]:
-    pairs = [("tableaux", f_tableaux(vec))] + _tesler_pairs(vec)
-    return [_result("methods-agree[n=5]", vec, pairs)]
 
 
 def check_t1_specialization(vec: tuple[int, ...]) -> list[CaseResult]:
@@ -228,11 +209,11 @@ def valid_triples(maxval: int):
 
 #: The checks run at each length n, on every vector of a_2, ..., a_n.
 _SUITE = {
-    2: (check_methods_n2, check_t1_specialization, check_trailing_zero, check_reflection),
-    3: (check_methods_n3, check_t1_specialization, check_trailing_zero),
-    4: (check_methods_n4, check_t1_specialization, check_chain_partition,
+    2: (check_methods, check_t1_specialization, check_trailing_zero, check_reflection),
+    3: (check_methods, check_t1_specialization, check_trailing_zero),
+    4: (check_methods, check_t1_specialization, check_chain_partition,
         check_unimodality, check_hcomb_recursion),
-    5: (check_methods_n5, check_t1_specialization),
+    5: (check_methods, check_t1_specialization),
 }
 
 #: Checks defined only where one entry is positive, with that entry's index.

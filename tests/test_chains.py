@@ -255,6 +255,8 @@ def test_classify_rejects_outside():
         classify(P111, (4, 0, 0))
     with pytest.raises(DomainError):
         stat(P111, (1, 2, 0))
+    with pytest.raises(DomainError):
+        area(P111, (1, 1, 1, 1))
 
 
 def test_locate_examples():

@@ -385,6 +385,10 @@ def test_verify_env_default_jobs(monkeypatch):
         ({}, ("scan", "--n", "4", "--max", "-1")),
         ({"QTC_VERIFY_MAX": "abc"}, ("verify", "--n", "2")),
         ({"QTC_JOBS": "abc"}, ("verify", "--n", "2", "--max", "1")),
+        ({}, ("compute", "--method", "chains", "--abc", "1,2")),
+        ({}, ("compute", "--method", "tableaux")),
+        ({}, ("verify", "--n", "2-x")),
+        ({}, ("scan", "--n", "6", "--max", "1")),
     ],
 )
 def test_zero_checks_and_bad_env_exit_2(monkeypatch, env, args):

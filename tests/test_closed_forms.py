@@ -135,6 +135,8 @@ def test_abcparams_region():
         ABCParams(-1, 0, 0)
     with pytest.raises(DomainError):
         ABCParams(3, 1, 3)
+    with pytest.raises(DomainError):
+        ABCParams(1.5, 1, 1)
     p = ABCParams(2, 3, 3)
     assert p.total_weight == 2 + 6 + 9
     assert p.leg == 8

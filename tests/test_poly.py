@@ -106,6 +106,10 @@ def test_bracket_four_unrolled():
 def test_bracket_negative_raises():
     with pytest.raises(DomainError):
         bracket(-1)
+    with pytest.raises(DomainError):
+        coeff_A(-1)
+    with pytest.raises(DomainError):
+        coeff_B(-1)
 
 
 @pytest.mark.parametrize("m", range(0, 21))

@@ -42,6 +42,8 @@ def test_zero_factor_rejected():
         BinomialFactor(0, 0)
     with pytest.raises(DomainError):
         FactoredRational(ONE, [(0, 0)])
+    with pytest.raises(DomainError):
+        exact_divide(Q, (0, 0))
 
 
 def test_multiplicative_identity():
@@ -237,7 +239,7 @@ def test_packed_box_round_trip(p):
     width = 8 * (max(abs(c) for c in p.terms().values()).bit_length() // 8 + 1)
     value = box.encode(p.terms(), width)
     assert box.decode(value, width) == p.terms()
-    assert box.decode(box.widen(value, width, 2 * width), 2 * width) == p.terms()
+    assert box.decode(rational.widen(value, box.slots, width, 2 * width), 2 * width) == p.terms()
 
 
 def test_digits_at_every_width_round_trip():
@@ -251,10 +253,10 @@ def test_digits_at_every_width_round_trip():
             value = box.encode(terms, width)
             assert box.decode(value, width) == terms
             norm = max(map(abs, terms.values()), default=0)
-            assert box.narrowest(value, width) == (value, width, norm) or rational.fit_width(norm) < width
-            wide = box.widen(value, width, 2 * width)
+            assert rational.narrowest(value, box.slots, width) == (value, width, norm) or rational.fit_width(norm) < width
+            wide = rational.widen(value, box.slots, width, 2 * width)
             assert box.decode(wide, 2 * width) == terms
-            narrow, narrow_width, got = box.narrowest(wide, 2 * width)
+            narrow, narrow_width, got = rational.narrowest(wide, box.slots, 2 * width)
             assert got == norm and narrow_width == rational.fit_width(norm)
             assert box.decode(narrow, narrow_width) == terms
 
@@ -273,7 +275,7 @@ def test_mask_test_agrees_with_a_digit_scan():
     for box in (PackedBox(-1, 2, 0, 3), PackedBox(0, 0, 0, 0), PackedBox(3, 3, -2, -2)):
         for width in (8, 16, 24, 32, 64, 72, 128):
             top = (1 << (width - 1)) - 1
-            masks = box._masks(width)
+            masks = rational._masks(box.slots, width)
             for _ in range(40):
                 norm = rng.choice([0, 1, top, top - 1, rng.randint(0, top), min(top, rng.randint(0, 300))])
                 norm = rng.choice([norm, (1 << (width - 2)) + rng.randint(0, (1 << (width - 2)) - 1)])
@@ -288,21 +290,21 @@ def test_mask_test_agrees_with_a_digit_scan():
                 }
                 value = box.encode(terms, width)
                 expected = _largest_digit(box, value, width)
-                narrow, narrow_width, got = box.narrowest(value, width)
+                narrow, narrow_width, got = rational.narrowest(value, box.slots, width)
                 assert got == expected
                 assert narrow_width == min(width, rational.fit_width(expected))
                 assert box.decode(narrow, narrow_width) == terms
                 for bound in {0, expected - 1, expected, rng.randint(0, top)}:
                     if 0 <= bound < 1 << (width - 2):
                         assert rational._within(value, masks, bound) == (expected <= bound)
-            assert box.narrowest(0, width) == (0, 8, 0)
+            assert rational.narrowest(0, box.slots, width) == (0, 8, 0)
 
 
 def test_widen_refuses_a_narrower_width():
     box = PackedBox(0, 1, 0, 1)
     value = box.encode({(0, 0): 3, (1, 1): -2}, 16)
     with pytest.raises(DomainError, match="16 bits to 8 bits"):
-        box.widen(value, 16, 8)
+        rational.widen(value, box.slots, 16, 8)
 
 
 def test_transpose_swaps_q_and_t_at_every_width():

@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library."""
+"""Static checks of the sources: the runtime imports nothing outside the
+standard library, and every function and class it defines is used."""
 
 import ast
 import sys
@@ -21,3 +22,30 @@ def test_every_absolute_import_is_stdlib_or_the_package():
     imported = {name.partition(".")[0] for path in SOURCES for name in _absolute_imports(path)}
     assert len(SOURCES) >= 10 and {"functools", "__future__"} <= imported
     assert imported - sys.stdlib_module_names <= {"qtcatalan"}
+
+
+def _python_files(*dirs):
+    root = Path(__file__).resolve().parents[1]
+    return [path for d in dirs for path in sorted((root / d).rglob("*.py"))]
+
+
+def test_every_definition_is_referenced():
+    # a function or class of the package that nothing names, whether a call,
+    # an attribute or a string such as a tracer target, is dead code
+    defined = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    referenced = set()
+    for path in _python_files("src", "tests", "perfbench"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                referenced.add(node.value)
+    assert len(defined) > 100
+    assert {name: where for name, where in defined.items() if name not in referenced} == {}

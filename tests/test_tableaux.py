@@ -137,6 +137,8 @@ def test_growth_sequences_are_validated():
         StandardTableau(((0, 1),))
     with pytest.raises(DomainError):
         StandardTableau(((0, 0), (1, 0), (2, 1)))
+    with pytest.raises(DomainError):
+        StandardTableau(((0, 0), (1, 0), (1, 1)))
 
 
 def test_canonical_partition():

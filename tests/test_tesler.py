@@ -88,6 +88,10 @@ def test_negative_entries_rejected():
         enumerate_tesler((1, -1))
     with pytest.raises(DomainError):
         f_tesler((-2,))
+    with pytest.raises(DomainError):
+        lambda_partition((1, -1))
+    with pytest.raises(DomainError):
+        enumerate_tesler(())
 
 
 def test_non_integral_entries_rejected():
@@ -108,6 +112,8 @@ def test_public_construction_is_validated():
             TeslerMatrix((1, 1), rows)
     built = enumerate_tesler((1, 1))
     assert built == [TeslerMatrix((1, 1), m.rows) for m in built]
+    with pytest.raises(IndexError):
+        built[0].entry(1, 0)
 
 
 def test_cumulative_form_holds():
