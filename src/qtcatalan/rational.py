@@ -11,11 +11,12 @@ multiplies such values and reduces them (``to_poly``).
 
 Polynomials on a box of exponents are packed into one integer by Kronecker
 substitution (``PackedBox``, which maps exponents to slots).  The digit
-operations read nothing of the box but its number of slots: ``widen``
-re-packs the digits wider, and ``narrowest`` finds their largest absolute
-value by tests on all of them at once (``_within``) and re-packs them at
-the narrowest width that holds it.  One loop, ``_times_factors``, multiplies
-a packed value by binomials, one shift and subtract each.  A sum of such
+operations read nothing of the box but its slots and stride: ``relayout``
+moves each row of digits to the start of a longer row and widens them in
+one pass, and ``narrowest`` finds their largest absolute value by tests on
+all of them at once (``_within``) and re-packs them at the narrowest width
+that holds it.  One loop, ``_times_factors``, multiplies a packed value by
+binomials, one shift and subtract each.  A sum of such
 products, each row a signed monomial +-q^e t^f times binomials, is a
 ``ProductTree``: rows that share a factor add their partial sums first and
 multiply by it once, each partial sum on its own span, and a row's sign is
@@ -101,10 +102,15 @@ def _digit_values(raw: bytes, nbytes: int) -> Sequence[int]:
     return memoryview(raw).cast(_UNSIGNED[size])
 
 
-@lru_cache(maxsize=64)
 def _bias_of(slots: int, nbytes: int, pad: int) -> int:
-    # 2^(8 nbytes - 1) in each of slots digits of (nbytes + pad) bytes; cached:
-    # the Tesler walk reads and re-packs values of a few slot counts many times
+    # 2^(8 nbytes - 1) in each of slots digits of (nbytes + pad) bytes, cut
+    # from a cached bias of a power of two of slots: few keys per octave
+    bias = _bias_block(1 << (slots - 1).bit_length(), nbytes, pad)
+    return bias & ((1 << (8 * (nbytes + pad) * slots)) - 1) if slots & (slots - 1) else bias
+
+
+@lru_cache(maxsize=64)
+def _bias_block(slots: int, nbytes: int, pad: int) -> int:
     return int.from_bytes((_zero_digit(nbytes) + bytes(pad)) * slots, "little")
 
 
@@ -122,13 +128,25 @@ def _digits(value: int, slots: int, nbytes: int) -> bytes:
     return biased.to_bytes(size, "little")
 
 
-def widen(value: int, slots: int, width: int, new_width: int) -> int:
-    """The same slots digits of value, each in new_width >= width bits."""
-    if new_width < width:
-        raise DomainError(f"cannot widen digits of {width} bits to {new_width} bits")
+def relayout(value: int, slots: int, stride: int, width: int, new_stride: int, new_width: int) -> int:
+    """The slots digits of value in rows of stride, each row moved to the
+    start of a row of new_stride >= stride digits and each digit widened to
+    new_width >= width bits, in one pass over their bytes."""
+    if new_stride < stride or new_width < width:
+        raise DomainError(f"cannot re-lay rows of {stride} digits of {width} bits as rows of {new_stride} digits of {new_width} bits")
     nbytes, new_nbytes = width // 8, new_width // 8
-    out = _restride(_digits(value, slots, nbytes), nbytes, new_nbytes)
-    return int.from_bytes(out, "little") - _bias_of(slots, nbytes, new_nbytes - nbytes)
+    pad = new_nbytes - nbytes
+    raw = _digits(value, slots, nbytes)
+    if pad:
+        raw = _restride(raw, nbytes, new_nbytes)
+    if new_stride != stride:
+        rows, row, new_row = slots // stride, stride * new_nbytes, new_stride * new_nbytes
+        slots = rows * new_stride
+        out = bytearray((_zero_digit(nbytes) + bytes(pad)) * slots)
+        for r in range(rows):
+            out[r * new_row : r * new_row + row] = raw[r * row : (r + 1) * row]
+        raw = out
+    return int.from_bytes(raw, "little") - _bias_of(slots, nbytes, pad)
 
 
 def _masks(slots: int, width: int) -> tuple[int, int]:
@@ -197,7 +215,7 @@ def narrowest(value: int, slots: int, width: int) -> tuple[int, int, int]:
     if _within(value, masks, quarter - 1):
         norm = _bisect(value, masks, lo, quarter - 1)
     else:
-        wide = widen(value, slots, new_width, new_width + 8)
+        wide = relayout(value, slots, slots, new_width, slots, new_width + 8)
         norm = _bisect(wide, _masks(slots, new_width + 8), quarter, 2 * quarter - 1)
     return value, new_width, norm
 
@@ -214,8 +232,9 @@ class PackedBox:
     width bits per slot (width a multiple of 8), exact while every
     coefficient is below 2^(width-1) in absolute value.  The box maps
     exponents to slots and back; the digit operations that need only the
-    number of slots (``widen``, ``narrowest``) are module functions, and
-    every read of the digits as bytes goes through ``_digits``.
+    number of slots and the stride (``relayout``, ``narrowest``) are module
+    functions, and every read of the digits as bytes goes through
+    ``_digits``.
     """
 
     __slots__ = ("q_lo", "q_hi", "t_lo", "t_hi", "stride", "slots")
@@ -242,16 +261,20 @@ class PackedBox:
             raw[i : i + nbytes] = (coeff + half).to_bytes(nbytes, "little")
         return int.from_bytes(raw, "little") - _bias_of(self.slots, nbytes, 0)
 
-    def decode(self, value: int, width: int) -> dict[ExponentPair, int]:
-        """The terms whose digits value holds, read modulo 2^(slots * width)."""
+    def decode(self, value: int, width: int, degree: int | None = None) -> dict[ExponentPair, int]:
+        """The terms whose digits value holds, read modulo 2^(slots * width).
+        Given a degree, only the slots (i, j) from the box's corner with
+        i + j <= degree are read: value must hold no other."""
         nbytes = width // 8
         half = 1 << (width - 1)
         stride, q_lo, t_lo = self.stride, self.q_lo, self.t_lo
+        digits = _digit_values(_digits(value, self.slots, nbytes), nbytes)
+        degree = self.slots if degree is None else degree
         data: dict[ExponentPair, int] = {}
-        for i, digit in enumerate(_digit_values(_digits(value, self.slots, nbytes), nbytes)):
-            if digit != half:
-                qe, te = divmod(i, stride)
-                data[(qe + q_lo, te + t_lo)] = digit - half
+        for i in range(min(self.slots // stride, degree + 1)):
+            for j, digit in enumerate(digits[i * stride : i * stride + min(stride, degree + 1 - i)]):
+                if digit != half:
+                    data[(i + q_lo, j + t_lo)] = digit - half
         return data
 
     def transpose(self, value: int, width: int) -> int:
@@ -689,9 +712,9 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
         return None
     check = max(fit_width(max(map(abs, terms.values())) << len(factors)), width)
     # D Q_w = X^offset x, and N = X^lo D Q_w
-    x, offset = _times_factors(widen(y, sub.slots, width, check), factors, box.stride, check)
+    x, offset = _times_factors(relayout(y, sub.slots, sub.stride, width, sub.stride, check), factors, box.stride, check)
     align = (lo + offset) * check
-    if x << max(align, 0) != widen(value, box.slots, width, check) << max(-align, 0):
+    if x << max(align, 0) != relayout(value, box.slots, box.stride, width, box.stride, check) << max(-align, 0):
         return None
     return LaurentPoly._from_dict(terms)
 

@@ -35,7 +35,7 @@ coordinate at a time:
 
 with v_1 + ... + v_{n-1} <= a_n.  The innermost terms do not depend on
 v_1, so they are one value.  ``_packed_walk`` runs these nested sums on
-packed integers (below), memoized on (a, S), and sums each coordinate by a
+packed integers (below), memoized on a, and sums each coordinate by a
 recurrence.  The generating functions of A and B have the denominator
 (1 - qz)(1 - tz), so each inner sum of c(v) g(v) over v = 0..K is one
 backward pass: U_v = g(v) + t U_{v+1} and R_v = U_v + q R_{v+1}, from
@@ -51,17 +51,23 @@ t -> X at X = 2^w, under which multiplying by q or t is a shift by S*w or
 w bits (Kronecker substitution, as in ``rational.PackedBox``, which reads
 the digits).  The substitution is a ring map, so every intermediate is
 exact; a value must fit its slots only where its digits are read, which
-two bounds with proofs guarantee:
+the bounds below, with proofs, guarantee:
 
 - Stride.  Summing (i - 1) times the i-th hook sum over the rows gives
   sum_i (i - 1) a_i = sum_i (i - 1) m_ii + sum_{r<c} (c - r) m_rc
   >= sum_{r<c} m_rc (1-indexed).  A(v) and B(v) have q- and t-degree v, so
-  D(a) = sum_i (i - 1) a_i bounds both degrees of F, and S is the
-  smallest power of two above D: F lies on a (D + 1) x S box of slots.
-  Each W(a') has D(a') <= D(a), and the value of a level of the walk is a
-  sum of matrix weights with some of their A and B factors left out, which
-  have nonnegative degrees, so every value of the walk lies on F's box
-  too.
+  D(a) = sum_i (i - 1) a_i bounds both degrees of F, and S(a) is the
+  smallest power of two above D: F lies on a (D + 1) x S box of slots
+  (``_box``).  A level of the walk sums matrix weights with some of their
+  A and B factors left out, which have nonnegative degrees, so it lies on
+  a's box too.  Each W(a') has D(a') = D(a) - (n - 1) a_n + sum_{i<n}
+  (i - 1) v_i <= D(a), as the v_i add up to at most a_n, so S(a') <= S(a).
+- Total degree.  B(v) = [v + 1] - [v] has total degree at most v, and
+  A(v) = -(1 - q)(1 - t) [v] at most v + 1 for v >= 1.  An entry
+  m_rc >= 1 with c - r >= 2 has (c - r) m_rc >= m_rc + 1, so a weight has
+  total degree at most sum_{r<c} (c - r) m_rc <= D(a), attained on every
+  hook vector with entries <= 3 at lengths 2-5.  F lies in the triangle
+  e + f <= D of its box, the only slots decoded.
 - Width.  The value of a level is sum_v c(v) g(v), with c = A or B, and
   since ||fg||_inf <= ||f||_1 ||g||_inf, its largest |coefficient| is at
   most sum_v ||c(v)||_1 m(v), where m(v) bounds that of g(v); here
@@ -81,27 +87,30 @@ two bounds with proofs guarantee:
   one: a few big-integer operations test them all at once against a bound
   (``rational.narrowest``), first for the smallest such w, at which the
   node is kept, then bisecting the bound.  A level's bound is at least each
-  term's (every ||c(v)||_1 >= 1), so terms only widen
-  (``rational.widen``), and a node keeps each wider copy a parent asks for.
+  term's (every ||c(v)||_1 >= 1), so terms only widen.
 
-The walk is one memo, keyed on (a, S), and strides in powers of two let
-vectors of different D share its packed values.  F is decoded from it once
-per hook vector read with a_1 = 0 and no trailing zero, and repeats share
-that immutable ``LaurentPoly``.  A line-shaped F such as F(a) = [a + 1]
-fills only a + 1 of its box's slots, so its steps shift mostly empty
-slots; it is summed packed all the same.
+The walk is one memo keyed on the hook vector alone: one node per a, at
+its own stride S(a).  A level at S(a) reads W(a') with each row moved to
+the start of a row of S(a) slots and widened in the same pass
+(``rational.relayout``), after the memoized call returns, so that the
+recursion stays one frame per smaller hook vector; the node keeps that
+copy for each (stride, width) a parent asks for.  F is decoded once per
+hook vector read with a_1 = 0 and no trailing zero, and repeats share that
+immutable ``LaurentPoly``.  A line-shaped F such as F(a) = [a + 1] fills
+only a + 1 of its box's slots, so its steps shift mostly empty slots; it
+is summed packed all the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .poly import LaurentPoly, ONE, coeff_A, coeff_B
-from .rational import PackedBox, fit_width, narrowest, widen
+from .rational import PackedBox, fit_width, narrowest, relayout
 from .tableaux import canonical_partition, integer_entries
 
 
@@ -339,22 +348,24 @@ def _slots(value: int, stride: int, width: int) -> int:
 
 def _combine(g: list[tuple], outermost: bool, stride: int) -> tuple:
     """sum_v c(v) g[v] on packed integers, with c = B outermost and A
-    elsewhere.  g[v] is (value, width, bound on its |coefficients|, widened
-    copies, ...); the terms meet at the width of the level's bound."""
+    elsewhere.  g[v] is (value, width, bound on its |coefficients|, copies,
+    ..., stride); the terms meet at the width of the level's bound and at
+    its stride."""
     norms = []
     for term in g:
         norms.append(term[2])
     bound = _norm_combine(norms, outermost)
     width = fit_width(bound)
     q_shift = stride * width
+    layout = (stride, width)
     values, previous, x = [], None, 0
     for term in g:
         if term is not previous:
-            previous, (x, term_width, _, wider, _) = term, term
-            if term_width != width:
-                if width not in wider:
-                    wider[width] = widen(x, _slots(x, stride, term_width), term_width, width)
-                x = wider[width]
+            previous, (x, term_width, _, copies, _, term_stride) = term, term
+            if term_width != width or term_stride != stride:
+                if layout not in copies:
+                    copies[layout] = relayout(x, _slots(x, term_stride, term_width), term_stride, term_width, stride, width)
+                x = copies[layout]
         values.append(x)
     # u = U_v and r = R_v, from v = K down to v = 1
     u = r = 0
@@ -363,53 +374,55 @@ def _combine(g: list[tuple], outermost: bool, stride: int) -> tuple:
         r = u + (r << q_shift)
     if outermost:
         # R_0 - R_1, kept at the width of its own largest coefficient,
-        # and at each wider width a parent asks for
+        # and at each layout a parent asks for
         value = values[0] + (u << width) + (r << q_shift) - r
-        return narrowest(value, _slots(value, stride, width), width) + ({}, bound)
+        return narrowest(value, _slots(value, stride, width), width) + ({}, bound, stride)
     # g(0) - (1 - q)(1 - t) R_1
     y = r - (r << q_shift)
-    return values[0] - y + (y << width), width, bound, {}, bound
+    return values[0] - y + (y << width), width, bound, {}, bound, stride
 
 
 @lru_cache(maxsize=None)
-def _packed_walk(a: tuple[int, ...], stride: int) -> tuple:
-    """(W(a) at q = X^stride, t = X with X = 2^w, w, max |coefficient| of
-    W(a), {wider width: W(a) at it}, the bound on that maximum from the
-    W(a')), w the narrowest width that holds W(a).
+def _packed_walk(a: tuple[int, ...]) -> tuple:
+    """(W(a) at q = X^S, t = X with X = 2^w, w, max |coefficient| of W(a),
+    {(stride, width): W(a) at them}, the bound on that maximum from the
+    W(a'), S), w the narrowest width that holds W(a) and S(a) a's stride.
 
     W(a) sums over the last columns of a one coordinate at a time.  Level j
     sums over v_j, v_{n-1} (B-weighted) outermost and v_1 innermost.  With
     v_{j+1}, ..., v_{n-1} fixed, its terms g[v] are the level below at
     v_j = v, for v up to budgets[j], what the outer coordinates leave of
-    a_n; tails[j] holds their hook sums (a_{j+1} + v_{j+1}, ...), and
-    ``_combine`` weighs the terms by B or A.  Below level 1 lies W at the
-    hook sums a' of the smaller matrix, which does not read a'_1: the walk
-    reads a with a_1 = 0, and the terms of level 1 are one value.  With no
-    budget left every inner v is 0 and A(0) = 1, so the level is W(a').
-    The levels are an explicit stack, and the walk calls itself for W(a'),
-    so that the recursion into smaller hook vectors stays a few frames per
-    entry of a.
+    a_n; point holds the hook sums a' of the smaller matrix, a_i + v_i
+    from the outer coordinates and a_i below, and ``_combine`` weighs the
+    terms by B or A.  Below level 1 lies W(a'), which does not read a'_1:
+    the walk reads a with a_1 = 0, and the terms of level 1 are one value.
+    With no budget left every inner v is 0 and A(0) = 1, so the level is
+    W(a').  The levels are an explicit stack, and the walk calls itself for
+    W(a'), so that the recursion into smaller hook vectors stays a few
+    frames per entry of a.
     """
     if len(a) == 1:
-        return 1, 8, 1, {}, 1  # W = 1 at 8 bits, one node per stride
-    rest, last = [0, *a[1:-1]], a[-1]
+        return 1, 8, 1, {}, 1, 1  # W = 1 at 8 bits, on a box of one slot
+    stride = _box(a).stride
+    rest, last = (0, *a[1:-1]), a[-1]
     m = len(rest)
-    tails, budgets, gs = [()] * (m + 1), [last] * (m + 1), [None] * m + [[]]
+    point, budgets, gs = list(rest), [last] * (m + 1), [None] * m + [[]]
     j = m
     while True:
         if not budgets[j]:
-            value = _packed_walk(tuple(rest[:j]) + tails[j], stride)
+            value = _packed_walk(tuple(point))
         elif j == 1:
-            value = _combine([_packed_walk((0,) + tails[1], stride)] * (budgets[1] + 1), m == 1, stride)
+            value = _combine([_packed_walk(tuple(point))] * (budgets[1] + 1), m == 1, stride)
         else:
             g = gs[j]
             v = len(g)
             if v <= budgets[j]:
-                tails[j - 1] = (rest[j - 1] + v,) + tails[j]
+                point[j - 1] = rest[j - 1] + v
                 budgets[j - 1] = budgets[j] - v
                 gs[j - 1] = []
                 j -= 1
                 continue
+            point[j - 1] = rest[j - 1]
             value = _combine(g, j == m, stride)
         if j == m:
             return value
@@ -419,7 +432,7 @@ def _packed_walk(a: tuple[int, ...], stride: int) -> tuple:
 
 def _box(a: tuple[int, ...]) -> PackedBox:
     """The (D + 1) x S box of slots that holds F (see the module docstring)."""
-    degree = sum(i * x for i, x in enumerate(a))
+    degree = sum(map(mul, range(len(a)), a))
     return PackedBox(0, degree, 0, (1 << degree.bit_length()) - 1)
 
 
@@ -436,10 +449,10 @@ def f_tesler(a: Sequence[int]) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def _decoded(a: tuple[int, ...]) -> LaurentPoly:
     # F at the hook vector a with a_1 = 0 and no trailing zero, decoded once
-    # from the packed walk; a LaurentPoly is immutable, so repeats share it
+    # from its triangle e + f <= D; a LaurentPoly is immutable, so repeats share it
     box = _box(a)
-    value, width, *_ = _packed_walk(a, box.stride)
-    return LaurentPoly._from_dict(box.decode(value, width))
+    value, width, *_ = _packed_walk(a)
+    return LaurentPoly._from_dict(box.decode(value, width, box.q_hi))
 
 
 def two_diagonal_subdiagrams(a: Sequence[int]) -> list[tuple[TeslerMatrix, tuple[int, ...]]]:

@@ -239,7 +239,7 @@ def test_packed_box_round_trip(p):
     width = 8 * (max(abs(c) for c in p.terms().values()).bit_length() // 8 + 1)
     value = box.encode(p.terms(), width)
     assert box.decode(value, width) == p.terms()
-    assert box.decode(rational.widen(value, box.slots, width, 2 * width), 2 * width) == p.terms()
+    assert box.decode(rational.relayout(value, box.slots, box.stride, width, box.stride, 2 * width), 2 * width) == p.terms()
 
 
 def test_digits_at_every_width_round_trip():
@@ -254,7 +254,7 @@ def test_digits_at_every_width_round_trip():
             assert box.decode(value, width) == terms
             norm = max(map(abs, terms.values()), default=0)
             assert rational.narrowest(value, box.slots, width) == (value, width, norm) or rational.fit_width(norm) < width
-            wide = rational.widen(value, box.slots, width, 2 * width)
+            wide = rational.relayout(value, box.slots, box.stride, width, box.stride, 2 * width)
             assert box.decode(wide, 2 * width) == terms
             narrow, narrow_width, got = rational.narrowest(wide, box.slots, 2 * width)
             assert got == norm and narrow_width == rational.fit_width(norm)
@@ -303,8 +303,48 @@ def test_mask_test_agrees_with_a_digit_scan():
 def test_widen_refuses_a_narrower_width():
     box = PackedBox(0, 1, 0, 1)
     value = box.encode({(0, 0): 3, (1, 1): -2}, 16)
-    with pytest.raises(DomainError, match="16 bits to 8 bits"):
-        rational.widen(value, box.slots, 16, 8)
+    with pytest.raises(DomainError, match="16 bits as rows of 2 digits of 8 bits"):
+        rational.relayout(value, box.slots, box.stride, 16, box.stride, 8)
+
+
+def test_relayout_keeps_every_row_at_every_wider_stride_and_width():
+    # three rows of five extreme digits, read at wider strides (one row of
+    # slots past the digits, powers of two, and others) and widths: each
+    # row keeps its digits, the slots past it stay empty, and the top row
+    # is kept too
+    rng = random.Random(19)
+    box = PackedBox(-1, 1, 2, 6)
+    for width in range(8, 136, 8):
+        top = (1 << (width - 1)) - 1
+        terms = {(e, f): rng.choice([top, -top, top - 1, 1, -1]) for e in range(-1, 2) for f in range(2, 7)}
+        terms[(1, 6)] = -top  # the top digit negative
+        value = box.encode(terms, width)
+        for new_stride in (5, 6, 8, 13, 64):
+            wide = PackedBox(-1, 1, 2, 1 + new_stride)
+            for new_width in range(width, 136, 8):
+                out = rational.relayout(value, box.slots, box.stride, width, new_stride, new_width)
+                assert wide.decode(out, new_width) == terms
+
+
+def test_relayout_refuses_a_narrower_stride():
+    box = PackedBox(0, 1, 0, 3)
+    value = box.encode({(0, 0): 3, (1, 3): -2}, 8)
+    with pytest.raises(DomainError, match="rows of 4 digits of 8 bits as rows of 2 digits of 8 bits"):
+        rational.relayout(value, box.slots, box.stride, 8, 2, 8)
+    with pytest.raises(DomainError, match="rows of 4 digits of 16 bits as rows of 8 digits of 8 bits"):
+        rational.relayout(box.encode({(0, 0): 3}, 16), box.slots, box.stride, 16, 8, 8)
+
+
+def test_decode_reads_the_triangle_of_a_degree():
+    # given a degree, decode reads the slots (i, j) with i + j <= degree from
+    # the box's corner, and only those
+    box = PackedBox(-1, 2, 3, 6)
+    terms = {(e, f): 2 * e + f for e in range(-1, 3) for f in range(3, 7)}
+    value = box.encode(terms, 16)
+    for degree in range(-1, 9):
+        inside = {(e, f): c for (e, f), c in terms.items() if e + 1 + f - 3 <= degree}
+        assert box.decode(value, 16, degree) == inside
+    assert box.decode(value, 16) == terms
 
 
 def test_transpose_swaps_q_and_t_at_every_width():

@@ -25,6 +25,7 @@ from qtcatalan import (
     two_diagonal_subdiagrams,
 )
 from qtcatalan import tesler
+from qtcatalan.rational import PackedBox, relayout
 
 
 # -- independent oracle: brute-force solve the hook-sum equations ------------
@@ -327,7 +328,7 @@ def test_the_column_walk_is_a_few_frames_per_entry(run_capped):
         "-c",
         "import sys; from qtcatalan import bracket, tesler; a = (0,) * 195 + (1,); "
         "sys.setrecursionlimit(400); "
-        "box = tesler._box(a); value, width, *_ = tesler._packed_walk(a, box.stride); "
+        "box = tesler._box(a); value, width, *_ = tesler._packed_walk(a); "
         "assert box.decode(value, width) == bracket(196).terms()",
     )
     assert proc.returncode == 0, proc.stderr
@@ -348,12 +349,13 @@ def _degree_bound(a):
 
 
 def test_weight_degrees_within_the_stride_bound():
-    # both degrees of every weight are at most sum (i - 1) a_i, below the stride
+    # both degrees of every weight are at most sum (i - 1) a_i, below the
+    # stride, and so is their sum: F lies in the triangle that _decoded reads
     for a in _GRID:
         d = _degree_bound(a)
         assert tesler._box(a).q_hi == d < tesler._box(a).stride
         for _, weight in _weight_tally(a):
-            assert all(qe <= d and te <= d for qe, te in weight.terms())
+            assert all(qe <= d and te <= d and qe + te <= d for qe, te in weight.terms())
 
 
 def _largest(p):
@@ -384,11 +386,29 @@ def test_exact_norm_bound_covers_every_coefficient():
         while a[-1] == 0:
             a = a[:-1]  # the walk passes a zero last column straight through
         box = tesler._box(a)
-        value, width, norm, _, bound = tesler._packed_walk(a, box.stride)
+        value, width, norm, _, bound, stride = tesler._packed_walk(a)
+        assert stride == box.stride, a
         assert norm == _largest(f_tesler(a)), a
         assert bound == _bound_by_columns(a) >= norm, a
         assert 1 << (width - 1) > norm and (width == 8 or 1 << (width - 9) <= norm), a
         assert box.decode(value, width) == f_tesler(a).terms(), a
+
+
+def test_a_node_reads_the_same_at_every_wider_stride_and_width():
+    # a node of the walk, packed at its own stride S, re-laid out at each
+    # stride a parent can have (powers of two from S to 512) and at each
+    # width from its own to 128, decodes to the same terms
+    for a in [(0, 2, 1, 1), (0, 0, 3), (0, 5), (0, 1, 1, 1, 1, 1, 1)]:
+        value, width, *_, stride = tesler._packed_walk(a)
+        box = tesler._box(a)
+        slots = (box.q_hi + 1) * stride
+        new_stride = stride
+        while new_stride <= 512:
+            wide = PackedBox(0, box.q_hi, 0, new_stride - 1)
+            for new_width in range(width, 136, 8):
+                out = relayout(value, slots, stride, width, new_stride, new_width)
+                assert wide.decode(out, new_width) == f_tesler(a).terms(), (a, new_stride, new_width)
+            new_stride *= 2
 
 
 def test_line_shaped_inputs_pack_under_the_address_space_cap(run_capped):
@@ -408,8 +428,8 @@ def test_long_vectors_pack_at_the_width_of_their_coefficients():
     # F(0, ..., 0, 1) = [n] has coefficients of 1, so the walk keeps it at
     # 8 bits however long the vector is
     for a in [(0,) * 40 + (1,), (0,) * 63 + (1,), (0,) * 127 + (1,)]:
-        box = tesler._box(a)
-        assert tesler._packed_walk(a, box.stride)[1:3] == (8, 1)
+        _, width, norm, *_, stride = tesler._packed_walk(a)
+        assert (width, norm, stride) == (8, 1, tesler._box(a).stride)
         assert f_tesler(a) == bracket(len(a))
 
 
