@@ -27,6 +27,9 @@ range exactly once each, which yields two formulas:
 
 where area(lam) = A - |lam| and stat is the case-defined statistic below
 (equivalently r + R - area within a chain with area range [r, R]).
+One resolver, ``_resolve``, reads a member's case, the tail of its chain
+and its stat in one pass; ``classify``, ``stat``, ``locate_tail``, ``f_stat``
+and verify's chain check all go through it.
 
 All ceilings here are mathematical ceilings: ceil(-1/2) = 0.  Truncating
 division toward zero would corrupt every bijection.
@@ -34,13 +37,14 @@ division toward zero would corrupt every bijection.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .closed_forms import ABCParams, h3
 from .errors import DomainError
-from .poly import LaurentPoly, sym_chain
+from .poly import LaurentPoly
 
 Partition3 = tuple[int, int, int]
 
@@ -377,27 +381,38 @@ def _check_contained(p: ABCParams, lam: Sequence[int]) -> Partition3:
 
 def area(p: ABCParams, lam: Sequence[int]) -> int:
     """area(lam) = |ambient staircase| - |lam|."""
-    return _area(p, *_check_contained(p, lam))
+    return p.total_weight - sum(_check_contained(p, lam))
 
 
-def _area(p: ABCParams, x: int, y: int, z: int) -> int:
-    return p.total_weight - (x + y + z)
+def _resolve(p: ABCParams, x: int, y: int, z: int) -> tuple[CaseLabel, int, int, int]:
+    """(case, E, F, stat) of a contained (x, y, z) in one pass: the case of
+    the statistic's definition, the tail T^{EF} of its chain, and its stat.
+
+    The case picks the chain, with L = a+b+c:
+
+        1a   -> chain of pseudohead (y, z)
+        1bi  -> chain of pseudohead (L+z-x, z)
+        1bii -> chain of tail (L-x, b+c-y)
+        2    -> chain of positive head (x, y)
+    """
+    a, bc = p.a, p.b + p.c
+    L = a + bc
+    if z < min(bc - x, _ceil_half(y - a)):
+        return (CaseLabel.CASE_2, *psi_inv(p, *theta_inv(p, x, y)), y + z)
+    eps_yz = max(0, y + z - bc)
+    if x + y - z + 2 * eps_yz < L:
+        s = x + max(eps_yz, _ceil_half(y - a), _ceil_half(2 * y + z - L))
+        return (CaseLabel.CASE_1A, *psi_inv(p, y, z), s)
+    if y + z < bc:
+        s = -L + 2 * x + y - z + max(0, _ceil_half(L + z - x - a))
+        return (CaseLabel.CASE_1BI, *psi_inv(p, L + z - x, z), s)
+    s = 2 * x + 3 * y + z - a - 3 * bc + max(0, _ceil_half(2 * bc - x - y), a + 2 * bc - x - 2 * y)
+    return (CaseLabel.CASE_1BII, L - x, bc - y, s)
 
 
 def classify(p: ABCParams, lam: Sequence[int]) -> CaseLabel:
     """The case of the statistic's definition that lam falls into."""
-    return _case(p, *_check_contained(p, lam))
-
-
-def _case(p: ABCParams, x: int, y: int, z: int) -> CaseLabel:
-    if z < min(p.b + p.c - x, _ceil_half(y - p.a)):
-        return CaseLabel.CASE_2
-    eps_yz = max(0, y + z - (p.b + p.c))
-    if x + y - z + 2 * eps_yz < p.leg:
-        return CaseLabel.CASE_1A
-    if y + z < p.b + p.c:
-        return CaseLabel.CASE_1BI
-    return CaseLabel.CASE_1BII
+    return _resolve(p, *_check_contained(p, lam))[0]
 
 
 def stat(p: ABCParams, lam: Sequence[int]) -> int:
@@ -405,54 +420,13 @@ def stat(p: ABCParams, lam: Sequence[int]) -> int:
 
     Within a chain of area range [r, R] it equals r + R - area(lam).
     """
-    x, y, z = _check_contained(p, lam)
-    return _stat(p, _case(p, x, y, z), x, y, z)
-
-
-def _stat(p: ABCParams, case: CaseLabel, x: int, y: int, z: int) -> int:
-    # stat of (x, y, z), whose case is case
-    a, b, c, L = p.a, p.b, p.c, p.leg
-    if case is CaseLabel.CASE_1A:
-        return x + max(
-            0,
-            _ceil_half(y - a),
-            y + z - b - c,
-            _ceil_half(2 * y + z - L),
-        )
-    if case is CaseLabel.CASE_1BI:
-        return -L + 2 * x + y - z + max(0, _ceil_half(L + z - x - a))
-    if case is CaseLabel.CASE_1BII:
-        return (
-            2 * x
-            + 3 * y
-            + z
-            - (a + 3 * b + 3 * c)
-            + max(0, _ceil_half(2 * b + 2 * c - x - y), a + 2 * b + 2 * c - x - 2 * y)
-        )
-    return y + z  # CASE_2
+    return _resolve(p, *_check_contained(p, lam))[3]
 
 
 def locate_tail(p: ABCParams, lam: Sequence[int]) -> TailIndex:
-    """The tail of the chain containing lam, resolved from its case:
-
-        1a   -> chain of pseudohead (y, z)
-        1bi  -> chain of pseudohead (L+z-x, z)
-        1bii -> chain of tail (L-x, b+c-y)
-        2    -> chain of positive head (x, y)
-    """
-    x, y, z = _check_contained(p, lam)
-    return _tail_of(p, _case(p, x, y, z), x, y, z)
-
-
-def _tail_of(p: ABCParams, case: CaseLabel, x: int, y: int, z: int) -> TailIndex:
-    # the tail of the chain of (x, y, z), whose case is case
-    if case is CaseLabel.CASE_1BII:
-        return TailIndex(p, p.leg - x, p.b + p.c - y)
-    if case is CaseLabel.CASE_2:
-        i, j = theta_inv(p, x, y)
-        return TailIndex(p, *psi_inv(p, i, j))
-    i = y if case is CaseLabel.CASE_1A else p.leg + z - x
-    return TailIndex(p, *psi_inv(p, i, z))
+    """The tail of the chain containing lam, resolved from its case."""
+    _, E, F, _ = _resolve(p, *_check_contained(p, lam))
+    return TailIndex(p, E, F)
 
 
 def locate(p: ABCParams, lam: Sequence[int]) -> ChainRecord:
@@ -472,17 +446,21 @@ def subpartitions3(p: ABCParams) -> list[Partition3]:
 
 
 def f_chains(p: ABCParams) -> LaurentPoly:
-    """F(a, b, c) as a sum of symmetric chains over the quasiheads."""
-    chains = (sym_chain(*qh.area_range()) for qh in enumerate_quasiheads(p))
-    return LaurentPoly(term for chain in chains for term in chain.terms().items())
+    """F(a, b, c) as a sum of symmetric chains over the quasiheads: the
+    chain [k, l] contributes q^(l-i) t^(k+i) for 0 <= i <= l-k."""
+    counts = Counter()
+    for qh in enumerate_quasiheads(p):
+        k, l = qh.area_range()
+        counts.update((l - i, k + i) for i in range(l - k + 1))
+    return LaurentPoly(counts)
 
 
 def f_stat(p: ABCParams) -> LaurentPoly:
     """F(a, b, c) as sum over subpartitions of q^area t^stat."""
     # subpartitions3 lists contained partitions only, so none is checked again
-    return LaurentPoly(
-        ((_area(p, *lam), _stat(p, _case(p, *lam), *lam)), 1) for lam in subpartitions3(p)
-    )
+    A = p.total_weight
+    lattice = subpartitions3(p)
+    return LaurentPoly(Counter((A - x - y - z, _resolve(p, x, y, z)[3]) for x, y, z in lattice))
 
 
 def h_comb_poly(a: int, b: int, c: int) -> LaurentPoly:

@@ -15,10 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .chains import (
-    _area,
-    _case,
-    _stat,
-    _tail_of,
+    _resolve,
     chain_of,
     enumerate_heads,
     enumerate_pseudoheads,
@@ -144,8 +141,8 @@ def check_chain_partition(vec: tuple[int, ...]) -> list[CaseResult]:
     their area ranges bijectively, and each member's case resolves to the
     tail of its own chain; the four index sets are equinumerous with the
     bijections preserving area ranges.  Each chain is built once, and each
-    member's area and case computed once, after the member is known to be
-    in the staircase."""
+    member in the staircase is resolved once by ``chains._resolve``, which
+    gives its tail and its stat together."""
     p = ABCParams(*vec)
     problems = []
     tails = enumerate_tails(p)
@@ -173,7 +170,8 @@ def check_chain_partition(vec: tuple[int, ...]) -> list[CaseResult]:
         problems.append(f"not covered: {sorted(missing)[:4]}...")
     if outside:
         problems.append(f"outside the staircase: {sorted(outside)[:4]}...")
-    areas = {m: _area(p, *m) for m in seen if m in lattice}
+    A = p.total_weight
+    areas = {m: A - sum(m) for m in seen if m in lattice}
     for ch in chains:
         r, R = ch.area_range
         got = [areas.get(m) for m in ch.members]
@@ -181,11 +179,11 @@ def check_chain_partition(vec: tuple[int, ...]) -> list[CaseResult]:
             problems.append(f"chain of ({ch.tail.E},{ch.tail.F}) has areas {got} for range {ch.area_range}")
     for lam, lam_area in areas.items():
         ch = seen[lam]
-        case = _case(p, *lam)
-        if _tail_of(p, case, *lam) != ch.tail:
+        _, E, F, lam_stat = _resolve(p, *lam)
+        if E != ch.tail.E or F != ch.tail.F:
             problems.append(f"locate_tail({lam}) finds another chain")
         r, R = ch.area_range
-        if _stat(p, case, *lam) != r + R - lam_area:
+        if lam_stat != r + R - lam_area:
             problems.append(f"stat({lam}) disagrees with its chain")
     return [CaseResult("chain-partition[n=4]", vec, not problems, "; ".join(problems))]
 

@@ -31,6 +31,7 @@ from qtcatalan import (
     h_tableaux,
     hcomb_recursion_residual,
     locate,
+    locate_tail,
     omega_inv,
     omega_map,
     phi,
@@ -271,11 +272,31 @@ def test_stat_table_values():
     assert stat(P112, (2, 2, 0)) == 2
 
 
+def _case_by_leg(ch):
+    """Each member's case read off its chain: 2 on the appendage, and on the
+    string's legs up to the tail (p, q, c), 1a while x < p, 1bi while
+    x = p and y < q, and 1bii at x = p, y = q."""
+    top, mid, _ = ch.tail.partition()
+    cases = {}
+    if isinstance(ch.head, PositiveHeadIndex):
+        cases.update((m, CaseLabel.CASE_2) for m in appendage_of(ch.head))
+    for x, y, z in string_of(ch.pseudohead):
+        leg = CaseLabel.CASE_1A if x < top else CaseLabel.CASE_1BI if y < mid else CaseLabel.CASE_1BII
+        cases[x, y, z] = leg
+    return cases
+
+
 def test_stat_matches_chain_arithmetic():
-    for p in list(_valid_params(4)):
-        for lam in subpartitions3(p):
-            r, R = locate(p, lam).area_range
-            assert stat(p, lam) == r + R - area(p, lam)
+    # each member's tail, range and case come from its chain, not the
+    # resolver; in particular the case is 2 exactly on the appendage
+    for p in _valid_params(6):
+        for ch in decompose(p):
+            r, R = ch.area_range
+            cases = _case_by_leg(ch)
+            for m in ch.members:
+                assert locate_tail(p, m) == ch.tail
+                assert stat(p, m) == r + R - area(p, m)
+                assert classify(p, m) is cases[m]
 
 
 def test_monomials_match_tables():

@@ -358,6 +358,20 @@ def test_verify_parallel_matches_serial():
     assert serial.stdout.splitlines()[:-1] == parallel.stdout.splitlines()[:-1]
 
 
+def test_verify_report_matches_its_fixture():
+    # every line is pinned; the last one up to its elapsed seconds
+    import pathlib
+
+    proc = run_cli("verify", "--n", "4", "--max", "3")
+    assert proc.returncode == 0
+    path = pathlib.Path(__file__).parent / "fixtures" / "verify_4_3.txt"
+    expected = path.read_text().splitlines()
+    got = proc.stdout.splitlines()
+    assert expected[-1] == "177 checks, 0 mismatches"
+    assert got[:-1] == expected[:-1]
+    assert got[-1].startswith(expected[-1] + ", ") and got[-1].endswith(" s")
+
+
 def test_verify_mismatch_maps_to_exit_1(monkeypatch):
     import qtcatalan.cli as cli_module
 

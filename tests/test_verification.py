@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from qtcatalan import DomainError, verification
-from qtcatalan.chains import chain_of, decompose
+from qtcatalan.chains import TailIndex, chain_of, decompose
 from qtcatalan.verification import parallel_map, run_verify
 
 
@@ -76,23 +76,39 @@ def test_parallel_map_runs_inline_below_two_jobs(monkeypatch, jobs):
 
 
 def test_chain_partition_refuses_a_locate_that_finds_another_chain(monkeypatch):
-    # (3, 1, 2) has two chains with one area range: a tail resolver that
-    # returns the other one gives stat the right range, but not lam's chain
-    real = verification._tail_of
+    # (3, 1, 2) has two chains with one area range: a resolver that returns
+    # the other one's tail gives stat the right range, but not lam's chain
+    real = verification._resolve
 
-    def other_tail(p, case, *lam):
-        found = chain_of(real(p, case, *lam))
+    def other_tail(p, *lam):
+        case, E, F, s = real(p, *lam)
+        found = chain_of(TailIndex(p, E, F))
         twins = [
             ch for ch in decompose(p)
             if ch.area_range == found.area_range and ch.members != found.members
         ]
-        return twins[0].tail if twins else found.tail
+        tail = twins[0].tail if twins else found.tail
+        return case, tail.E, tail.F, s
 
     assert verification.check_chain_partition((3, 1, 2))[0].ok
-    monkeypatch.setattr(verification, "_tail_of", other_tail)
+    monkeypatch.setattr(verification, "_resolve", other_tail)
     (result,) = verification.check_chain_partition((3, 1, 2))
     assert not result.ok
     assert "finds another chain" in result.detail
+
+
+def test_chain_partition_reports_a_stat_off_its_chain(monkeypatch):
+    # one member's stat one too high breaks area + stat = r + R on its chain
+    real = verification._resolve
+
+    def one_off(p, *lam):
+        case, E, F, s = real(p, *lam)
+        return case, E, F, s + 1 if lam == (2, 1, 0) else s
+
+    monkeypatch.setattr(verification, "_resolve", one_off)
+    (result,) = verification.check_chain_partition((1, 1, 1))
+    assert not result.ok
+    assert result.detail == "stat((2, 1, 0)) disagrees with its chain"
 
 
 def test_chain_partition_reports_a_member_outside_the_staircase(monkeypatch):
