@@ -16,26 +16,22 @@ moves each row of digits to the start of a longer row and widens them in
 one pass, and ``narrowest`` finds their largest absolute value by tests on
 all of them at once (``_within``) and re-packs them at the narrowest width
 that holds it.  One loop, ``_times_factors``, multiplies a packed value by
-binomials, one shift and subtract each.  A sum of such
-products, each row a signed monomial +-q^e t^f times binomials, is a
-``ProductTree``: rows that share a factor add their partial sums first and
-multiply by it once, each partial sum on its own span, and a row's sign is
-its leaf's value.  A tableau plan builds its tree once; ``sum_of_products``
-builds one per call, with every sign +1.  A mirrored tree (F's) stands for
-its rows and eps q^K t^-K times their transposes, q and t swapped, eps =
-+1 or -1: the packed sum of its rows, shifted by t^K, is added to eps times
-its transpose on a square box (``PackedBox.transpose``), which gives the
-integer of all the rows, shifted back by relabeling the box.
-``_pack_sum`` packs a sum on one box unless that box has more than
-``SLOTS_PER_TERM`` slots per term its rows can make; else it sums each row
-on its own box, as terms.  ``divide_sum_of_products`` divides a packed sum
-by the denominator's inverse modulo a power of 2, one factor at a time
-(``exact_divide`` of a packed polynomial), on the window of the box where
-the quotient lies, at the numerator's width, and proves the quotient by
-multiplying it back through the same loop.  A numerator given as terms
-(such a sum, or a ``FactoredRational``'s), or one whose quotient that
-width does not prove, is divided by ``exact_divide`` term by term along
-lattice lines, which also tells a numerator that does not divide.
+binomials, one shift and subtract each.  A sum of such products, each row a
+signed monomial +-q^e t^f times binomials, is a ``ProductTree``: rows that
+share a factor add their partial sums first and multiply by it once, each
+partial sum on its own span, and a row's sign is its leaf's value.  A
+tableau plan builds its tree once; ``sum_of_products`` builds one per call,
+with every sign +1.  ``_pack_sum`` packs a sum on one box, at the tree's
+kernel width, unless that box has more than ``SLOTS_PER_TERM`` slots per
+term its rows can make; else it sums each row on its own box, as terms.
+``divide_sum_of_products`` divides a packed sum by the denominator's
+inverse modulo a power of 2, one factor at a time (``exact_divide`` of a
+packed polynomial), on the window of the box where the quotient lies, at
+the numerator's width, and proves the quotient by multiplying it back
+through the same loop.  A numerator given as terms (such a sum, or a
+``FactoredRational``'s), or one whose quotient that width does not prove,
+is divided by ``exact_divide`` term by term along lattice lines, which also
+tells a numerator that does not divide.
 """
 
 from __future__ import annotations
@@ -277,31 +273,6 @@ class PackedBox:
                     data[(i + q_lo, j + t_lo)] = digit - half
         return data
 
-    def transpose(self, value: int, width: int) -> int:
-        """The polynomial with q and t swapped, packed at width on this box,
-        which must be square.  Slot (i, j) moves to (j, i): each t-column of
-        the digits becomes a q-row, one slice copy per column, of native
-        integers up to 64 bits and of byte planes past that."""
-        if (self.q_lo, self.q_hi) != (self.t_lo, self.t_hi):
-            raise DomainError("only a square box holds the transpose of its polynomials")
-        nbytes = width // 8
-        raw = _digits(value, self.slots, nbytes)
-        size = min((s for s in _UNSIGNED if s >= nbytes), default=nbytes)
-        if size != nbytes:
-            raw = _restride(raw, nbytes, size)
-        unit = size if size in _UNSIGNED else 1
-        fmt = _UNSIGNED.get(unit, "B")
-        out = bytearray(len(raw))
-        src, dst = memoryview(raw).cast(fmt), memoryview(out).cast(fmt)
-        planes = size // unit
-        row = self.stride * planes
-        for j in range(self.stride):
-            for k in range(planes):
-                dst[j * row + k : (j + 1) * row : planes] = src[j * planes + k :: row]
-        if size != nbytes:
-            out = _restride(out, size, nbytes)
-        return int.from_bytes(out, "little") - _bias_of(self.slots, nbytes, 0)
-
 
 class Packed:
     """A polynomial packed on box at width bits per slot.  Its length is the
@@ -375,28 +346,26 @@ class ProductTree:
     tuple of factors multiplies the top of the stack by them, and None adds
     the top two.  It depends on the factor multisets and signs only, so a
     plan builds it once and evaluates it at every vector's exponents
-    (``_pack_sum``).
-
-    A mirrored tree, ``mirror`` = (eps, K) with eps = +1 or -1, stands also
-    for eps q^K t^-K times the transpose of each row (its exponents and
-    factors with q and t swapped), which it does not store: ``_pack_sum``
-    adds them by transposing the rows' packed sum.
+    (``_pack_sum``).  The tree also keeps the two sizes that depend on it
+    alone: the kernel ``width``, which holds every slot of the sum
+    (``sum_of_products``), and ``own_slots``, the slots of the rows' own
+    boxes added up.
     """
 
-    __slots__ = ("factors", "signs", "spans", "program", "mirror")
+    __slots__ = ("factors", "signs", "spans", "width", "own_slots", "program")
 
     def __init__(
         self,
         factor_lists: Iterable[Iterable[tuple[int, int]]],
         signs: Sequence[int] | None = None,
-        mirror: tuple[int, int] | None = None,
     ):
-        self.mirror = mirror
         self.factors = tuple(
             tuple((alpha, beta) for alpha, beta in factors) for factors in factor_lists
         )
         self.signs = tuple(signs) if signs is not None else (1,) * len(self.factors)
         self.spans = tuple(_span(factors) for factors in self.factors)
+        self.width = fit_width(len(self.factors) << max(map(len, self.factors), default=0))
+        self.own_slots = sum((q_hi - q_lo + 1) * (t_hi - t_lo + 1) for q_lo, q_hi, t_lo, t_hi in self.spans)
         program: list = []
         rows = [(i, Counter(factors)) for i, factors in enumerate(self.factors)]
         # a stack of ops, pushed in the reverse of the order they are emitted
@@ -485,47 +454,20 @@ SLOTS_PER_TERM = 16
 def _pack_sum(exponents: Iterable[ExponentPair], tree: ProductTree) -> "Packed | LaurentPoly":
     """The sum of the tree at the rows' exponents, packed on one box; or,
     when that box has more than ``SLOTS_PER_TERM`` slots per term the rows
-    can make, each row packed on its own box and the sum added as terms.
-
-    A mirrored tree's transposed rows count in the box, the rows and the
-    slots as if they were stored, and the integer is the one all rows give.
-    With mirror (eps, K), the rows' sum S has the mirror eps q^K t^-K
-    swap(S), so t^K S has the mirror eps swap(t^K S): the rows are packed
-    at t^K on a square box, eps times the transpose of their sum
-    (``PackedBox.transpose``) is added, at the width of twice the rows, and
-    the box is relabeled K lower in t, which divides the integer's
-    polynomial by t^K at no cost."""
+    can make, each row packed on its own box and the sum added as terms."""
     exponents = list(exponents)
     if not exponents:
         return LaurentPoly.zero()
-    if tree.mirror:
-        eps, k = tree.mirror
-        exponents = [(e, f + k) for e, f in exponents]
     q_box: list[int] = []
     t_box: list[int] = []
-    own_slots = 0
     for (e, f), (q_lo, q_hi, t_lo, t_hi) in zip(exponents, tree.spans):
         q_box += (e + q_lo, e + q_hi)
         t_box += (f + t_lo, f + t_hi)
-        own_slots += (q_hi - q_lo + 1) * (t_hi - t_lo + 1)
-    rows = len(exponents)
-    if tree.mirror:  # a transposed row's box is the row's box swapped
-        q_box = t_box = q_box + t_box
-        rows, own_slots = 2 * rows, 2 * own_slots
     box = PackedBox(min(q_box), max(q_box), min(t_box), max(t_box))
-    if box.slots > SLOTS_PER_TERM * own_slots:
+    if box.slots > SLOTS_PER_TERM * tree.own_slots:
         rows = zip(exponents, tree.factors, tree.signs)
-        total = sum((sign * sum_of_products([(ef, fs)]) for ef, fs, sign in rows), ZERO)
-        if tree.mirror:
-            total = (total + eps * total.swap_qt()) * LaurentPoly.monomial(0, -k)
-        return total
-    max_m = max(len(factors) for factors in tree.factors)
-    width = fit_width(rows << max_m)
-    value = _evaluate(tree, exponents, box, width)
-    if tree.mirror:
-        value += eps * box.transpose(value, width)
-        box = PackedBox(box.q_lo, box.q_hi, box.t_lo - k, box.t_hi - k)
-    return Packed(box, width, value)
+        return sum((sign * sum_of_products([(ef, fs)]) for ef, fs, sign in rows), ZERO)
+    return Packed(box, tree.width, _evaluate(tree, exponents, box, tree.width))
 
 
 def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]]) -> LaurentPoly:
@@ -557,7 +499,7 @@ def product_of_factors(factors: Iterable[BinomialFactor]) -> LaurentPoly:
     return sum_of_products((((0, 0), factors),))
 
 
-def exact_divide(p: "LaurentPoly | Packed", factor: BinomialFactor) -> "LaurentPoly | Packed":
+def exact_divide(p: "LaurentPoly | Packed", factor: "BinomialFactor | tuple[int, int]") -> "LaurentPoly | Packed":
     """Divide p exactly by (1 - q^alpha t^beta).
 
     With 1 - X^v = -X^v (1 - X^-v), the division is taken along the

@@ -21,30 +21,28 @@ the sum to head-like tableaux (z_2 = q) with the reduced weight
 Transposing T swaps q and t in z(T), so in z(T)^a and in wt(T).  The cell
 labeled 2 lies at (0, 1) in exactly one of T and its transpose T', so the
 head-like tableaux hold one member of every conjugate pair (no tableau of
-size >= 2 is its own transpose), and F is the head-like half of its sum
-plus that half with q and t swapped.
+size >= 2 is its own transpose), and F is the head-like half of its sum,
+H / (1 - t/q), plus that half with q and t swapped.  With x = t/q,
+1 / (1 - q/t) = -x / (1 - x), so F = (H - x H(t,q)) / (1 - x): F is H and
+one exact division (``combine_h_to_f``).
 
-The sums put every weight over one common denominator D per size n (and
-per choice of F or H), reduced up to units: (1 - x^v) and its associate
-(1 - x^-v) = -x^-v (1 - x^v) count as one factor, so D holds one
-representative per class (``_representative``), at its largest
-multiplicity over the tableaux, 24 factors at n = 6 (46 with the two
-counted apart).  A tableau's own factors that are not representatives give
-its row a sign and a unit monomial q^i t^j.  A plan, built once per size,
-keeps only small integer data, for the head-like tableaux alone: per
-tableau, the content tail z[1:] and that unit monomial; and the product
-tree (``rational.ProductTree``) of their signed factor lists, each list
-the numerator factors of T plus its cofactor D / den'(T), den'(T) its
-denominator in representatives.  F's tree is mirrored: D is its own swap
-up to the unit eps q^-K t^K, which its factors (k, -k) give, so the row of
-T' is eps q^K t^-K times the row of T swapped, and the packed sum of the
-rows stored is added to eps times its transpose.  Almost every factor of D
-is in all rows but one, so the tree multiplies by most of them once for
-many rows: at n = 6, F's 38 rows take 193 shifts per vector, where all 76
-took 357 in one tree and 1,444 one per factor per row.  A vector then
-costs one evaluation of the tree at its monomials and one division of that
-packed sum by D, run on the quotient's window of the box, with no
-unpacking in between (``rational.divide_sum_of_products``).
+H puts every weight over one common denominator D per size n, reduced up
+to units: (1 - x^v) and its associate (1 - x^-v) = -x^-v (1 - x^v) count as
+one factor, so D holds one representative per class (``_representative``),
+at its largest multiplicity over the head-like tableaux, 19 factors at
+n = 6 (36 with the two counted apart).  A tableau's own factors that are not
+representatives give its row a sign and a unit monomial q^i t^j.  A plan,
+built once per size, keeps only small integer data, per head-like tableau:
+the content tail z[1:] and that unit monomial; and the product tree
+(``rational.ProductTree``) of their signed factor lists, each list the
+numerator factors of T's reduced weight plus its cofactor D / den'(T),
+den'(T) its denominator in representatives.  Almost every factor of D is in
+all rows but one, so the tree multiplies by most of them once for many
+rows: at n = 6, the 38 rows take 189 shifts per vector, where each row
+multiplied out on its own would take 570.  A vector then costs one
+evaluation of the tree at its monomials and one division of that packed
+sum by D, run on the quotient's window of the box, with no unpacking in
+between (``rational.divide_sum_of_products``).
 """
 
 from __future__ import annotations
@@ -58,10 +56,10 @@ from typing import Callable, Sequence
 from .errors import DomainError
 from .poly import ExponentPair, LaurentPoly, ONE
 from .rational import (
-    BinomialFactor,
     FactoredRational,
     ProductTree,
     divide_sum_of_products,
+    exact_divide,
     product_of_factors,
 )
 
@@ -229,8 +227,7 @@ def _representative(alpha: int, beta: int) -> ExponentPair:
     """The factor a plan's denominator holds for (1 - q^alpha t^beta): of it
     and its associate (1 - q^-alpha t^-beta) = -q^-alpha t^-beta (1 - q^alpha
     t^beta), the one of positive total degree, or of positive q-degree when
-    the total is 0.  The swap of a representative is one, except for (k, -k),
-    whose swap (-k, k) is its associate."""
+    the total is 0."""
     if alpha + beta < 0 or (alpha + beta == 0 and alpha < 0):
         return -alpha, -beta
     return alpha, beta
@@ -251,49 +248,25 @@ def _represented(den: Counter) -> tuple[int, ExponentPair, Counter]:
 
 
 @lru_cache(maxsize=None)
-def _plan(n: int, reduced: bool) -> tuple[tuple, tuple, ProductTree, tuple[ExponentPair, ...]]:
-    """The sum over tableaux of size n as small integer data: the content
-    tails z[1:] of the head-like tableaux; the unit monomial of each one's
-    row; the product tree of the rows, each its unit sign, its numerator
-    factors and its cofactor D / den'_T (``_represented``); and D, each
-    representative at its largest multiplicity over the tableaux summed.
-
-    H sums the reduced weights of these tableaux.  F sums the weights of
-    all tableaux, and its tree is mirrored: swap(D) = eps q^-K t^K D, as
-    each factor (k, -k) of D, of multiplicity mu_k, swaps to its associate
-    -q^-k t^k (1 - q^k t^-k), so row(T') = eps q^K t^-K swap(row(T)) with
-    eps = (-1)^(sum mu_k) and K = sum k mu_k."""
+def _plan(n: int) -> tuple[tuple, tuple, ProductTree, tuple[ExponentPair, ...]]:
+    """H's sum over the head-like tableaux of size n as small integer data:
+    their content tails z[1:]; the unit monomial of each one's row; the
+    product tree of the rows, each its unit sign, the numerator factors of
+    its reduced weight and its cofactor D / den'_T (``_represented``); and
+    D, each representative at its largest multiplicity over these tableaux."""
     rows = []
     common: Counter = Counter()
     for tab in enumerate_syt(n):
         if not tab.is_head_like():
             continue
         z = tab.contents()
-        num, den = _weight_factors(z, reduced)
+        num, den = _weight_factors(z, reduced=True)
         sign, unit, den = _represented(den)
         rows.append((z[1:], sign, unit, num, den))
         common |= den
-    mirror = None
-    if not reduced:
-        # den'(T') is den'(T) swapped, up to units
-        common |= Counter({_representative(beta, alpha): m for (alpha, beta), m in common.items()})
-        antidiagonal = [(alpha, m) for (alpha, beta), m in common.items() if alpha + beta == 0]
-        mirror = (-1) ** sum(m for _, m in antidiagonal), sum(alpha * m for alpha, m in antidiagonal)
     tails, signs, units, nums, dens = zip(*rows)
-    tree = ProductTree(
-        ((num + (common - den)).elements() for num, den in zip(nums, dens)), signs, mirror
-    )
+    tree = ProductTree(((num + (common - den)).elements() for num, den in zip(nums, dens)), signs)
     return tails, units, tree, tuple(common.elements())
-
-
-def _weighted_sum(a: tuple[int, ...], reduced: bool) -> LaurentPoly:
-    n = len(a) + 1
-    if n > MAX_TABLEAU_SIZE:
-        raise DomainError(
-            f"tableau sums are limited to vectors of length <= {MAX_TABLEAU_SIZE - 1}, got {len(a)}"
-        )
-    tails, units, tree, common = _plan(n, reduced)
-    return divide_sum_of_products(_row_exponents(a, tails, units), tree, common)
 
 
 def _row_exponents(a: tuple[int, ...], tails: tuple, units: tuple) -> list[ExponentPair]:
@@ -310,12 +283,14 @@ def _row_exponents(a: tuple[int, ...], tails: tuple, units: tuple) -> list[Expon
 
 def f_tableaux(a: Sequence[int]) -> LaurentPoly:
     """F(a_2, ..., a_n) as the exact sum over all standard tableaux of
-    size n = len(a) + 1.  Defined for arbitrary integer entries; the sum
-    always reduces to a Laurent polynomial."""
+    size n = len(a) + 1: the head-like half, H, and its q,t swap, rebuilt
+    into F by one exact division (``combine_h_to_f``).  Defined for
+    arbitrary integer entries; the sum always reduces to a Laurent
+    polynomial."""
     a = integer_entries(a)
     if not a:
         return ONE  # n = 1: a single one-box tableau with empty products
-    return _weighted_sum(a, reduced=False)
+    return combine_h_to_f(h_tableaux, a)
 
 
 def h_tableaux(a: Sequence[int]) -> LaurentPoly:
@@ -323,20 +298,23 @@ def h_tableaux(a: Sequence[int]) -> LaurentPoly:
     a = integer_entries(a)
     if not a:
         raise DomainError("h_tableaux requires at least one entry (tableaux of size >= 2)")
-    return _weighted_sum(a, reduced=True)
+    if len(a) >= MAX_TABLEAU_SIZE:
+        raise DomainError(
+            f"tableau sums are limited to vectors of length <= {MAX_TABLEAU_SIZE - 1}, got {len(a)}"
+        )
+    tails, units, tree, common = _plan(len(a) + 1)
+    return divide_sum_of_products(_row_exponents(a, tails, units), tree, common)
 
 
 def combine_h_to_f(h: Callable[[tuple[int, ...]], LaurentPoly], a: Sequence[int]) -> LaurentPoly:
     """Rebuild F from H via F = H(q,t)/(1 - t/q) + H(t,q)/(1 - q/t).
 
-    Swapping the variables of a polynomial transposes every exponent pair.
+    With x = t/q, 1/(1 - q/t) = -x/(1 - x), so F = (H - x H(t,q)) / (1 - x):
+    one exact division by (1 - q^-1 t).  Swapping the variables of a
+    polynomial transposes every exponent pair.
     """
-    a = integer_entries(a)
-    hp = h(a)
-    total = FactoredRational(hp, (BinomialFactor(-1, 1),)) + FactoredRational(
-        hp.swap_qt(), (BinomialFactor(1, -1),)
-    )
-    return total.to_poly()
+    hp = h(integer_entries(a))
+    return exact_divide(hp - LaurentPoly.monomial(-1, 1) * hp.swap_qt(), (-1, 1))
 
 
 def positivity_premise_check(h: LaurentPoly) -> bool:

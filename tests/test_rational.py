@@ -347,32 +347,6 @@ def test_decode_reads_the_triangle_of_a_degree():
     assert box.decode(value, 16) == terms
 
 
-def test_transpose_swaps_q_and_t_at_every_width():
-    # native digits of 1, 2, 4 and 8 bytes, 3 and 7 bytes padded to 4 and 8,
-    # and byte planes past 64 bits; the extreme balanced digits included
-    box = PackedBox(-2, 3, -2, 3)
-    rng = random.Random(5)
-    for width in (8, 16, 24, 56, 64, 72, 128):
-        lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
-        for _ in range(3):
-            terms = {
-                (e, f): rng.choice([lo, hi, rng.randint(lo, hi), 0])
-                for e in range(-2, 4)
-                for f in range(-2, 4)
-            }
-            terms[(-2, 3)], terms[(3, -2)] = lo, hi
-            terms = {ef: c for ef, c in terms.items() if c}
-            value = box.encode(terms, width)
-            mirrored = box.transpose(value, width)
-            assert box.decode(mirrored, width) == {(f, e): c for (e, f), c in terms.items()}
-            assert Packed(box, width, mirrored).unpack() == Packed(box, width, value).unpack().swap_qt()
-            assert box.transpose(mirrored, width) == value
-    with pytest.raises(DomainError):
-        PackedBox(0, 2, 0, 3).transpose(0, 8)
-    with pytest.raises(DomainError):
-        PackedBox(0, 2, 1, 3).transpose(0, 8)
-
-
 def test_fit_width_is_the_narrowest_balanced_digit():
     # whole bytes, wide enough, and one byte less would not be
     bounds = list(range(600)) + [2**k + d for k in range(8, 130) for d in (-1, 0, 1)]

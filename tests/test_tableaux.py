@@ -56,11 +56,11 @@ def test_large_entries_cost_their_terms_not_their_span(run_capped):
     )
     proc = run_capped("-c", code)
     assert proc.returncode == 0, proc.stderr
-    # one rule on both sides: F(11, 11, 11) has 2.3 slots per term of its
-    # rows' own boxes and is summed on one box; F(10^4, 0) has 6e5 and is
-    # summed row by row, each of its 2 head-like rows on its own box, the
-    # other 2 being their transposes
-    cases = [((11, 11, 11), 0, f_tesler((0, 11, 11, 11))), ((10**4, 0), 2, bracket(10**4 + 1))]
+    # F sums H's rows, and one rule takes a side for each: H(11, 11, 11) has
+    # 20.6 slots per term of its rows' own boxes and is summed row by row,
+    # each of its 5 rows on its own box; H(10^4, 0) has 3 and is summed on
+    # one box
+    cases = [((11, 11, 11), 5, f_tesler((0, 11, 11, 11))), ((10**4, 0), 0, bracket(10**4 + 1))]
     for vec, per_row_sums, expected in cases:
         with mock.patch.object(rational, "sum_of_products", wraps=rational.sum_of_products) as rows:
             assert f_tableaux(vec) == expected
@@ -300,8 +300,9 @@ def test_combine_zero_is_zero():
 
 
 def test_combine_matches_direct_sum():
+    # f_tableaux is this combination, so the other side is the Tesler route
     for vec in [(1,), (3,), (1, 1), (2, 1), (0, 2), (1, 1, 1), (2, 1, 2), (0, 1, 2)]:
-        assert combine_h_to_f(h_tableaux, vec) == f_tableaux(vec)
+        assert combine_h_to_f(h_tableaux, vec) == f_tesler((0,) + vec)
 
 
 def test_positivity_premise_check():
@@ -440,14 +441,12 @@ def _per_row_total(exponents, factor_lists, signs, box, width):
     return total
 
 
-@pytest.mark.parametrize("reduced", [False, True])
 @pytest.mark.parametrize("n", range(2, 8))
-def test_plan_tree_packs_the_per_row_integer(n, reduced):
+def test_plan_tree_packs_the_per_row_integer(n):
     # both sides are one polynomial in X evaluated at X = 2^width, so they
     # agree at any width; 8 bits keep the per-row side cheap.  The rows are
-    # the ones the tree stores, each with its sign; F's transposed rows are
-    # checked below.
-    tails, units, tree, _ = tableaux._plan(n, reduced)
+    # the ones the tree stores, each with its sign.
+    tails, units, tree, _ = tableaux._plan(n)
     assert set(tree.signs) <= {1, -1} and len(tree.signs) == len(tails)
     for vec in [(1,) * (n - 1), (2, -1, 0, 1, 1, -1, 0)[: n - 1]]:
         exponents = tableaux._row_exponents(vec, tails, units)
@@ -465,19 +464,27 @@ def test_plan_tree_packs_the_per_row_integer(n, reduced):
     "vec", [(1, 2), (0, 1, 2), (2, 1, 1, 0), (1, 1, 1, 1, 1), (2, -1, 1, 0, 1)]
 )
 def test_each_tableau_sum_divides_once_per_factor_on_the_window(vec):
-    for fn, reduced in ((f_tableaux, False), (h_tableaux, True)):
-        tails, units, tree, common = tableaux._plan(len(vec) + 1, reduced)
-        assert len(common) == PLAN_DENOMINATOR_FACTORS[len(vec) + 1][reduced]
-        numerator = rational._pack_sum(tableaux._row_exponents(vec, tails, units), tree)
-        assert isinstance(numerator, Packed)
-        box = numerator.box
-        d_q_lo, d_q_hi, _, _ = rational._span(common)
-        window = box.slots - (d_q_hi - d_q_lo) * box.stride
-        with mock.patch.object(rational, "exact_divide", wraps=rational.exact_divide) as divide:
+    # H divides its packed sum by each factor of D on the quotient's window;
+    # F is that work plus one division of terms by (1 - t/q)
+    tails, units, tree, common = tableaux._plan(len(vec) + 1)
+    assert len(common) == PLAN_DENOMINATOR_FACTORS[len(vec) + 1]
+    numerator = rational._pack_sum(tableaux._row_exponents(vec, tails, units), tree)
+    assert isinstance(numerator, Packed)
+    box = numerator.box
+    d_q_lo, d_q_hi, _, _ = rational._span(common)
+    window = box.slots - (d_q_hi - d_q_lo) * box.stride
+    for fn, term_divisions in ((h_tableaux, 0), (f_tableaux, 1)):
+        with (
+            mock.patch.object(rational, "exact_divide", wraps=rational.exact_divide) as divide,
+            mock.patch.object(tableaux, "exact_divide", wraps=tableaux.exact_divide) as by_terms,
+        ):
             fn(vec)
         assert divide.call_count == len(common)
         for call in divide.call_args_list:
             assert isinstance(call.args[0], Packed) and len(call.args[0]) == window
+        assert by_terms.call_count == term_divisions
+        for call in by_terms.call_args_list:
+            assert isinstance(call.args[0], LaurentPoly) and call.args[1] == (-1, 1)
 
 
 def _whole_bytes(bits):
@@ -499,16 +506,16 @@ def test_kernel_and_proof_widths_are_the_byte_rounded_bits(monkeypatch):
     # one rule sized both packed engines
     evaluate, times_factors, packed_quotient = rational._evaluate, rational._times_factors, rational._packed_quotient
     proof_widths, seen = [], Counter()
-    f_rows_at_6 = len(tableaux._plan(6, False)[0])
+    rows_at_6 = len(tableaux._plan(6)[0])
 
     def logged_evaluate(tree, exponents, box, width):
-        rows = len(exponents) * (2 if tree.mirror else 1)
+        rows = len(exponents)
         max_m = max(len(factors) for factors in tree.factors)
-        assert width == _whole_bytes(max_m + rows.bit_length() + 1)
-        if tree.mirror and len(exponents) == f_rows_at_6:
-            # 24 factors of D, 19 in the longest row, 76 rows: 27 bits
-            assert width == 32
-            seen["F at n = 6"] += 1
+        assert width == tree.width == _whole_bytes(max_m + rows.bit_length() + 1)
+        if rows == rows_at_6:
+            # 19 factors of D, 15 in the longest row, 38 rows: 22 bits
+            assert width == 24
+            seen["n = 6"] += 1
         seen["kernel"] += 1
         return evaluate(tree, exponents, box, width)
 
@@ -530,34 +537,35 @@ def test_kernel_and_proof_widths_are_the_byte_rounded_bits(monkeypatch):
     monkeypatch.setattr(rational, "_times_factors", logged_times_factors)
     monkeypatch.setattr(rational, "_packed_quotient", logged_quotient)
     vectors = [v for n in range(2, 8) for v in _sweep_vectors(n - 1)]
-    nonzero = sum(bool(fn(vec)) for vec in vectors for fn in (f_tableaux, h_tableaux))
-    # a zero sum, such as F(3, -1), has nothing to divide.  Each sum is one
-    # kernel evaluation and one proof, but H(3, 3) and H(0, 3), whose rows'
-    # unit monomials spread them past SLOTS_PER_TERM slots per term, sum
-    # their 2 rows one at a time, one more evaluation each, and divide
-    # term by term
-    assert seen["kernel"] == 2 * len(vectors) + 2 and seen["proof"] == nonzero - 2 > 150
-    assert seen["F at n = 6"] == len(_sweep_vectors(5))
+    nonzero = sum(bool(h_tableaux(vec)) for vec in vectors)
+    for vec in vectors:
+        f_tableaux(vec)
+    # F and H each sum H's rows: one kernel evaluation and, unless H is 0,
+    # one proof per call.  H(3, 3) and H(0, 3), whose rows' unit monomials
+    # spread them past SLOTS_PER_TERM slots per term, sum their 2 rows one
+    # at a time, one more evaluation each per call, and divide term by term
+    assert seen["kernel"] == 2 * len(vectors) + 4 and seen["proof"] == 2 * (nonzero - 2) > 150
+    assert seen["n = 6"] == 2 * len(_sweep_vectors(5))
 
 
 def test_tableau_sum_over_a_wrong_denominator_is_refused():
-    # F(1, 1, 1, 1) is q,t-Catalan and nonzero at q = 1, so (1 - q) does not divide it
-    tails, units, tree, common = tableaux._plan(5, False)
+    # H(1, 1, 1, 1) rebuilds F(1, 1, 1, 1), the q,t-Catalan number; H is
+    # nonzero at q = 1, so (1 - q) does not divide it
+    tails, units, tree, common = tableaux._plan(5)
     exponents = tableaux._row_exponents((1, 1, 1, 1), tails, units)
-    assert divide_sum_of_products(exponents, tree, common) == f_tesler((0, 1, 1, 1, 1))
+    h = divide_sum_of_products(exponents, tree, common)
+    assert combine_h_to_f(lambda _: h, (1, 1, 1, 1)) == f_tesler((0, 1, 1, 1, 1))
     with pytest.raises(NotPolynomialError):
         divide_sum_of_products(exponents, tree, common + ((1, 0),))
 
 
 # -- the common denominator, reduced up to units ------------------------------
 
-#: the factors of D, (F, H) per size: about half of the least common multiple
-#: of the tableau denominators taken factor by factor, where (1 - x^v) and its
-#: associate (1 - x^-v) counted as two (28, 46, 66, 100 and 20, 36, 54, 86 at
+#: the factors of D per size: about half of the least common multiple of the
+#: head-like tableaux' denominators taken factor by factor, where (1 - x^v)
+#: and its associate (1 - x^-v) counted as two (20, 36, 54 and 86 at
 #: n = 5..8)
-PLAN_DENOMINATOR_FACTORS = {
-    2: (1, 0), 3: (3, 1), 4: (8, 5), 5: (14, 10), 6: (24, 19), 7: (36, 30), 8: (51, 44)
-}
+PLAN_DENOMINATOR_FACTORS = {2: 0, 3: 1, 4: 5, 5: 10, 6: 19, 7: 30, 8: 44}
 
 
 def _associates(v):
@@ -565,118 +573,61 @@ def _associates(v):
     return min(v, (-v[0], -v[1]))
 
 
-def _unit_row(den, common):
-    # (sign, (i, j), factors) with 1 / prod over den = sign q^i t^j factors /
-    # prod over common, each factor of den matched to the factor of common
-    # it equals or is the associate of: 1 / (1 - x^v) = -x^-v / (1 - x^-v)
-    sign, i, j = 1, 0, 0
-    cofactor = Counter(common)
-    for (alpha, beta), m in den.items():
-        if (alpha, beta) in common:
-            cofactor[(alpha, beta)] -= m
-        else:
-            assert (-alpha, -beta) in common, (alpha, beta)
-            cofactor[(-alpha, -beta)] -= m
-            sign, i, j = sign * (-1) ** m, i - m * alpha, j - m * beta
-    assert min(cofactor.values(), default=0) >= 0
-    return sign, (i, j), cofactor
-
-
-def _all_tableau_rows(n):
-    # (tail of z, sign, unit monomial, factors) of every tableau of F's sum,
-    # each worked out on its own over the plan's D
-    common = tableaux._plan(n, False)[3]
-    rows = []
-    for tab in enumerate_syt(n):
-        num, den = tableaux._weight_factors(tab.contents(), False)
-        sign, unit, cofactor = _unit_row(den, common)
-        rows.append((tab.contents()[1:], sign, unit, list((num + cofactor).elements())))
-    return rows
-
-
 @pytest.mark.parametrize("n", range(2, 8))
-def test_f_plan_holds_the_head_like_tableaux_over_the_all_tableau_denominator(n):
-    # D is the least common multiple, up to units, of every tableau's
-    # denominator: per class {v, -v}, the largest count of v and -v together
-    tails, units, tree, common = tableaux._plan(n, False)
-    head_like = tuple(tab.contents()[1:] for tab in enumerate_syt(n) if tab.is_head_like())
-    assert tails == head_like and 2 * len(tails) == len(enumerate_syt(n))
-    assert tree.mirror and tableaux._plan(n, True)[2].mirror is None
+def test_plan_holds_the_head_like_tableaux_over_their_denominator(n):
+    # D is the least common multiple, up to units, of the head-like
+    # tableaux' denominators: per class {v, -v}, the largest count of v and
+    # -v together
+    tails, units, tree, common = tableaux._plan(n)
+    head_like = [tab for tab in enumerate_syt(n) if tab.is_head_like()]
+    assert tails == tuple(tab.contents()[1:] for tab in head_like)
+    assert 2 * len(tails) == len(enumerate_syt(n))
     every_den = Counter()
-    for tab in enumerate_syt(n):
-        _, den = tableaux._weight_factors(tab.contents(), False)
+    for tab in head_like:
+        _, den = tableaux._weight_factors(tab.contents(), True)
         every_den |= Counter(_associates(v) for v in den.elements())
     assert Counter(_associates(v) for v in common) == every_den
     # one factor per class, and no (0, 0)
     assert len({_associates(v) for v in common}) == len(set(common)) and (0, 0) not in common
-    assert len(common) == PLAN_DENOMINATOR_FACTORS[n][0]
+    assert len(common) == PLAN_DENOMINATOR_FACTORS[n]
 
 
-#: F's kernel width in bits per size, 32, 56, 72 and 104 at n = 5..8 over
-#: the unreduced D
-F_KERNEL_WIDTH = {2: 8, 3: 8, 4: 16, 5: 16, 6: 32, 7: 40, 8: 56}
+#: the kernel width of H's plan in bits per size
+KERNEL_WIDTH = {2: 8, 3: 8, 4: 8, 5: 16, 6: 24, 7: 40, 8: 48}
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_plan_denominator_sizes_are_pinned(n):
-    assert tuple(len(tableaux._plan(n, reduced)[3]) for reduced in (False, True)) == PLAN_DENOMINATOR_FACTORS[n]
-    tails, units, tree, _ = tableaux._plan(n, False)
+    tails, units, tree, common = tableaux._plan(n)
+    assert len(common) == PLAN_DENOMINATOR_FACTORS[n]
     vec = (1,) * (n - 1)
     with mock.patch.object(rational, "_evaluate", wraps=rational._evaluate) as evaluate:
         rational._pack_sum(tableaux._row_exponents(vec, tails, units), tree)
-    assert evaluate.call_args.args[3] == F_KERNEL_WIDTH[n]
+    assert evaluate.call_args.args[3] == KERNEL_WIDTH[n]
 
 
-@pytest.mark.parametrize("reduced", [False, True])
 @pytest.mark.parametrize("n", range(2, 8))
-def test_no_factor_of_the_denominator_divides_every_row(n, reduced):
+def test_no_factor_of_the_denominator_divides_every_row(n):
     # D is fully reduced over the rows' binomials: for every factor g of D
-    # some row, transposed rows included, holds neither g nor its associate,
-    # so no unit multiple of (1 - x^g) could be taken out of every row's
-    # factors and D alike.  A row may still be divisible by (1 - x^g)
-    # through a factor (1 - x^kg), k >= 2, which would leave a non-binomial.
-    _, _, tree, common = tableaux._plan(n, reduced)
-    rows = list(tree.factors)
-    if tree.mirror:
-        rows += [[(beta, alpha) for alpha, beta in factors] for factors in tree.factors]
+    # some row holds neither g nor its associate, so no unit multiple of
+    # (1 - x^g) could be taken out of every row's factors and D alike.  A
+    # row may still be divisible by (1 - x^g) through a factor (1 - x^kg),
+    # k >= 2, which would leave a non-binomial.
+    _, _, tree, common = tableaux._plan(n)
     for alpha, beta in set(common):
-        assert any((alpha, beta) not in r and (-alpha, -beta) not in r for r in rows), (alpha, beta)
+        assert any((alpha, beta) not in r and (-alpha, -beta) not in r for r in tree.factors), (alpha, beta)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_each_row_over_the_denominator_is_its_tableau_weight(n):
     # each row's sign, unit monomial and factors, over D, is its tableau's
-    # weight at the oracle's points; F's transposed rows are the stored ones
-    # swapped, times eps q^K t^-K
+    # reduced weight at the oracle's points
     points = [(Fraction(2), Fraction(3)), (Fraction(-3), Fraction(5))]
-    for reduced in (False, True):
-        tails, units, tree, common = tableaux._plan(n, reduced)
-        by_tail = {tab.contents()[1:]: tab for tab in enumerate_syt(n)}
-        for q, t in points:
-            d = math.prod(1 - q**alpha * t**beta for alpha, beta in common)
-            if tree.mirror:
-                eps, k = tree.mirror
-                assert math.prod(1 - t**alpha * q**beta for alpha, beta in common) == eps * q**-k * t**k * d
-            for tail, (i, j), sign, factors in zip(tails, units, tree.signs, tree.factors):
-                z = by_tail[tail].contents()
-                row = sign * q**i * t**j * math.prod(1 - q**alpha * t**beta for alpha, beta in factors)
-                assert row / d == _oracle_weight(z, q, t, reduced), (n, reduced, z, q, t)
-                if tree.mirror:
-                    swapped = sign * t**i * q**j * math.prod(1 - t**alpha * q**beta for alpha, beta in factors)
-                    transposed = tuple((zt, zq) for zq, zt in z)
-                    mirror_row = eps * q**k * t**-k * swapped
-                    assert mirror_row / d == _oracle_weight(transposed, q, t, False), (n, transposed, q, t)
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_mirrored_sum_packs_the_all_tableau_integer(n):
-    # the head-like rows' sum plus eps times its transpose is, digit for
-    # digit, the integer of every tableau's signed and offset row multiplied
-    # out on its own
-    tails, units, tree, _ = tableaux._plan(n, False)
-    all_tails, signs, row_units, factor_lists = zip(*_all_tableau_rows(n))
-    for vec in [(1,) * (n - 1), (2, -1, 0, 1, 1, -1)[: n - 1], (3, 0, 2, 0, 1, 1)[: n - 1]]:
-        packed = rational._pack_sum(tableaux._row_exponents(vec, tails, units), tree)
-        assert isinstance(packed, Packed)
-        exponents = tableaux._row_exponents(vec, all_tails, row_units)
-        assert packed.value == _per_row_total(exponents, factor_lists, signs, packed.box, packed.width)
+    tails, units, tree, common = tableaux._plan(n)
+    by_tail = {tab.contents()[1:]: tab for tab in enumerate_syt(n)}
+    for q, t in points:
+        d = math.prod(1 - q**alpha * t**beta for alpha, beta in common)
+        for tail, (i, j), sign, factors in zip(tails, units, tree.signs, tree.factors):
+            z = by_tail[tail].contents()
+            row = sign * q**i * t**j * math.prod(1 - q**alpha * t**beta for alpha, beta in factors)
+            assert row / d == _oracle_weight(z, q, t, True), (n, z, q, t)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from qtcatalan import DomainError, verification
+from qtcatalan import ABCParams, DomainError, verification
 from qtcatalan.chains import TailIndex, chain_of, decompose
 from qtcatalan.verification import parallel_map, run_verify
 
@@ -123,3 +123,40 @@ def test_chain_partition_reports_a_member_outside_the_staircase(monkeypatch):
     (result,) = verification.check_chain_partition((1, 1, 1))
     assert not result.ok
     assert "outside the staircase: [(9, 9, 9)]" in result.detail
+
+
+def test_chain_partition_reports_index_sets_of_different_sizes(monkeypatch):
+    # one head fewer than tails breaks the bijections between the index sets
+    real = verification.enumerate_heads
+    tails = len(verification.enumerate_tails(ABCParams(1, 1, 1)))
+    monkeypatch.setattr(verification, "enumerate_heads", lambda p: real(p)[1:])
+    (result,) = verification.check_chain_partition((1, 1, 1))
+    assert not result.ok
+    sizes = {"tails": tails, "pseudoheads": tails, "heads": tails - 1, "quasiheads": tails}
+    assert result.detail == f"index sets differ in size: {sizes}"
+
+
+def test_chain_partition_reports_a_range_not_preserved_along_a_chain(monkeypatch):
+    # a quasihead one step off has another area range than its chain
+    real = verification.chain_of
+    first = verification.enumerate_tails(ABCParams(1, 1, 1))[0]
+
+    def shifted(tail):
+        ch = real(tail)
+        if tail != first:
+            return ch
+        return dataclasses.replace(ch, quasihead=dataclasses.replace(ch.quasihead, s=ch.quasihead.s + 1))
+
+    monkeypatch.setattr(verification, "chain_of", shifted)
+    (result,) = verification.check_chain_partition((1, 1, 1))
+    assert not result.ok
+    assert result.detail == f"range not preserved along chain of {first}"
+
+
+def test_chain_partition_reports_a_subdiagram_no_chain_covers(monkeypatch):
+    # a lattice with one partition more than the chains hold is not covered
+    real = verification.subpartitions3
+    monkeypatch.setattr(verification, "subpartitions3", lambda p: list(real(p)) + [(9, 9, 9)])
+    (result,) = verification.check_chain_partition((1, 1, 1))
+    assert not result.ok
+    assert result.detail == "not covered: [(9, 9, 9)]..."
