@@ -38,13 +38,13 @@ division toward zero would corrupt every bijection.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .closed_forms import ABCParams, h3
 from .errors import DomainError
 from .poly import LaurentPoly
+from .record import Record
 
 Partition3 = tuple[int, int, int]
 
@@ -59,11 +59,8 @@ def _ceil_half(x: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailIndex:
-    params: ABCParams
-    E: int
-    F: int
+class TailIndex(Record):
+    __slots__ = ("params", "E", "F")
 
     @property
     def eps(self) -> int:
@@ -94,11 +91,8 @@ class TailIndex:
         )
 
 
-@dataclass(frozen=True)
-class PseudoheadIndex:
-    params: ABCParams
-    i: int
-    j: int
+class PseudoheadIndex(Record):
+    __slots__ = ("params", "i", "j")
 
     @property
     def eps(self) -> int:
@@ -133,11 +127,8 @@ class PseudoheadIndex:
         )
 
 
-@dataclass(frozen=True)
-class PositiveHeadIndex:
-    params: ABCParams
-    k: int
-    l: int
+class PositiveHeadIndex(Record):
+    __slots__ = ("params", "k", "l")
 
     def partition(self) -> Partition3:
         return (self.k, self.l, 0)
@@ -154,11 +145,8 @@ class PositiveHeadIndex:
 HeadIndex = PseudoheadIndex | PositiveHeadIndex
 
 
-@dataclass(frozen=True)
-class QuasiheadIndex:
-    params: ABCParams
-    s: int
-    t: int
+class QuasiheadIndex(Record):
+    __slots__ = ("params", "s", "t")
 
     @property
     def eps(self) -> int:
@@ -186,17 +174,11 @@ class QuasiheadIndex:
         )
 
 
-@dataclass(frozen=True)
-class ChainRecord:
+class ChainRecord(Record):
     """One chain: its four index forms, the members ordered by increasing
     area, and the common area range."""
 
-    tail: TailIndex
-    pseudohead: PseudoheadIndex
-    head: HeadIndex
-    quasihead: QuasiheadIndex
-    members: tuple[Partition3, ...]
-    area_range: tuple[int, int]
+    __slots__ = ("tail", "pseudohead", "head", "quasihead", "members", "area_range")
 
 
 class CaseLabel(Enum):
@@ -343,14 +325,7 @@ def chain_of(tail: TailIndex) -> ChainRecord:
     members = list(reversed(string_of(ph)))
     if isinstance(head, PositiveHeadIndex):
         members.extend(reversed(appendage_of(head)))
-    return ChainRecord(
-        tail=tail,
-        pseudohead=ph,
-        head=head,
-        quasihead=quasi,
-        members=tuple(members),
-        area_range=tail.area_range(),
-    )
+    return ChainRecord(tail, ph, head, quasi, tuple(members), tail.area_range())
 
 
 def decompose(p: ABCParams) -> list[ChainRecord]:

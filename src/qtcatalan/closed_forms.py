@@ -19,26 +19,23 @@ nonnegative; calls outside raise rather than extrapolate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
 from .poly import LaurentPoly, ZERO, bracket, qt_power
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ABCParams:
+class ABCParams(Record):
     """A validated argument triple for the three-argument machinery.
 
     Requires a, b, c >= 0 with a+1 >= b, a+1 >= c and b+1 >= c; every
     statement about chains and statistics assumes this region.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
+    def _check(self):
         a, b, c = self.a, self.b, self.c
         if not all(isinstance(x, int) for x in (a, b, c)):
             raise DomainError(f"ABCParams entries must be integers, got {(a, b, c)}")

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -62,6 +61,7 @@ from .rational import (
     exact_divide,
     product_of_factors,
 )
+from .record import Record
 
 #: Exhaustive sums over tableaux are kept to sizes where they stay cheap.
 MAX_TABLEAU_SIZE = 8
@@ -92,8 +92,7 @@ def canonical_partition(parts: Sequence[int]) -> tuple[int, ...]:
     return parts
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(Record):
     """A standard Young tableau given by its growth sequence.
 
     cells[k] = (row, col) of the cell labeled k+1; rows count from the
@@ -101,9 +100,9 @@ class StandardTableau:
     valid Young diagram grown one corner at a time.
     """
 
-    cells: tuple[tuple[int, int], ...]
+    __slots__ = ("cells",)
 
-    def __post_init__(self):
+    def _check(self):
         rows: list[int] = []
         for r, c in self.cells:
             if r > len(rows) or (r < len(rows) and c != rows[r]) or (r == len(rows) and c != 0):

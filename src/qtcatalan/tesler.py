@@ -103,7 +103,6 @@ is summed packed all the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
@@ -111,6 +110,7 @@ from typing import Iterator, Sequence
 from .errors import DomainError
 from .poly import LaurentPoly, ONE, coeff_A, coeff_B
 from .rational import PackedBox, fit_width, narrowest, relayout
+from .record import Record
 from .tableaux import canonical_partition, integer_entries
 
 
@@ -167,17 +167,15 @@ def subdiagram_area_gf(lam: Sequence[int]) -> LaurentPoly:
     )
 
 
-@dataclass(frozen=True)
-class TeslerMatrix:
+class TeslerMatrix(Record):
     """An upper-triangular matrix with prescribed hook sums.
 
     rows[i] holds (m_ii, m_{i,i+1}, ..., m_{i,n-1}); indices are 0-based.
     """
 
-    hook_sums: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("hook_sums", "rows")
 
-    def __post_init__(self):
+    def _check(self):
         n = len(self.hook_sums)
         if len(self.rows) != n or any(len(row) != n - i for i, row in enumerate(self.rows)):
             raise DomainError("rows must form an upper-triangular array")

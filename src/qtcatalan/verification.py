@@ -2,16 +2,15 @@
 
 Each check recomputes some value by two or more independent routes and
 reports a mismatch with the full polynomials involved.  Checks are pure
-functions of their parameter vector, so the sweep can be sharded across a
-process pool; aggregation is order-independent.
+functions of their parameter vector, so the sweep can be sharded across
+forked workers (``parallel_map``); aggregation is order-independent.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from itertools import product
 
 from .chains import (
@@ -41,18 +40,17 @@ from .tesler import f_tesler, lambda_partition, subdiagram_area_gf
 TESLER_FIRST_ENTRIES = (0, 3)
 
 
-@dataclass
 class CaseResult:
-    identity: str
-    vector: tuple[int, ...]
-    ok: bool
-    detail: str = ""
+    __slots__ = ("identity", "vector", "ok", "detail")
+
+    def __init__(self, identity: str, vector: tuple[int, ...], ok: bool, detail: str = ""):
+        self.identity, self.vector, self.ok, self.detail = identity, vector, ok, detail
 
 
-@dataclass
 class VerificationReport:
-    cases: list[CaseResult] = field(default_factory=list)
-    elapsed: float = 0.0
+    def __init__(self):
+        self.cases: list[CaseResult] = []
+        self.elapsed = 0.0
 
     @property
     def mismatches(self) -> list[CaseResult]:
@@ -253,15 +251,60 @@ def default_jobs() -> int:
     return max(1, env_int("QTC_JOBS", 1))
 
 
+def _work(fn, chunks: list, write_end: int):
+    """A forked worker: pickles its results, or its exception, down the pipe and exits."""
+    try:
+        try:
+            data = pickle.dumps([[fn(x) for x in chunk] for chunk in chunks])
+        except BaseException as exc:  # sent to the parent, which raises it
+            data = pickle.dumps(exc)
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
 def parallel_map(fn, items, jobs: int) -> list:
-    """[fn(x) for x in items], in order; with jobs > 1, on a process pool of
-    at most as many workers as there are usable CPUs."""
-    if jobs <= 1:
+    """[fn(x) for x in items], in order.  With jobs > 1 and ``os.fork``, on
+    forked workers, no more than jobs, the usable CPUs or the chunks of 8
+    items: worker k maps chunks k, k + workers, ...  A worker's exception,
+    or its exit without results, raises here; none outlives the call."""
+    if jobs <= 1 or not hasattr(os, "fork"):
         return [fn(x) for x in items]
+    items = list(items)
+    chunks = [items[i : i + 8] for i in range(0, len(items), 8)]
     # sched_getaffinity is missing on some platforms
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ProcessPoolExecutor(max_workers=min(jobs, cpus or 1)) as pool:
-        return list(pool.map(fn, items, chunksize=8))
+    workers = min(jobs, cpus or 1, len(chunks))
+    results, pipes, pids = [None] * len(chunks), [], []  # a pid is None once reaped
+    try:
+        for k in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, chunks[k::workers], write_end)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        for k, pid in enumerate(pids):
+            data = pipes[k].read()
+            status = os.waitpid(pid, 0)[1]
+            pids[k] = None
+            if not data:
+                raise RuntimeError(f"a forked worker exited (wait status {status}) without sending its results")
+            out = pickle.loads(data)
+            if isinstance(out, BaseException):
+                raise out
+            results[k::workers] = out
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in filter(None, pids):
+            os.kill(pid, 9)  # SIGKILL, without importing signal
+            os.waitpid(pid, 0)
+    return [y for chunk in results for y in chunk]
 
 
 def run_verify(n: int, maxval: int, jobs: int | None = None) -> VerificationReport:

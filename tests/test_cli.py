@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import product
 
 import pytest
@@ -186,6 +187,17 @@ def test_compute_too_deep_exit_2(args):
     proc = run_cli("compute", *args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_compute_refuses_an_expensive_tableau_sum_up_front():
+    # F(50001, 50000) has about 4e9 terms: the sum once ran to 1.4 GB before
+    # it was killed; now its quotient's box is counted and refused
+    start = time.perf_counter()
+    proc = run_cli("compute", "--method", "tableaux", "--a", "50001,50000")
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "slots" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
 
 

@@ -1,7 +1,9 @@
-"""Static checks of the sources: the runtime imports nothing outside the
-standard library, and every function and class it defines is used."""
+"""Checks of the sources: the runtime imports nothing outside the standard
+library, loads no module it does not need, and every function and class it
+defines is used."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,6 +24,20 @@ def test_every_absolute_import_is_stdlib_or_the_package():
     imported = {name.partition(".")[0] for path in SOURCES for name in _absolute_imports(path)}
     assert len(SOURCES) >= 10 and {"functools", "__future__"} <= imported
     assert imported - sys.stdlib_module_names <= {"qtcatalan"}
+
+
+def test_import_loads_no_pool_dataclass_or_thread_machinery():
+    # a short `qtc` call is mostly import time: parallel_map forks its own
+    # workers and records are slotted classes, so none of these is needed.
+    # Counted from the interpreter's own start, so what `site` loads is not.
+    code = (
+        "import sys; before = set(sys.modules); import qtcatalan; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = {name.partition(".")[0] for name in out.stdout.split()}
+    assert "qtcatalan" in loaded
+    assert loaded & {"concurrent", "multiprocessing", "threading", "dataclasses", "inspect"} == set()
 
 
 def _python_files(*dirs):

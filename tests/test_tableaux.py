@@ -67,6 +67,24 @@ def test_large_entries_cost_their_terms_not_their_span(run_capped):
         assert rows.call_count == per_row_sums
 
 
+def test_a_quotient_box_past_the_limit_is_refused_before_any_sum():
+    # F(a + 1, a) has about 1.5 a^2 terms in a box of (2a + 1)(a + 1) slots;
+    # at a = 50000 the sum once ran to 1.4 GB before it was killed
+    with mock.patch.object(rational, "_pack_sum") as pack:
+        for h in (f_tableaux, h_tableaux):
+            with pytest.raises(DomainError, match="a box of 5000150001 slots"):
+                h((50001, 50000))
+    assert pack.call_count == 0
+
+
+def test_the_quotient_box_limit_sits_between_neighbours(monkeypatch):
+    # the box of F(25, 24)'s quotient has 49 x 25 slots, F(26, 25)'s 51 x 26
+    monkeypatch.setattr(rational, "MAX_QUOTIENT_SLOTS", 49 * 25)
+    assert f_tableaux((25, 24)) == f_tesler((0, 25, 24))
+    with pytest.raises(DomainError, match=f"1326 slots, more than the {49 * 25} allowed"):
+        f_tableaux((26, 25))
+
+
 # -- independent oracle: count SYT by the hook length formula ---------------
 
 def _partitions_of(n, cap=None):

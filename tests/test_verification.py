@@ -1,12 +1,11 @@
-"""The sweep layer behind `qtc verify`: which checks run, and the pool."""
+"""The sweep layer behind `qtc verify`: which checks run, and the forked map."""
 
-import dataclasses
 import os
 from collections import Counter
 
 import pytest
 
-from qtcatalan import ABCParams, DomainError, verification
+from qtcatalan import ABCParams, ChainRecord, DomainError, QuasiheadIndex, verification
 from qtcatalan.chains import TailIndex, chain_of, decompose
 from qtcatalan.verification import parallel_map, run_verify
 
@@ -37,42 +36,92 @@ def test_run_verify_refuses_a_sweep_it_cannot_run(n, maxval):
         run_verify(n, maxval, jobs=1)
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, maps inline."""
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count()
 
-    sizes: list = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+def _with_pid(x):
+    return x, os.getpid()
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
+def _fail_at_3(x):
+    if x == 3:
+        raise DomainError(f"no value at {x}")
+    return x
 
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+
+def _assert_no_child_left():
+    # every worker was reaped: this process has no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made, counted; a call past the usable CPUs raises
+    instead of forking, so a broken clamp fails before it forks many."""
+    calls = []
+    real = os.fork
+
+    def counted():
+        if len(calls) >= _usable_cpus():
+            raise AssertionError("forked more workers than there are usable CPUs")
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def test_parallel_map_keeps_input_order(forks):
+    items = list(range(-37, 30))  # uneven: the last chunk is short
+    assert parallel_map(abs, items, jobs=2) == [abs(x) for x in items]
+    assert parallel_map(abs, [], jobs=2) == []
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("jobs", [2, 10**6])
-def test_parallel_map_clamps_workers_to_usable_cpus(monkeypatch, jobs):
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(verification, "ProcessPoolExecutor", _InlinePool)
-    assert parallel_map(abs, [-1, 2], jobs=jobs) == [1, 2]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count()
-    assert _InlinePool.sizes == [min(jobs, cpus)]
+def test_parallel_map_clamps_workers_to_usable_cpus(forks, jobs):
+    items = list(range(8 * (_usable_cpus() + 1)))  # more chunks of 8 than CPUs
+    out = parallel_map(_with_pid, items, jobs=jobs)
+    assert [x for x, _ in out] == items
+    pids = {pid for _, pid in out}
+    assert os.getpid() not in pids
+    assert len(pids) == len(forks) == min(jobs, _usable_cpus())
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("jobs", [1, 0, -3])
 def test_parallel_map_runs_inline_below_two_jobs(monkeypatch, jobs):
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(verification, "ProcessPoolExecutor", _InlinePool)
-    assert parallel_map(abs, [-1, 2], jobs=jobs) == [1, 2]
-    assert _InlinePool.sizes == []
+    def no_fork():
+        raise AssertionError("forked below two jobs")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert parallel_map(_with_pid, [-1, 2], jobs=jobs) == [(-1, os.getpid()), (2, os.getpid())]
+
+
+def test_parallel_map_runs_inline_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    items = list(range(20))
+    assert parallel_map(_with_pid, items, jobs=2) == [(x, os.getpid()) for x in items]
+
+
+def test_parallel_map_raises_a_worker_exception(forks):
+    # item 3 is in the first worker's first chunk: the others are killed
+    with pytest.raises(DomainError) as raised:
+        parallel_map(_fail_at_3, list(range(40)), jobs=2)
+    assert type(raised.value) is DomainError
+    assert str(raised.value) == "no value at 3"
+    _assert_no_child_left()
+
+
+def test_parallel_map_refuses_a_worker_that_exits_without_results(forks):
+    with pytest.raises(RuntimeError, match="without sending its results"):
+        parallel_map(os._exit, [3] * 20, jobs=2)
+    _assert_no_child_left()
 
 
 def test_chain_partition_refuses_a_locate_that_finds_another_chain(monkeypatch):
@@ -117,7 +166,8 @@ def test_chain_partition_reports_a_member_outside_the_staircase(monkeypatch):
 
     def stray(tail):
         ch = real(tail)
-        return dataclasses.replace(ch, members=ch.members + ((9, 9, 9),))
+        members = ch.members + ((9, 9, 9),)
+        return ChainRecord(ch.tail, ch.pseudohead, ch.head, ch.quasihead, members, ch.area_range)
 
     monkeypatch.setattr(verification, "chain_of", stray)
     (result,) = verification.check_chain_partition((1, 1, 1))
@@ -145,7 +195,9 @@ def test_chain_partition_reports_a_range_not_preserved_along_a_chain(monkeypatch
         ch = real(tail)
         if tail != first:
             return ch
-        return dataclasses.replace(ch, quasihead=dataclasses.replace(ch.quasihead, s=ch.quasihead.s + 1))
+        q = ch.quasihead
+        shifted_q = QuasiheadIndex(q.params, q.s + 1, q.t)
+        return ChainRecord(ch.tail, ch.pseudohead, ch.head, shifted_q, ch.members, ch.area_range)
 
     monkeypatch.setattr(verification, "chain_of", shifted)
     (result,) = verification.check_chain_partition((1, 1, 1))
