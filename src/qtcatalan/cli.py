@@ -17,8 +17,6 @@ QTC_VERIFY_MAX sets the default sweep bound for verify.
 from __future__ import annotations
 
 import argparse
-import csv as csv_module
-import io
 import math
 import os
 import sys
@@ -29,7 +27,7 @@ from .chains import ChainRecord, area, decompose, f_chains, f_stat, stat
 from .closed_forms import ABCParams, f3_recursive, f3_two_step, slope_sequence
 from .errors import DomainError, NotPolynomialError
 from .poly import LaurentPoly
-from .render import RENDERERS
+from .render import RENDERERS, csv_text
 from .tableaux import f_tableaux
 from .tesler import f_tesler
 from .verification import check_sweep, default_jobs, env_int, parallel_map, run_verify
@@ -121,11 +119,7 @@ def _decompose(args) -> int:
     p = _parse_abc(args.abc)
     chains = decompose(p)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv_module.writer(buf, lineterminator="\n")
-        writer.writerow(["chain_id", "role", "x", "y", "z", "area", "stat"])
-        writer.writerows(_decompose_rows(chains, p))
-        print(buf.getvalue(), end="")
+        print(csv_text(["chain_id", "role", "x", "y", "z", "area", "stat"], _decompose_rows(chains, p)), end="")
         return 0
     for chain_id, ch in enumerate(chains, start=1):
         r, R = ch.area_range

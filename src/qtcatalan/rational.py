@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import struct
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from operator import add
 from typing import Iterable, Sequence
@@ -440,13 +440,12 @@ def _evaluate(tree: ProductTree, exponents: list[ExponentPair], box: PackedBox, 
 
 #: The sparsest box a sum is packed on, in slots per term its rows can make
 #: (their own boxes' slots, added up).  The packed path costs the box, the
-#: per-row one the terms.  Timed on F and H of vectors whose box outgrows
-#: their rows' (best of 3, Python 3.11, Intel Xeon), packing was the faster
-#: up to 4-9 slots per term on F(0, b, 0), F(a, b, 0) and H(0, b, 0), and
-#: up to 20-55 on F(a, 0), F(a, a, a), F(0, b, c) and F(0, 0, c); at 16 the
-#: path taken was at most 1.5x and 1.8x slower than the other.  The sums of
-#: the benchmark and of verify have at most 0.9 slots per term; F(a, 0) has
-#: 17 at a = 44 and 6e5 at a = 10^4, where it costs its terms, not its span.
+#: per-row one the terms.  The value was timed on F's own plan, which F no
+#: longer runs (it divides H), and is kept untuned.  On H's plan,
+#: H(11, 11, 11) has 20.6 slots per term and is summed per row, as are 108
+#: of the 1,728 length-3 H with entries 0..11; H(10^4, 0) packs at 3.  The
+#: benchmark's tableau sums reach 0.75 slots per term, and those of
+#: ``qtc verify --n 4 --max 6`` and ``--n 5 --max 2`` 7.9.
 SLOTS_PER_TERM = 16
 
 
@@ -508,7 +507,8 @@ def exact_divide(p: "LaurentPoly | Packed", factor: "BinomialFactor | tuple[int,
     are grouped along lattice lines e, e+u, e+2u, ...; on each line the
     quotient coefficients are the running partial sums, and the division is
     exact iff every line sums to zero.  The quotient is unique, so any
-    correct method agrees.
+    correct method agrees.  Each run of equal quotient terms is counted
+    before it is written, and past ``MAX_QUOTIENT_SLOTS`` terms refused.
 
     A packed p is divided modulo 2^L, L = slots * width, where the factor
     is 1 - X^k with k = alpha * stride + beta.  For k > 0 that is odd at
@@ -546,25 +546,24 @@ def exact_divide(p: "LaurentPoly | Packed", factor: "BinomialFactor | tuple[int,
     # A line is keyed by alpha*b - beta*a and by the residue of its
     # position (a, or b when alpha = 0) modulo step; positions increase
     # along u.
-    lines: dict[int, list[tuple[int, int, int, int]]] = {}
+    lines: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
     for (a, b), coeff in p.terms().items():
         pos = a if alpha else b
-        key = (alpha * b - beta * a) * step + pos % step
-        line = lines.get(key)
-        if line is None:
-            lines[key] = [(pos, a, b, coeff)]
-        else:
-            line.append((pos, a, b, coeff))
+        lines[(alpha * b - beta * a) * step + pos % step].append((pos, a, b, coeff))
 
     out: dict[ExponentPair, int] = {}
+    terms = 0
     for entries in lines.values():
         entries.sort()
         running = 0
         for (pos, a, b, coeff), following in zip(entries, entries[1:]):
             running += coeff
             if running:
-                value = sign * running
-                for k in range(first, first + (following[0] - pos) // step):
+                value, run = sign * running, (following[0] - pos) // step
+                terms += run
+                if terms > MAX_QUOTIENT_SLOTS:
+                    raise DomainError(f"the quotient needs at least {terms} terms, more than the {MAX_QUOTIENT_SLOTS} allowed")
+                for k in range(first, first + run):
                     out[(a + k * alpha, b + k * beta)] = value
         if running + entries[-1][3]:
             raise NotPolynomialError(f"(1 - q^{v[0]} t^{v[1]}) does not divide {p.to_text()}")
@@ -572,8 +571,10 @@ def exact_divide(p: "LaurentPoly | Packed", factor: "BinomialFactor | tuple[int,
 
 
 #: The most slots the box of a quotient of ``divide_sum_of_products`` may
-#: have.  F(0, 1000)'s H has 2.0e6 and takes 0.6 s and 160 MB (Python 3.11.7,
-#: Intel Xeon); the tests, README and benchmark reach 1,904, F(10^5, 0) one.
+#: have, and the most terms a quotient of ``exact_divide`` by terms may have:
+#: it bounds both divisions.  F(0, 1000)'s H has 2.0e6 slots and takes 0.6 s
+#: and 160 MB (Python 3.11.7, Intel Xeon); the tests, README and benchmark
+#: reach 1,904.  F(a, 0) = [a + 1] is divided from one slot into a + 1 terms.
 MAX_QUOTIENT_SLOTS = 1 << 21
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .poly import LaurentPoly, format_terms
 
@@ -43,13 +43,17 @@ def parse_json(text: str) -> tuple[tuple[int, ...], LaurentPoly]:
     return params, LaurentPoly(terms)
 
 
-def render_csv(p: LaurentPoly) -> str:
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The header and rows as CSV, one "\\n"-terminated line each."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["q", "t", "coeff"])
-    for (qe, te), coeff in p.sorted_terms():
-        writer.writerow([qe, te, coeff])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def render_csv(p: LaurentPoly) -> str:
+    return csv_text(["q", "t", "coeff"], ((qe, te, coeff) for (qe, te), coeff in p.sorted_terms()))
 
 
 RENDERERS = {

@@ -24,8 +24,9 @@ matrices with hook sums a satisfies
 
 with W(a_1) = 1.  No term reads a_1: W((a_1,)) = 1 whatever a_1 is, and
 the sum reads a_1 only through W(a'), whose first entry is a_1 + m_1n.  By
-induction on n, W(a) does not depend on a_1.  Different columns lead to
-shared subproblems, so W is cached on the hook vector with a_1 = 0.
+induction on n, W(a) does not depend on a_1, and a zero a_n forces a zero
+last column.  Different columns lead to shared subproblems, so W is cached
+on a's normal form (0, a_2, ..., a_k), a_k its last nonzero entry (``_key``).
 
 One column walk.  With v_i = m_in, the sum over last columns nests one
 coordinate at a time:
@@ -89,16 +90,16 @@ the bounds below, with proofs, guarantee:
   node is kept, then bisecting the bound.  A level's bound is at least each
   term's (every ||c(v)||_1 >= 1), so terms only widen.
 
-The walk is one memo keyed on the hook vector alone: one node per a, at
-its own stride S(a).  A level at S(a) reads W(a') with each row moved to
-the start of a row of S(a) slots and widened in the same pass
-(``rational.relayout``), after the memoized call returns, so that the
-recursion stays one frame per smaller hook vector; the node keeps that
-copy for each (stride, width) a parent asks for.  F is decoded once per
-hook vector read with a_1 = 0 and no trailing zero, and repeats share that
-immutable ``LaurentPoly``.  A line-shaped F such as F(a) = [a + 1] fills
-only a + 1 of its box's slots, so its steps shift mostly empty slots; it
-is summed packed all the same.
+The walk is one memo keyed on the normal form alone: one node per distinct
+F, at its own stride S(a), which reads neither a_1 nor a zero a_n.  A level
+at S(a) reads W(a') with each row moved to the start of a row of S(a) slots
+and widened in the same pass (``rational.relayout``), after the memoized
+call returns, so that the recursion stays one frame per smaller hook
+vector; the node keeps that copy for each (stride, width) a parent asks
+for.  F is decoded once per normal form, and repeats share that immutable
+``LaurentPoly``.  A line-shaped F such as F(a) = [a + 1] fills only a + 1
+of its box's slots, so its steps shift mostly empty slots; it is summed
+packed all the same.
 """
 
 from __future__ import annotations
@@ -329,14 +330,6 @@ def enumerate_tesler(a: Sequence[int]) -> list[TeslerMatrix]:
     return [TeslerMatrix._built_valid(a, rows) for rows in _tesler_rows(a)]
 
 
-def _norm_combine(g: list[int], outermost: bool) -> int:
-    # sum of ||coeff(v)||_1 g[v], with ||B(v)||_1 <= 2v + 1, ||A(v)||_1 <= 4v
-    # and A(0) = 1
-    if outermost:
-        return sum((2 * v + 1) * x for v, x in enumerate(g))
-    return g[0] + 4 * sum(v * x for v, x in enumerate(g))
-
-
 def _slots(value: int, stride: int, width: int) -> int:
     # whole rows enough for every nonzero digit of value: if digit i is its
     # top one, 2^(width i - 1) < |value| < 2^(width (i + 1) - 1), so
@@ -349,10 +342,12 @@ def _combine(g: list[tuple], outermost: bool, stride: int) -> tuple:
     elsewhere.  g[v] is (value, width, bound on its |coefficients|, copies,
     ..., stride); the terms meet at the width of the level's bound and at
     its stride."""
-    norms = []
-    for term in g:
-        norms.append(term[2])
-    bound = _norm_combine(norms, outermost)
+    # sum of ||c(v)||_1 times the terms' bounds, with ||B(v)||_1 <= 2v + 1,
+    # ||A(v)||_1 <= 4v and A(0) = 1
+    if outermost:
+        bound = sum((2 * v + 1) * term[2] for v, term in enumerate(g))
+    else:
+        bound = g[0][2] + 4 * sum(v * term[2] for v, term in enumerate(g))
     width = fit_width(bound)
     q_shift = stride * width
     layout = (stride, width)
@@ -392,8 +387,8 @@ def _packed_walk(a: tuple[int, ...]) -> tuple:
     v_j = v, for v up to budgets[j], what the outer coordinates leave of
     a_n; point holds the hook sums a' of the smaller matrix, a_i + v_i
     from the outer coordinates and a_i below, and ``_combine`` weighs the
-    terms by B or A.  Below level 1 lies W(a'), which does not read a'_1:
-    the walk reads a with a_1 = 0, and the terms of level 1 are one value.
+    terms by B or A.  Below level 1 lies W(a'), keyed on its normal form,
+    which does not read a'_1: the terms of level 1 are one value.
     With no budget left every inner v is 0 and A(0) = 1, so the level is
     W(a').  The levels are an explicit stack, and the walk calls itself for
     W(a'), so that the recursion into smaller hook vectors stays a few
@@ -402,15 +397,15 @@ def _packed_walk(a: tuple[int, ...]) -> tuple:
     if len(a) == 1:
         return 1, 8, 1, {}, 1, 1  # W = 1 at 8 bits, on a box of one slot
     stride = _box(a).stride
-    rest, last = (0, *a[1:-1]), a[-1]
+    rest, last = a[:-1], a[-1]
     m = len(rest)
     point, budgets, gs = list(rest), [last] * (m + 1), [None] * m + [[]]
     j = m
     while True:
         if not budgets[j]:
-            value = _packed_walk(tuple(point))
+            value = _packed_walk(_key(point))
         elif j == 1:
-            value = _combine([_packed_walk(tuple(point))] * (budgets[1] + 1), m == 1, stride)
+            value = _combine([_packed_walk(_key(point))] * (budgets[1] + 1), m == 1, stride)
         else:
             g = gs[j]
             v = len(g)
@@ -434,20 +429,25 @@ def _box(a: tuple[int, ...]) -> PackedBox:
     return PackedBox(0, degree, 0, (1 << degree.bit_length()) - 1)
 
 
+def _key(a: Sequence[int]) -> tuple[int, ...]:
+    # F's normal form (0, a_2, ..., a_k), a_k the last nonzero entry
+    k = len(a)
+    while k > 1 and not a[k - 1]:
+        k -= 1
+    return (0, *a[1:k])
+
+
 def f_tesler(a: Sequence[int]) -> LaurentPoly:
     """F(a_2, ..., a_n) as the weight sum over Tesler matrices with hook
     sums (a_1, ..., a_n).  The first entry changes the matrix set but not
     the value.  No division occurs."""
-    a = (0,) + _check_hook_vector(a)[1:]
-    while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]  # a zero last hook sum forces a zero last column
-    return _decoded(a)
+    return _decoded(_key(_check_hook_vector(a)))
 
 
 @lru_cache(maxsize=None)
 def _decoded(a: tuple[int, ...]) -> LaurentPoly:
-    # F at the hook vector a with a_1 = 0 and no trailing zero, decoded once
-    # from its triangle e + f <= D; a LaurentPoly is immutable, so repeats share it
+    # F at a normal form a (``_key``), decoded once from its triangle
+    # e + f <= D; a LaurentPoly is immutable, so repeats share it
     box = _box(a)
     value, width, *_ = _packed_walk(a)
     return LaurentPoly._from_dict(box.decode(value, width, box.q_hi))

@@ -178,12 +178,14 @@ def test_compute_domain_error_exit_2():
     [
         ("--method", "recursion", "--abc", "1200,1200,1200"),
         ("--method", "two-step", "--abc", "2400,2400,2400"),
-        ("--method", "tesler", "--a", ",".join(["0"] * 600 + ["1"])),
+        ("--method", "tesler", "--a", ",".join(["0"] + ["1"] * 1200)),
     ],
 )
 def test_compute_too_deep_exit_2(args):
     # each route recurses once per unit of an entry or per entry; past
-    # Python's depth limit that is one error line, not a traceback
+    # Python's depth limit that is one error line, not a traceback.  The
+    # Tesler walk's first descent reads the hook vector with a_n dropped,
+    # here 1,200 entries long
     proc = run_cli("compute", *args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
@@ -198,6 +200,17 @@ def test_compute_refuses_an_expensive_tableau_sum_up_front():
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "slots" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_compute_refuses_a_long_term_by_term_division_up_front(run_capped):
+    # H(3000000, 0) has one term, but F = [3000001] is divided from it term
+    # by term; the quotient's 3,000,001 terms are counted and refused
+    start = time.perf_counter()
+    proc = run_capped("-m", "qtcatalan.cli", "compute", "--method", "tableaux", "--a", "3000000,0")
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "3000001 terms" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
 
 

@@ -473,3 +473,13 @@ def test_sparse_far_apart_numerator_is_divided_by_its_terms(run_capped):
     proc = run_capped("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_a_long_quotient_by_terms_is_refused_as_its_runs_are_counted():
+    # (1 - q^N) / (1 - q) = [N] has N terms: one run, counted and refused
+    # before any is written; a quotient as far apart but of two terms is not
+    n = rational.MAX_QUOTIENT_SLOTS + 1
+    with pytest.raises(DomainError, match=f"at least {n} terms"):
+        exact_divide(ONE - LaurentPoly.monomial(n, 0), BinomialFactor(1, 0))
+    sparse = ONE + LaurentPoly.monomial(10 * n, 0)
+    assert exact_divide((ONE - Q) * sparse, BinomialFactor(1, 0)) == sparse

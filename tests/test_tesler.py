@@ -383,8 +383,7 @@ def test_exact_norm_bound_covers_every_coefficient():
     for a in _GRID + [(0, 5, 6, 6), (0, 1, 1, 1, 1, 1, 1)]:
         if not any(a[1:]):
             continue  # W(a) = 1, with no last column to sum over
-        while a[-1] == 0:
-            a = a[:-1]  # the walk passes a zero last column straight through
+        a = tesler._key(a)  # the node the walk keeps: a_1 = 0, no trailing zero
         box = tesler._box(a)
         value, width, norm, _, bound, stride = tesler._packed_walk(a)
         assert stride == box.stride, a
@@ -431,6 +430,20 @@ def test_long_vectors_pack_at_the_width_of_their_coefficients():
         _, width, norm, *_, stride = tesler._packed_walk(a)
         assert (width, norm, stride) == (8, 1, tesler._box(a).stride)
         assert f_tesler(a) == bracket(len(a))
+
+
+def test_the_walk_keeps_one_node_per_distinct_f():
+    # every walk key is F's normal form, so F((0,)*195 + (1,)) = [196] keeps
+    # one node per length 1..196 and none that only passes a zero through;
+    # trailing zeros or another a_1 name the same node and the same F
+    tesler._packed_walk.cache_clear()
+    tesler._decoded.cache_clear()
+    a = (0,) * 195 + (1,)
+    assert f_tesler(a) == bracket(196)
+    assert tesler._packed_walk.cache_info().currsize == 196
+    assert f_tesler(a + (0, 0)) is f_tesler((3,) + a[1:]) is f_tesler(a)
+    assert tesler._packed_walk.cache_info().currsize == 196
+    assert tesler._decoded.cache_info().currsize == 1
 
 
 def test_long_zero_tails_need_no_deep_recursion():
