@@ -26,7 +26,6 @@ from .chains import (
     f_chains,
     f_stat,
     h_comb_poly,
-    hcomb_recursion_residual,
     locate,
     locate_tail,
     omega_inv,
@@ -69,7 +68,6 @@ from .rational import BinomialFactor, FactoredRational, exact_divide
 from .render import parse_json, render_csv, render_json, render_latex
 from .tableaux import (
     StandardTableau,
-    canonical_partition,
     combine_h_to_f,
     enumerate_syt,
     f_tableaux,
@@ -81,6 +79,7 @@ from .tableaux import (
 )
 from .tesler import (
     TeslerMatrix,
+    canonical_partition,
     enumerate_tesler,
     f_tesler,
     lambda_partition,
@@ -88,6 +87,6 @@ from .tesler import (
     subpartitions,
     two_diagonal_subdiagrams,
 )
-from .verification import VerificationReport, run_verify, valid_triples
+from .verification import VerificationReport, hcomb_recursion_residual, run_verify, valid_triples
 
 __version__ = "1.0.0"

@@ -41,10 +41,9 @@ from collections import Counter
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .closed_forms import ABCParams, h3
 from .errors import DomainError
 from .poly import LaurentPoly
-from .record import Record
+from .record import ABCParams, Record
 
 Partition3 = tuple[int, int, int]
 
@@ -273,20 +272,6 @@ def omega_inv(s: int, t: int) -> tuple[int, int]:
     return (s + t, s)
 
 
-def head_of_pseudohead(ph: PseudoheadIndex) -> HeadIndex:
-    if ph.is_negative:
-        return ph
-    return PositiveHeadIndex(ph.params, *theta(ph.params, ph.i, ph.j))
-
-
-def quasihead_of_head(head: HeadIndex) -> QuasiheadIndex:
-    p = head.params
-    if isinstance(head, PositiveHeadIndex):
-        return QuasiheadIndex(p, *omega_map(head.k, head.l))
-    # phi is the identity when i + j <= b + c: delta <= eps = 0 gives i <= a, so 2i + j <= L
-    return QuasiheadIndex(p, *phi(p, head.i, head.j))
-
-
 # ---------------------------------------------------------------------------
 # Strings, appendages, chains
 # ---------------------------------------------------------------------------
@@ -320,10 +305,13 @@ def chain_of(tail: TailIndex) -> ChainRecord:
     pseudohead is positive.  Members are ordered by increasing area."""
     p = tail.params
     ph = PseudoheadIndex(p, *psi(p, tail.E, tail.F))
-    head = head_of_pseudohead(ph)
-    quasi = quasihead_of_head(head)
     members = list(reversed(string_of(ph)))
-    if isinstance(head, PositiveHeadIndex):
+    if ph.is_negative:
+        # phi is the identity when i + j <= b + c: delta <= eps = 0 gives i <= a, so 2i + j <= L
+        head, quasi = ph, QuasiheadIndex(p, *phi(p, ph.i, ph.j))
+    else:
+        head = PositiveHeadIndex(p, *theta(p, ph.i, ph.j))
+        quasi = QuasiheadIndex(p, *omega_map(head.k, head.l))
         members.extend(reversed(appendage_of(head)))
     return ChainRecord(tail, ph, head, quasi, tuple(members), tail.area_range())
 
@@ -452,33 +440,3 @@ def h_comb_poly(a: int, b: int, c: int) -> LaurentPoly:
         for s in range(t, b + c + 1)
         if 2 * s + 2 * t <= a + b + 2 * c - ((c - t) % 2)
     )
-
-
-def hcomb_recursion_residual(p: ABCParams) -> LaurentPoly:
-    """Left minus right side of the two-step recursion for h_comb,
-
-        h_comb(a,b,c) = h_comb(a+2,b+2,c-2) + (qt)^c H(a+c, b-c)
-            + (qt)^(c-1) H(a+c, b-c+2)
-            + sum_{2 <= l <= min(2c, a-b)} q^(a+2c-l) t^(l+b)
-            - [a = b-1] q^(a+2c) t^b
-            - ([a = b] + [a = b-1]) q^(a+2c-1) t^(b+1),
-
-    which is zero for every valid (a, b, c) with c >= 1.  The two bracket
-    corrections are exactly the boundary cases where the plain sums
-    overcount.
-    """
-    a, b, c = p.a, p.b, p.c
-    if c < 1:
-        raise DomainError(f"the h_comb recursion needs c >= 1, got {p}")
-    rhs = (
-        h_comb_poly(a + 2, b + 2, c - 2)
-        + LaurentPoly.monomial(c, c) * h3(a + c, b - c)
-        + LaurentPoly.monomial(c - 1, c - 1) * h3(a + c, b - c + 2)
-    )
-    for l in range(2, min(2 * c, a - b) + 1):
-        rhs = rhs + LaurentPoly.monomial(a + 2 * c - l, l + b)
-    if a == b - 1:
-        rhs = rhs - LaurentPoly.monomial(a + 2 * c, b)
-    if a == b or a == b - 1:
-        rhs = rhs - LaurentPoly.monomial(a + 2 * c - 1, b + 1)
-    return h_comb_poly(a, b, c) - rhs

@@ -184,12 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compute", help="evaluate F(a_2, ..., a_n) by one method")
     c.add_argument("--method", required=True, choices=METHODS)
-    c.add_argument(
+    vector = c.add_mutually_exclusive_group()
+    vector.add_argument(
         "--a",
         help="comma-separated vector; for tesler it includes a_1; "
         "a vector starting with a minus sign needs the = form, --a=-1,2",
     )
-    c.add_argument(
+    vector.add_argument(
         "--abc",
         help="comma-separated triple for the n=4 methods; "
         "a triple starting with a minus sign needs the = form, --abc=-1,0,0",

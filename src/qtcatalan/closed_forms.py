@@ -13,8 +13,8 @@ sum and the Tesler sum:
   * f3_two_step: the equivalent recursion in steps of two, which never
     produces negative arguments and is used by the chain recursion proofs.
 
-The guarded region is a+1 >= b, a+1 >= c, b+1 >= c, c >= 0 with a, b, c
-nonnegative; calls outside raise rather than extrapolate.
+Three-argument calls take an ``ABCParams`` (from ``record``), which refuses
+a triple outside a, b, c >= 0, a+1 >= b, a+1 >= c, b+1 >= c.
 """
 
 from __future__ import annotations
@@ -23,41 +23,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .poly import LaurentPoly, ZERO, bracket, qt_power
-from .record import Record
-
-
-class ABCParams(Record):
-    """A validated argument triple for the three-argument machinery.
-
-    Requires a, b, c >= 0 with a+1 >= b, a+1 >= c and b+1 >= c; every
-    statement about chains and statistics assumes this region.
-    """
-
-    __slots__ = ("a", "b", "c")
-
-    def _check(self):
-        a, b, c = self.a, self.b, self.c
-        if not all(isinstance(x, int) for x in (a, b, c)):
-            raise DomainError(f"ABCParams entries must be integers, got {(a, b, c)}")
-        if a < 0 or b < 0 or c < 0 or a + 1 < b or a + 1 < c or b + 1 < c:
-            raise DomainError(
-                f"({a}, {b}, {c}) is outside the validated region "
-                "(need a, b, c >= 0, a+1 >= b, a+1 >= c, b+1 >= c)"
-            )
-
-    @property
-    def total_weight(self) -> int:
-        """A = a + 2b + 3c, the size of the ambient staircase."""
-        return self.a + 2 * self.b + 3 * self.c
-
-    @property
-    def leg(self) -> int:
-        """L = a + b + c, the longest row of the ambient staircase."""
-        return self.a + self.b + self.c
-
-    def ambient(self) -> tuple[int, int, int]:
-        """The staircase partition (a+b+c, b+c, c)."""
-        return (self.a + self.b + self.c, self.b + self.c, self.c)
+from .record import ABCParams
 
 
 @lru_cache(maxsize=None)

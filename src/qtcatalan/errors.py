@@ -1,4 +1,8 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the integer check on input
+entries that raises one."""
+
+import operator
+from typing import Sequence
 
 
 class DomainError(ValueError):
@@ -13,3 +17,15 @@ class NotPolynomialError(ArithmeticError):
     invalid input vector or an implementation bug, since the full sums are
     guaranteed to be polynomial.
     """
+
+
+def integer_entries(values: Sequence[int]) -> tuple[int, ...]:
+    """values as a tuple of ints.  An entry that is not an integer, such as
+    1.5 or "2", is refused rather than truncated."""
+    out = []
+    for x in values:
+        try:
+            out.append(operator.index(x))
+        except TypeError:
+            raise DomainError(f"entries must be integers, got {x!r}") from None
+    return tuple(out)

@@ -439,14 +439,13 @@ def _evaluate(tree: ProductTree, exponents: list[ExponentPair], box: PackedBox, 
 
 
 #: The sparsest box a sum is packed on, in slots per term its rows can make
-#: (their own boxes' slots, added up).  The packed path costs the box, the
-#: per-row one the terms.  The value was timed on F's own plan, which F no
-#: longer runs (it divides H), and is kept untuned.  On H's plan,
-#: H(11, 11, 11) has 20.6 slots per term and is summed per row, as are 108
-#: of the 1,728 length-3 H with entries 0..11; H(10^4, 0) packs at 3.  The
-#: benchmark's tableau sums reach 0.75 slots per term, and those of
-#: ``qtc verify --n 4 --max 6`` and ``--n 5 --max 2`` 7.9.
-SLOTS_PER_TERM = 16
+#: (their own boxes' slots, added up): the packed path costs the box, the
+#: per-row one the terms.  Over length-3 and length-4 H, packed was faster on
+#: 198 of 198 at 16 to 32 slots per term (114 -> 72 ms in all), 233 of 330
+#: at 32 to 64 (249 -> 227 ms) and 52 of 429 at 64 to 128.  H(20, 20, 20)
+#: (58.5) and H(0, 1000) (about 10^6) are summed per row.  The benchmark's
+#: tableau sums reach 0.75 slots per term, and ``qtc verify``'s 7.9.
+SLOTS_PER_TERM = 32
 
 
 def _box_of(exponents: list[ExponentPair], tree: ProductTree) -> PackedBox:

@@ -1,6 +1,9 @@
-"""The frozen value record behind the package's small immutable types."""
+"""The frozen value record behind the package's small immutable types, and
+``ABCParams``, the one value type two routes (recursions, chains) share."""
 
 from operator import attrgetter, eq, ge, gt, le, lt
+
+from .errors import DomainError
 
 
 def _compare(op):
@@ -44,3 +47,37 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+class ABCParams(Record):
+    """A validated argument triple for the three-argument machinery.
+
+    Requires a, b, c >= 0 with a+1 >= b, a+1 >= c and b+1 >= c; every
+    statement about chains and statistics assumes this region.
+    """
+
+    __slots__ = ("a", "b", "c")
+
+    def _check(self):
+        a, b, c = self.a, self.b, self.c
+        if not all(isinstance(x, int) for x in (a, b, c)):
+            raise DomainError(f"ABCParams entries must be integers, got {(a, b, c)}")
+        if a < 0 or b < 0 or c < 0 or a + 1 < b or a + 1 < c or b + 1 < c:
+            raise DomainError(
+                f"({a}, {b}, {c}) is outside the validated region "
+                "(need a, b, c >= 0, a+1 >= b, a+1 >= c, b+1 >= c)"
+            )
+
+    @property
+    def total_weight(self) -> int:
+        """A = a + 2b + 3c, the size of the ambient staircase."""
+        return self.a + 2 * self.b + 3 * self.c
+
+    @property
+    def leg(self) -> int:
+        """L = a + b + c, the longest row of the ambient staircase."""
+        return self.a + self.b + self.c
+
+    def ambient(self) -> tuple[int, int, int]:
+        """The staircase partition (a+b+c, b+c, c)."""
+        return (self.a + self.b + self.c, self.b + self.c, self.c)

@@ -47,12 +47,11 @@ between (``rational.divide_sum_of_products``).
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, integer_entries
 from .poly import ExponentPair, LaurentPoly, ONE
 from .rational import (
     FactoredRational,
@@ -65,31 +64,6 @@ from .record import Record
 
 #: Exhaustive sums over tableaux are kept to sizes where they stay cheap.
 MAX_TABLEAU_SIZE = 8
-
-
-def integer_entries(values: Sequence[int]) -> tuple[int, ...]:
-    """values as a tuple of ints.  An entry that is not an integer, such as
-    1.5 or "2", is refused rather than truncated."""
-    out = []
-    for x in values:
-        try:
-            out.append(operator.index(x))
-        except TypeError:
-            raise DomainError(f"entries must be integers, got {x!r}") from None
-    return tuple(out)
-
-
-def canonical_partition(parts: Sequence[int]) -> tuple[int, ...]:
-    """Validate a weakly decreasing nonnegative sequence and strip trailing zeros."""
-    parts = tuple(parts)
-    for i, p in enumerate(parts):
-        if p < 0:
-            raise DomainError(f"partition parts must be nonnegative, got {parts}")
-        if i and parts[i - 1] < p:
-            raise DomainError(f"partition parts must weakly decrease, got {parts}")
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return parts
 
 
 class StandardTableau(Record):

@@ -108,11 +108,23 @@ from functools import lru_cache
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, integer_entries
 from .poly import LaurentPoly, ONE, coeff_A, coeff_B
 from .rational import PackedBox, fit_width, narrowest, relayout
 from .record import Record
-from .tableaux import canonical_partition, integer_entries
+
+
+def canonical_partition(parts: Sequence[int]) -> tuple[int, ...]:
+    """Validate a weakly decreasing nonnegative sequence and strip trailing zeros."""
+    parts = tuple(parts)
+    for i, p in enumerate(parts):
+        if p < 0:
+            raise DomainError(f"partition parts must be nonnegative, got {parts}")
+        if i and parts[i - 1] < p:
+            raise DomainError(f"partition parts must weakly decrease, got {parts}")
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    return parts
 
 
 def lambda_partition(a_tail: Sequence[int]) -> tuple[int, ...]:

@@ -1,9 +1,10 @@
 """The cross-verification suite behind `qtc verify`.
 
 Each check recomputes some value by two or more independent routes and
-reports a mismatch with the full polynomials involved.  Checks are pure
-functions of their parameter vector, so the sweep can be sharded across
-forked workers (``parallel_map``); aggregation is order-independent.
+reports a mismatch with the full polynomials involved; an identity that
+mixes two routes, such as ``hcomb_recursion_residual``, lives here.  Checks
+are pure functions of their parameter vector, so the sweep can be sharded
+across forked workers (``parallel_map``); aggregation is order-independent.
 """
 
 from __future__ import annotations
@@ -22,15 +23,16 @@ from .chains import (
     enumerate_tails,
     f_chains,
     f_stat,
-    hcomb_recursion_residual,
+    h_comb_poly,
     subpartitions3,
 )
 
 # not called here: perfbench's tracer wraps these where verify looks names up
 from .chains import area, locate, stat  # noqa: F401
-from .closed_forms import ABCParams, f1, f2, f3_recursive, f3_two_step, h2, h3
+from .closed_forms import f1, f2, f3_recursive, f3_two_step, h2, h3
 from .errors import DomainError
-from .poly import bracket, qt_power, unimodality_check
+from .poly import LaurentPoly, bracket, qt_power, unimodality_check
+from .record import ABCParams
 from .tableaux import f_tableaux, h_tableaux
 from .tesler import f_tesler, lambda_partition, subdiagram_area_gf
 
@@ -184,6 +186,36 @@ def check_chain_partition(vec: tuple[int, ...]) -> list[CaseResult]:
         if lam_stat != r + R - lam_area:
             problems.append(f"stat({lam}) disagrees with its chain")
     return [CaseResult("chain-partition[n=4]", vec, not problems, "; ".join(problems))]
+
+
+def hcomb_recursion_residual(p: ABCParams) -> LaurentPoly:
+    """Left minus right side of the two-step recursion for h_comb,
+
+        h_comb(a,b,c) = h_comb(a+2,b+2,c-2) + (qt)^c H(a+c, b-c)
+            + (qt)^(c-1) H(a+c, b-c+2)
+            + sum_{2 <= l <= min(2c, a-b)} q^(a+2c-l) t^(l+b)
+            - [a = b-1] q^(a+2c) t^b
+            - ([a = b] + [a = b-1]) q^(a+2c-1) t^(b+1),
+
+    which is zero for every valid (a, b, c) with c >= 1.  The two bracket
+    corrections are exactly the boundary cases where the plain sums
+    overcount.
+    """
+    a, b, c = p.a, p.b, p.c
+    if c < 1:
+        raise DomainError(f"the h_comb recursion needs c >= 1, got {p}")
+    rhs = (
+        h_comb_poly(a + 2, b + 2, c - 2)
+        + LaurentPoly.monomial(c, c) * h3(a + c, b - c)
+        + LaurentPoly.monomial(c - 1, c - 1) * h3(a + c, b - c + 2)
+    )
+    for l in range(2, min(2 * c, a - b) + 1):
+        rhs = rhs + LaurentPoly.monomial(a + 2 * c - l, l + b)
+    if a == b - 1:
+        rhs = rhs - LaurentPoly.monomial(a + 2 * c, b)
+    if a == b or a == b - 1:
+        rhs = rhs - LaurentPoly.monomial(a + 2 * c - 1, b + 1)
+    return h_comb_poly(a, b, c) - rhs
 
 
 def check_hcomb_recursion(vec: tuple[int, ...]) -> list[CaseResult]:

@@ -224,6 +224,13 @@ def test_compute_missing_vector_exit_2():
     assert proc.returncode == 2
 
 
+def test_compute_refuses_a_vector_and_a_triple_together():
+    # the method reads one of them; the other must not be dropped silently
+    proc = run_cli("compute", "--method", "tesler", "--a", "0,1", "--abc", "1,1,1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "not allowed with argument" in proc.stderr and "Traceback" not in proc.stderr
+
+
 # -- decompose -------------------------------------------------------------------
 
 def test_decompose_csv_matches_stat_sum():

@@ -27,6 +27,7 @@ polys = st.dictionaries(
 
 def test_additive_cancellation():
     assert (Q + T) + (-T) == Q
+    assert 1 - Q == -Q + 1
 
 
 def test_difference_of_squares():
@@ -41,6 +42,7 @@ def test_canonical_form_drops_zeros():
     p = LaurentPoly({(1, 0): 1, (0, 1): 0})
     assert p.terms() == {(1, 0): 1}
     assert (Q - Q).is_zero()
+    assert p * 0 is ZERO
 
 
 def test_immutability():
@@ -53,6 +55,16 @@ def test_constants_hash_as_the_integers_they_equal():
     assert ZERO in {0} and ONE in {1}
     assert {LaurentPoly.from_int(-7): "x"}[-7] == "x"
     assert len({ONE, 1, Q}) == 2
+    assert (Q == "q") is False
+
+
+def test_operands_outside_the_ring_are_refused():
+    with pytest.raises(TypeError):
+        "x" - Q
+    with pytest.raises(TypeError):
+        Q - "x"
+    with pytest.raises(DomainError):
+        Q**-1
 
 
 @given(st.integers(-(10**30), 10**30))
@@ -199,3 +211,5 @@ def test_qt_power_negative():
 def test_text_rendering_order():
     p = Q**2 + Q * T + T**2 - Q
     assert p.to_text() == "q^2 - q + q t + t^2"
+    assert list(p) == [((2, 0), 1), ((1, 0), -1), ((1, 1), 1), ((0, 2), 1)]
+    assert str(Q * T) == "q t"

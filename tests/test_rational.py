@@ -51,6 +51,11 @@ def test_multiplicative_identity():
     assert x * FactoredRational(ONE) == x
 
 
+def test_repr_shows_the_numerator_over_its_factors():
+    assert repr(FactoredRational(Q, [BinomialFactor(1, 0)])) == "FactoredRational((q) / (1 - q^1 t^0))"
+    assert repr(FactoredRational(Q)) == "FactoredRational((q) / 1)"
+
+
 def test_sums_and_products_take_factored_rationals_only():
     x = FactoredRational(Q, [BinomialFactor(1, 0)])
     for other in (1, Q):

@@ -56,11 +56,15 @@ def test_large_entries_cost_their_terms_not_their_span(run_capped):
     )
     proc = run_capped("-c", code)
     assert proc.returncode == 0, proc.stderr
-    # F sums H's rows, and one rule takes a side for each: H(11, 11, 11) has
-    # 20.6 slots per term of its rows' own boxes and is summed row by row,
-    # each of its 5 rows on its own box; H(10^4, 0) has 3 and is summed on
-    # one box
-    cases = [((11, 11, 11), 5, f_tesler((0, 11, 11, 11))), ((10**4, 0), 0, bracket(10**4 + 1))]
+    # F sums H's rows, and one rule takes a side for each: H(20, 20, 20) has
+    # 58.5 slots per term of its rows' own boxes and is summed row by row,
+    # each of its 5 rows on its own box; H(11, 11, 11) has 20.6 and
+    # H(10^4, 0) 3, and each is summed on one box
+    cases = [
+        ((20, 20, 20), 5, f_tesler((0, 20, 20, 20))),
+        ((11, 11, 11), 0, f_tesler((0, 11, 11, 11))),
+        ((10**4, 0), 0, bracket(10**4 + 1)),
+    ]
     for vec, per_row_sums, expected in cases:
         with mock.patch.object(rational, "sum_of_products", wraps=rational.sum_of_products) as rows:
             assert f_tableaux(vec) == expected
@@ -559,10 +563,10 @@ def test_kernel_and_proof_widths_are_the_byte_rounded_bits(monkeypatch):
     for vec in vectors:
         f_tableaux(vec)
     # F and H each sum H's rows: one kernel evaluation and, unless H is 0,
-    # one proof per call.  H(3, 3) and H(0, 3), whose rows' unit monomials
-    # spread them past SLOTS_PER_TERM slots per term, sum their 2 rows one
-    # at a time, one more evaluation each per call, and divide term by term
-    assert seen["kernel"] == 2 * len(vectors) + 4 and seen["proof"] == 2 * (nonzero - 2) > 150
+    # one proof per call.  No vector here spreads its rows past
+    # SLOTS_PER_TERM slots per term: H(3, 3) and H(0, 3), at 22.5, are
+    # summed packed and divided on the box
+    assert seen["kernel"] == 2 * len(vectors) and seen["proof"] == 2 * nonzero > 150
     assert seen["n = 6"] == 2 * len(_sweep_vectors(5))
 
 
