@@ -28,8 +28,9 @@ range exactly once each, which yields two formulas:
 where area(lam) = A - |lam| and stat is the case-defined statistic below
 (equivalently r + R - area within a chain with area range [r, R]).
 One resolver, ``_resolve``, reads a member's case, the tail of its chain
-and its stat in one pass; ``classify``, ``stat``, ``locate_tail``, ``f_stat``
-and verify's chain check all go through it.
+and its stat in one pass; ``classify``, ``stat`` and ``locate_tail`` call it,
+and ``_resolved(p)`` tables it once per staircase, one row (member, area,
+E, F, stat) per subpartition, for ``f_stat`` and verify's chain check.
 
 All ceilings here are mathematical ceilings: ceil(-1/2) = 0.  Truncating
 division toward zero would corrupt every bijection.
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -408,6 +410,7 @@ def subpartitions3(p: ABCParams) -> list[Partition3]:
     ]
 
 
+@lru_cache(maxsize=2)  # verify checks one triple at a time, twice
 def f_chains(p: ABCParams) -> LaurentPoly:
     """F(a, b, c) as a sum of symmetric chains over the quasiheads: the
     chain [k, l] contributes q^(l-i) t^(k+i) for 0 <= i <= l-k."""
@@ -415,15 +418,20 @@ def f_chains(p: ABCParams) -> LaurentPoly:
     for qh in enumerate_quasiheads(p):
         k, l = qh.area_range()
         counts.update((l - i, k + i) for i in range(l - k + 1))
-    return LaurentPoly(counts)
+    return LaurentPoly._from_dict(dict(counts))
+
+
+@lru_cache(maxsize=2)
+def _resolved(p: ABCParams) -> tuple:
+    """One row (member, area, E, F, stat) per subpartition, in ``subpartitions3`` order."""
+    # subpartitions3 lists contained partitions only, so none is checked again
+    A = p.total_weight
+    return tuple((m, A - sum(m), *_resolve(p, *m)[1:]) for m in subpartitions3(p))
 
 
 def f_stat(p: ABCParams) -> LaurentPoly:
     """F(a, b, c) as sum over subpartitions of q^area t^stat."""
-    # subpartitions3 lists contained partitions only, so none is checked again
-    A = p.total_weight
-    lattice = subpartitions3(p)
-    return LaurentPoly(Counter((A - x - y - z, _resolve(p, x, y, z)[3]) for x, y, z in lattice))
+    return LaurentPoly._from_dict(dict(Counter((row[1], row[4]) for row in _resolved(p))))
 
 
 def h_comb_poly(a: int, b: int, c: int) -> LaurentPoly:

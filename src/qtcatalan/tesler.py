@@ -414,10 +414,11 @@ def _packed_walk(a: tuple[int, ...]) -> tuple:
     point, budgets, gs = list(rest), [last] * (m + 1), [None] * m + [[]]
     j = m
     while True:
-        if not budgets[j]:
-            value = _packed_walk(_key(point))
-        elif j == 1:
-            value = _combine([_packed_walk(_key(point))] * (budgets[1] + 1), m == 1, stride)
+        if not budgets[j] or j == 1:
+            key = tuple(point)  # point[0] is a's 0: only a zero last entry needs _key
+            value = _packed_walk(key if key[-1] else _key(key))
+            if budgets[j]:
+                value = _combine([value] * (budgets[1] + 1), m == 1, stride)
         else:
             g = gs[j]
             v = len(g)

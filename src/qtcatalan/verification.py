@@ -15,7 +15,7 @@ import time
 from itertools import product
 
 from .chains import (
-    _resolve,
+    _resolved,
     chain_of,
     enumerate_heads,
     enumerate_pseudoheads,
@@ -24,11 +24,10 @@ from .chains import (
     f_chains,
     f_stat,
     h_comb_poly,
-    subpartitions3,
 )
 
 # not called here: perfbench's tracer wraps these where verify looks names up
-from .chains import area, locate, stat  # noqa: F401
+from .chains import area, locate, stat, subpartitions3  # noqa: F401
 from .closed_forms import f1, f2, f3_recursive, f3_two_step, h2, h3
 from .errors import DomainError
 from .poly import LaurentPoly, bracket, qt_power, unimodality_check
@@ -140,9 +139,9 @@ def check_chain_partition(vec: tuple[int, ...]) -> list[CaseResult]:
     """Chains are disjoint, cover exactly the subpartition lattice, fill
     their area ranges bijectively, and each member's case resolves to the
     tail of its own chain; the four index sets are equinumerous with the
-    bijections preserving area ranges.  Each chain is built once, and each
-    member in the staircase is resolved once by ``chains._resolve``, which
-    gives its tail and its stat together."""
+    bijections preserving area ranges.  Each chain is built once; the
+    lattice, each member's area, tail and stat are read from the table
+    ``chains._resolved``, which ``f_stat`` sums."""
     p = ABCParams(*vec)
     problems = []
     tails = enumerate_tails(p)
@@ -164,22 +163,19 @@ def check_chain_partition(vec: tuple[int, ...]) -> list[CaseResult]:
             if m in seen:
                 problems.append(f"{m} lies in two chains")
             seen[m] = ch
-    lattice = set(subpartitions3(p))
-    missing, outside = lattice - set(seen), set(seen) - lattice
+    areas = {row[0]: row[1] for row in _resolved(p)}  # the lattice, with its areas
+    missing, outside = areas.keys() - seen.keys(), seen.keys() - areas.keys()
     if missing:
         problems.append(f"not covered: {sorted(missing)[:4]}...")
     if outside:
         problems.append(f"outside the staircase: {sorted(outside)[:4]}...")
-    A = p.total_weight
-    areas = {m: A - sum(m) for m in seen if m in lattice}
     for ch in chains:
         r, R = ch.area_range
         got = [areas.get(m) for m in ch.members]
         if got != list(range(r, R + 1)):
             problems.append(f"chain of ({ch.tail.E},{ch.tail.F}) has areas {got} for range {ch.area_range}")
-    for lam, lam_area in areas.items():
+    for lam, lam_area, E, F, lam_stat in (row for row in _resolved(p) if row[0] in seen):
         ch = seen[lam]
-        _, E, F, lam_stat = _resolve(p, *lam)
         if E != ch.tail.E or F != ch.tail.F:
             problems.append(f"locate_tail({lam}) finds another chain")
         r, R = ch.area_range
@@ -298,19 +294,20 @@ def _work(fn, chunks: list, write_end: int):
 
 def parallel_map(fn, items, jobs: int) -> list:
     """[fn(x) for x in items], in order.  With jobs > 1 and ``os.fork``, on
-    forked workers, no more than jobs, the usable CPUs or the chunks of 8
-    items: worker k maps chunks k, k + workers, ...  A worker's exception,
-    or its exit without results, raises here; none outlives the call."""
+    no more than jobs, the usable CPUs or the chunks of 8 items: worker k
+    maps chunks k, k + workers, ...; worker 0 is this process, so fn runs
+    here too, and the others are forked.  A worker's exception, or a
+    child's exit without results, raises here; no child outlives the call."""
     if jobs <= 1 or not hasattr(os, "fork"):
         return [fn(x) for x in items]
     items = list(items)
     chunks = [items[i : i + 8] for i in range(0, len(items), 8)]
     # sched_getaffinity is missing on some platforms
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(jobs, cpus or 1, len(chunks))
+    workers = min(jobs, cpus or 1, len(chunks) or 1)
     results, pipes, pids = [None] * len(chunks), [], []  # a pid is None once reaped
     try:
-        for k in range(workers):
+        for k in range(1, workers):
             read_end, write_end = os.pipe()
             pipes.append(open(read_end, "rb"))
             try:
@@ -320,6 +317,7 @@ def parallel_map(fn, items, jobs: int) -> list:
             finally:
                 os.close(write_end)
             pids.append(pid)
+        results[0::workers] = [[fn(x) for x in chunk] for chunk in chunks[0::workers]]
         for k, pid in enumerate(pids):
             data = pipes[k].read()
             status = os.waitpid(pid, 0)[1]
@@ -329,7 +327,7 @@ def parallel_map(fn, items, jobs: int) -> list:
             out = pickle.loads(data)
             if isinstance(out, BaseException):
                 raise out
-            results[k::workers] = out
+            results[k + 1 :: workers] = out
     finally:
         for pipe in pipes:
             pipe.close()
@@ -342,10 +340,10 @@ def parallel_map(fn, items, jobs: int) -> list:
 def run_verify(n: int, maxval: int, jobs: int | None = None) -> VerificationReport:
     specs = build_case_specs(n, maxval)
     jobs = default_jobs() if jobs is None else jobs
-    start = time.time()
+    start = time.perf_counter()
     report = VerificationReport()
     for results in parallel_map(_run_case, specs, jobs):
         report.cases.extend(results)
     report.cases.sort(key=lambda c: (c.identity, c.vector))
-    report.elapsed = time.time() - start
+    report.elapsed = time.perf_counter() - start
     return report

@@ -45,6 +45,7 @@ from qtcatalan import (
     theta,
     theta_inv,
 )
+from qtcatalan.chains import _resolve, _resolved
 
 P111 = ABCParams(1, 1, 1)
 P112 = ABCParams(1, 1, 2)
@@ -331,6 +332,16 @@ def test_f_stat_table_sizes():
     p = f_stat(P111)
     assert sum(c for _, c in p.terms().items()) == 14
     assert f_stat(P112) == f_chains(P112)
+
+
+def test_the_resolved_table_is_resolve_member_by_member():
+    for p in _valid_params(6):
+        table = _resolved(p)
+        assert isinstance(table, tuple)
+        assert [row[0] for row in table] == subpartitions3(p)
+        for lam, lam_area, E, F, s in table:
+            assert lam_area == area(p, lam)
+            assert _resolve(p, *lam)[1:] == (E, F, s)
 
 
 def test_formulas_agree_with_recursion():

@@ -1,6 +1,7 @@
 """The sweep layer behind `qtc verify`: which checks run, and the forked map."""
 
 import os
+import time
 from collections import Counter
 
 import pytest
@@ -76,6 +77,13 @@ def forks(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that jobs=2 maps one share here and forks one
+    worker for the other on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 def test_parallel_map_keeps_input_order(forks):
     items = list(range(-37, 30))  # uneven: the last chunk is short
     assert parallel_map(abs, items, jobs=2) == [abs(x) for x in items]
@@ -85,12 +93,14 @@ def test_parallel_map_keeps_input_order(forks):
 
 @pytest.mark.parametrize("jobs", [2, 10**6])
 def test_parallel_map_clamps_workers_to_usable_cpus(forks, jobs):
+    # the calling process maps one share itself, so it forks one worker fewer
     items = list(range(8 * (_usable_cpus() + 1)))  # more chunks of 8 than CPUs
     out = parallel_map(_with_pid, items, jobs=jobs)
     assert [x for x, _ in out] == items
     pids = {pid for _, pid in out}
-    assert os.getpid() not in pids
-    assert len(pids) == len(forks) == min(jobs, _usable_cpus())
+    assert os.getpid() in pids
+    assert len(pids) == min(jobs, _usable_cpus())
+    assert len(forks) == min(jobs, _usable_cpus()) - 1
     _assert_no_child_left()
 
 
@@ -109,38 +119,72 @@ def test_parallel_map_runs_inline_without_fork(monkeypatch):
     assert parallel_map(_with_pid, items, jobs=2) == [(x, os.getpid()) for x in items]
 
 
-def test_parallel_map_raises_a_worker_exception(forks):
-    # item 3 is in the first worker's first chunk: the others are killed
-    with pytest.raises(DomainError) as raised:
-        parallel_map(_fail_at_3, list(range(40)), jobs=2)
-    assert type(raised.value) is DomainError
-    assert str(raised.value) == "no value at 3"
+def test_parallel_map_raises_a_worker_exception(two_cpus, forks):
+    # the failing item opens the calling process's first chunk, then the
+    # forked worker's: either way the exception is raised and the worker reaped
+    for failing in (0, 8):
+        items = [3 if x == failing else x + 100 for x in range(40)]
+        with pytest.raises(DomainError) as raised:
+            parallel_map(_fail_at_3, items, jobs=2)
+        assert type(raised.value) is DomainError
+        assert str(raised.value) == "no value at 3"
+        _assert_no_child_left()
+    assert len(forks) == 2
+
+
+def test_parallel_map_kills_a_busy_worker_when_this_process_raises(two_cpus, forks):
+    caller = os.getpid()
+
+    def fail_here_sleep_there(x):
+        if os.getpid() == caller:
+            raise DomainError("no value in the calling process")
+        time.sleep(30)
+
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="calling process"):
+        parallel_map(fail_here_sleep_there, list(range(16)), jobs=2)
+    assert time.perf_counter() - start < 10  # the worker was killed, not waited for
     _assert_no_child_left()
 
 
-def test_parallel_map_refuses_a_worker_that_exits_without_results(forks):
+def test_parallel_map_refuses_a_worker_that_exits_without_results(two_cpus, forks):
+    caller = os.getpid()
+
+    def exit_in_a_child(x):
+        if os.getpid() != caller:
+            os._exit(x)
+        return x
+
     with pytest.raises(RuntimeError, match="without sending its results"):
-        parallel_map(os._exit, [3] * 20, jobs=2)
+        parallel_map(exit_in_a_child, [3] * 20, jobs=2)
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("n, maxval", [(4, 3), (5, 1)])
+def test_pooled_verify_reports_as_the_inline_one(n, maxval):
+    def text(jobs):
+        return run_verify(n, maxval, jobs=jobs).to_text().rsplit(", ", 1)[0]
+
+    assert text(2) == text(1)
 
 
 def test_chain_partition_refuses_a_locate_that_finds_another_chain(monkeypatch):
-    # (3, 1, 2) has two chains with one area range: a resolver that returns
-    # the other one's tail gives stat the right range, but not lam's chain
-    real = verification._resolve
+    # (3, 1, 2) has two chains with one area range: a table that gives the
+    # other one's tail gives stat the right range, but not lam's chain
+    real = verification._resolved
 
-    def other_tail(p, *lam):
-        case, E, F, s = real(p, *lam)
+    def other_tail(row, p):
+        lam, lam_area, E, F, s = row
         found = chain_of(TailIndex(p, E, F))
         twins = [
             ch for ch in decompose(p)
             if ch.area_range == found.area_range and ch.members != found.members
         ]
         tail = twins[0].tail if twins else found.tail
-        return case, tail.E, tail.F, s
+        return lam, lam_area, tail.E, tail.F, s
 
     assert verification.check_chain_partition((3, 1, 2))[0].ok
-    monkeypatch.setattr(verification, "_resolve", other_tail)
+    monkeypatch.setattr(verification, "_resolved", lambda p: tuple(other_tail(row, p) for row in real(p)))
     (result,) = verification.check_chain_partition((3, 1, 2))
     assert not result.ok
     assert "finds another chain" in result.detail
@@ -148,13 +192,12 @@ def test_chain_partition_refuses_a_locate_that_finds_another_chain(monkeypatch):
 
 def test_chain_partition_reports_a_stat_off_its_chain(monkeypatch):
     # one member's stat one too high breaks area + stat = r + R on its chain
-    real = verification._resolve
+    real = verification._resolved
 
-    def one_off(p, *lam):
-        case, E, F, s = real(p, *lam)
-        return case, E, F, s + 1 if lam == (2, 1, 0) else s
+    def one_off(row):
+        return row[:4] + (row[4] + 1,) if row[0] == (2, 1, 0) else row
 
-    monkeypatch.setattr(verification, "_resolve", one_off)
+    monkeypatch.setattr(verification, "_resolved", lambda p: tuple(map(one_off, real(p))))
     (result,) = verification.check_chain_partition((1, 1, 1))
     assert not result.ok
     assert result.detail == "stat((2, 1, 0)) disagrees with its chain"
@@ -206,9 +249,9 @@ def test_chain_partition_reports_a_range_not_preserved_along_a_chain(monkeypatch
 
 
 def test_chain_partition_reports_a_subdiagram_no_chain_covers(monkeypatch):
-    # a lattice with one partition more than the chains hold is not covered
-    real = verification.subpartitions3
-    monkeypatch.setattr(verification, "subpartitions3", lambda p: list(real(p)) + [(9, 9, 9)])
+    # a table with one partition more than the chains hold is not covered
+    real = verification._resolved
+    monkeypatch.setattr(verification, "_resolved", lambda p: real(p) + (((9, 9, 9), 0, 0, 0, 0),))
     (result,) = verification.check_chain_partition((1, 1, 1))
     assert not result.ok
     assert result.detail == "not covered: [(9, 9, 9)]..."
