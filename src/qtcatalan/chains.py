@@ -41,9 +41,9 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, integer_entries
 from .poly import LaurentPoly
 from .record import ABCParams, Record
 
@@ -58,6 +58,15 @@ def _ceil_half(x: int) -> int:
 # ---------------------------------------------------------------------------
 # Index families
 # ---------------------------------------------------------------------------
+
+
+def _is_tail(p: ABCParams, E: int, F: int) -> bool:
+    eps = max(0, E + 2 * F - (p.b + p.c))
+    return (
+        0 <= F <= p.c - eps
+        and 2 * eps <= E <= F + p.a
+        and 4 * E + 5 * F - 3 * eps <= p.a + 3 * p.b + 3 * p.c
+    )
 
 
 class TailIndex(Record):
@@ -84,12 +93,16 @@ class TailIndex(Record):
         )
 
     def is_valid(self) -> bool:
-        p, E, F, eps = self.params, self.E, self.F, self.eps
-        return (
-            0 <= F <= p.c - eps
-            and 2 * eps <= E <= F + p.a
-            and 4 * E + 5 * F - 3 * eps <= p.a + 3 * p.b + 3 * p.c
-        )
+        return _is_tail(self.params, self.E, self.F)
+
+
+def _is_pseudohead(p: ABCParams, i: int, j: int) -> bool:
+    return (
+        0 <= j <= p.c
+        and j <= i <= p.b + p.c
+        and 4 * i + j <= p.a + 3 * p.b + 3 * p.c
+        and i - 2 * j <= p.a
+    )
 
 
 class PseudoheadIndex(Record):
@@ -119,13 +132,7 @@ class PseudoheadIndex(Record):
         )
 
     def is_valid(self) -> bool:
-        p, i, j = self.params, self.i, self.j
-        return (
-            0 <= j <= p.c
-            and j <= i <= p.b + p.c
-            and 4 * i + j <= p.a + 3 * p.b + 3 * p.c
-            and i - 2 * j <= p.a
-        )
+        return _is_pseudohead(self.params, self.i, self.j)
 
 
 class PositiveHeadIndex(Record):
@@ -154,11 +161,6 @@ class QuasiheadIndex(Record):
         p = self.params
         return max(0, self.s + self.t - (p.b + p.c))
 
-    @property
-    def parity_gap(self) -> int:
-        """(c - t) mod 2, the parity correction in the quasihead bound."""
-        return (self.params.c - self.t) % 2
-
     def partition(self) -> Partition3:
         return (self.s, self.s, self.t)
 
@@ -171,7 +173,7 @@ class QuasiheadIndex(Record):
         return (
             0 <= t <= p.c
             and t <= s <= p.b + p.c
-            and 2 * s + 2 * t <= p.a + p.b + 2 * p.c - self.parity_gap
+            and 2 * s + 2 * t <= p.a + p.b + 2 * p.c - (p.c - t) % 2
         )
 
 
@@ -194,21 +196,16 @@ class CaseLabel(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _valid(cls, p: ABCParams, pairs: Iterable[tuple[int, int]]) -> list:
-    """The valid indices cls(p, u, v) among the candidate pairs, in their
-    order.  Each family comes out in lexicographic order of its indices
-    because its candidates are generated in that order."""
-    return [idx for idx in (cls(p, u, v) for u, v in pairs) if idx.is_valid()]
-
-
+# Each family comes out in lexicographic order of its indices, and a record
+# is built only for a candidate pair that the family's region accepts.
 def enumerate_tails(p: ABCParams) -> list[TailIndex]:
     pairs = ((E, F) for E in range(p.a + p.c + 1) for F in range(max(0, E - p.a), p.c + 1))
-    return _valid(TailIndex, p, pairs)
+    return [TailIndex(p, E, F) for E, F in pairs if _is_tail(p, E, F)]
 
 
 def enumerate_pseudoheads(p: ABCParams) -> list[PseudoheadIndex]:
     pairs = ((i, j) for i in range(p.b + p.c + 1) for j in range(min(i, p.c) + 1))
-    return _valid(PseudoheadIndex, p, pairs)
+    return [PseudoheadIndex(p, i, j) for i, j in pairs if _is_pseudohead(p, i, j)]
 
 
 def enumerate_heads(p: ABCParams) -> list[HeadIndex]:
@@ -219,9 +216,17 @@ def enumerate_heads(p: ABCParams) -> list[HeadIndex]:
     return negatives + [PositiveHeadIndex(p, k, l) for k in lows for l in range(p.a + 1, k + 1)]
 
 
+def _quasiheads(a: int, b: int, c: int) -> Iterator[tuple[int, int, int, int]]:
+    """Each quasihead (s, t) of the triple with its area range (s + eps_st, A - 2s - t).
+    The triple is not checked against the region: the set is empty when c < 0."""
+    for s in range(b + c + 1):
+        for t in range(min(s, c) + 1):
+            if 2 * s + 2 * t <= a + b + 2 * c - (c - t) % 2:
+                yield s, t, s + max(0, s + t - b - c), a + 2 * b + 3 * c - 2 * s - t
+
+
 def enumerate_quasiheads(p: ABCParams) -> list[QuasiheadIndex]:
-    pairs = ((s, t) for s in range(p.b + p.c + 1) for t in range(min(s, p.c) + 1))
-    return _valid(QuasiheadIndex, p, pairs)
+    return [QuasiheadIndex(p, s, t) for s, t, _, _ in _quasiheads(p.a, p.b, p.c)]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +336,7 @@ def decompose(p: ABCParams) -> list[ChainRecord]:
 
 
 def _check_contained(p: ABCParams, lam: Sequence[int]) -> Partition3:
-    lam = tuple(lam)
+    lam = integer_entries(lam)
     if len(lam) > 3:
         raise DomainError(f"expected a partition with at most 3 parts, got {lam}")
     lam = lam + (0,) * (3 - len(lam))
@@ -415,8 +420,7 @@ def f_chains(p: ABCParams) -> LaurentPoly:
     """F(a, b, c) as a sum of symmetric chains over the quasiheads: the
     chain [k, l] contributes q^(l-i) t^(k+i) for 0 <= i <= l-k."""
     counts = Counter()
-    for qh in enumerate_quasiheads(p):
-        k, l = qh.area_range()
+    for _, _, k, l in _quasiheads(p.a, p.b, p.c):
         counts.update((l - i, k + i) for i in range(l - k + 1))
     return LaurentPoly._from_dict(dict(counts))
 
@@ -436,15 +440,10 @@ def f_stat(p: ABCParams) -> LaurentPoly:
 
 def h_comb_poly(a: int, b: int, c: int) -> LaurentPoly:
     """The quasihead monomial sum: q^(A-2s-t) t^(s+eps_st) over the raw
-    index set, without region validation.  Empty (zero) when c < 0.
+    index set, without region validation, repeated monomials added.  Empty
+    (zero) when c < 0.
 
     This is not the head-like tableau sum H in general, but combining it
     with its variable swap reproduces F.
     """
-    A = a + 2 * b + 3 * c
-    return LaurentPoly(
-        ((A - 2 * s - t, s + max(0, s + t - (b + c))), 1)
-        for t in range(c + 1)
-        for s in range(t, b + c + 1)
-        if 2 * s + 2 * t <= a + b + 2 * c - ((c - t) % 2)
-    )
+    return LaurentPoly(((hi, lo), 1) for _, _, lo, hi in _quasiheads(a, b, c))

@@ -116,7 +116,7 @@ from .record import Record
 
 def canonical_partition(parts: Sequence[int]) -> tuple[int, ...]:
     """Validate a weakly decreasing nonnegative sequence and strip trailing zeros."""
-    parts = tuple(parts)
+    parts = integer_entries(parts)
     for i, p in enumerate(parts):
         if p < 0:
             raise DomainError(f"partition parts must be nonnegative, got {parts}")
@@ -129,7 +129,7 @@ def canonical_partition(parts: Sequence[int]) -> tuple[int, ...]:
 
 def lambda_partition(a_tail: Sequence[int]) -> tuple[int, ...]:
     """The staircase partition of suffix sums of (a_2, ..., a_n)."""
-    tail = list(a_tail)
+    tail = integer_entries(a_tail)
     if any(x < 0 for x in tail):
         raise DomainError(f"lambda_partition requires nonnegative entries, got {tail}")
     out = []

@@ -35,9 +35,9 @@ from .record import ABCParams
 from .tableaux import f_tableaux, h_tableaux
 from .tesler import f_tesler, lambda_partition, subdiagram_area_gf
 
-#: First hook sums passed to f_tesler.  It reads a with a_1 = 0, so this
-#: checks that its answer ignores a_1 as its contract says; that the
-#: matrix sums ignore it is a test on ``enumerate_tesler``.
+#: First hook sums passed to f_tesler, which caches on F's normal form, so a1=3 reads
+#: a1=0's memo entry.  The pair stays only because perfbench/tests/test_perfbench.py
+#: pins tesler.calls == 1 + 4 * (2 + 1); ROADMAP item 10 removes it after item 2.
 TESLER_FIRST_ENTRIES = (0, 3)
 
 

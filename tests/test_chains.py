@@ -1,5 +1,7 @@
 """Chain index sets, bijections, strings, chains, and the two formulas."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from qtcatalan import (
     TailIndex,
     appendage_of,
     area,
+    canonical_partition,
     chain_of,
     classify,
     combine_h_to_f,
@@ -30,6 +33,7 @@ from qtcatalan import (
     h_comb_poly,
     h_tableaux,
     hcomb_recursion_residual,
+    lambda_partition,
     locate,
     locate_tail,
     omega_inv,
@@ -40,11 +44,15 @@ from qtcatalan import (
     psi_inv,
     stat,
     string_of,
+    subdiagram_area_gf,
+    subpartitions,
     subpartitions3,
     sym_chain,
     theta,
     theta_inv,
+    valid_triples,
 )
+from qtcatalan import chains
 from qtcatalan.chains import _resolve, _resolved
 
 P111 = ABCParams(1, 1, 1)
@@ -76,6 +84,34 @@ def test_index_sets_in_order_on_a_grid():
             _filtered_sorted(PositiveHeadIndex, p, lambda x: (x.k, x.l))
         )
         assert enumerate_quasiheads(p) == _filtered_sorted(QuasiheadIndex, p, lambda x: (x.s, x.t))
+
+
+def test_enumerations_build_a_record_only_for_a_member(monkeypatch):
+    built = Counter()
+
+    def counting(base):
+        class Counted(base):
+            def __init__(self, *values):
+                built[base.__name__] += 1
+                super().__init__(*values)
+
+        return Counted
+
+    for base in (TailIndex, PseudoheadIndex, QuasiheadIndex):
+        monkeypatch.setattr(chains, base.__name__, counting(base))
+    for vec in valid_triples(6):
+        p = ABCParams(*vec)
+        for base, enumerate_family in [
+            (TailIndex, enumerate_tails),
+            (PseudoheadIndex, enumerate_pseudoheads),
+            (QuasiheadIndex, enumerate_quasiheads),
+        ]:
+            built.clear()
+            members = enumerate_family(p)
+            assert built[base.__name__] == len(members) > 0
+        built.clear()
+        f_chains.__wrapped__(p)  # past the cache, so the sum runs
+        assert built["QuasiheadIndex"] == 0
 
 
 def test_quasiheads_111():
@@ -252,6 +288,31 @@ def test_classify_examples():
     assert classify(P111, (3, 2, 1)) is CaseLabel.CASE_1BII
 
 
+@pytest.mark.parametrize("bad", [1.5, "2"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lam: area(P111, lam),
+        lambda lam: stat(P111, lam),
+        lambda lam: classify(P111, lam),
+        lambda lam: locate_tail(P111, lam),
+        lambda lam: locate(P111, lam),
+        canonical_partition,
+        lambda_partition,
+        lambda lam: list(subpartitions(lam)),
+        subdiagram_area_gf,
+    ],
+    ids=[
+        "area", "stat", "classify", "locate_tail", "locate", "canonical_partition",
+        "lambda_partition", "subpartitions", "subdiagram_area_gf",
+    ],
+)
+def test_partition_inputs_refuse_non_integers(call, bad):
+    # 1.5 used to give area 3.5 and stat 1.5; "2" raised TypeError, not DomainError
+    with pytest.raises(DomainError, match="integers"):
+        call((bad, 1, 0))
+
+
 def test_classify_rejects_outside():
     with pytest.raises(DomainError):
         classify(P111, (4, 0, 0))
@@ -423,6 +484,22 @@ def test_h_comb_111():
 
 def test_h_comb_empty_below_zero():
     assert h_comb_poly(3, 3, -1) == 0
+
+
+def test_h_comb_on_raw_triples_matches_a_direct_listing():
+    # outside the validated region too (c > b + 1, b > a + 1, c = -1), where
+    # only the two-step residual's c - 2 call reaches it
+    for a in range(6):
+        for b in range(6):
+            for c in range(-1, 6):
+                A = a + 2 * b + 3 * c
+                listed = LaurentPoly(
+                    ((A - 2 * s - t, s + max(0, s + t - (b + c))), 1)
+                    for t in range(c + 1)
+                    for s in range(t, b + c + 1)
+                    if 2 * s + 2 * t <= a + b + 2 * c - ((c - t) % 2)
+                )
+                assert h_comb_poly(a, b, c) == listed, (a, b, c)
 
 
 def test_h_comb_combines_to_f_chains():
