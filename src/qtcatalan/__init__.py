@@ -41,7 +41,6 @@ from .chains import (
     theta_inv,
 )
 from .closed_forms import (
-    ABCParams,
     f1,
     f2,
     f3_recursive,
@@ -65,6 +64,7 @@ from .poly import (
     unimodality_check,
 )
 from .rational import BinomialFactor, FactoredRational, exact_divide
+from .record import ABCParams
 from .render import parse_json, render_csv, render_json, render_latex
 from .tableaux import (
     StandardTableau,

@@ -60,8 +60,27 @@ def _ceil_half(x: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _eps(x: int, bc: int) -> int:
+    """The excess eps = max(0, x - (b + c)) that the regions and bijections read."""
+    return max(0, x - bc)
+
+
+def _pseudohead_eps_delta(p: ABCParams, i: int, j: int) -> tuple[int, int]:
+    """(eps, delta) of the pseudohead (i, i, j); the tail psi_inv(i, j) shares them."""
+    eps = _eps(i + j, p.b + p.c)
+    return eps, _ceil_half(i + eps - p.a)
+
+
+def _is_quasihead(a: int, b: int, c: int, s: int, t: int) -> bool:
+    return (
+        0 <= t <= c
+        and t <= s <= b + c
+        and 2 * s + 2 * t <= a + b + 2 * c - (c - t) % 2
+    )
+
+
 def _is_tail(p: ABCParams, E: int, F: int) -> bool:
-    eps = max(0, E + 2 * F - (p.b + p.c))
+    eps = _eps(E + 2 * F, p.b + p.c)
     return (
         0 <= F <= p.c - eps
         and 2 * eps <= E <= F + p.a
@@ -72,24 +91,16 @@ def _is_tail(p: ABCParams, E: int, F: int) -> bool:
 class TailIndex(Record):
     __slots__ = ("params", "E", "F")
 
-    @property
-    def eps(self) -> int:
-        p = self.params
-        return max(0, self.E + 2 * self.F - (p.b + p.c))
-
-    @property
-    def delta(self) -> int:
-        return _ceil_half(self.E + self.F - self.params.a)
-
     def partition(self) -> Partition3:
         p = self.params
         return (p.leg - self.E, p.b + p.c - self.F, p.c)
 
     def area_range(self) -> tuple[int, int]:
         p = self.params
+        eps, delta = _pseudohead_eps_delta(p, *psi(p, self.E, self.F))
         return (
             self.E + self.F,
-            p.total_weight - 2 * self.E - 3 * self.F + max(self.eps, self.delta),
+            p.total_weight - 2 * self.E - 3 * self.F + max(eps, delta),
         )
 
     def is_valid(self) -> bool:
@@ -109,26 +120,19 @@ class PseudoheadIndex(Record):
     __slots__ = ("params", "i", "j")
 
     @property
-    def eps(self) -> int:
-        p = self.params
-        return max(0, self.i + self.j - (p.b + p.c))
-
-    @property
-    def delta(self) -> int:
-        return _ceil_half(self.i + self.eps - self.params.a)
-
-    @property
     def is_negative(self) -> bool:
-        return self.delta <= self.eps
+        eps, delta = _pseudohead_eps_delta(self.params, self.i, self.j)
+        return delta <= eps
 
     def partition(self) -> Partition3:
         return (self.i, self.i, self.j)
 
     def area_range(self) -> tuple[int, int]:
         p = self.params
+        eps, delta = _pseudohead_eps_delta(p, self.i, self.j)
         return (
-            self.i + self.eps,
-            p.total_weight - 2 * self.i - self.j + max(0, self.delta - self.eps),
+            self.i + eps,
+            p.total_weight - 2 * self.i - self.j + max(0, delta - eps),
         )
 
     def is_valid(self) -> bool:
@@ -156,25 +160,16 @@ HeadIndex = PseudoheadIndex | PositiveHeadIndex
 class QuasiheadIndex(Record):
     __slots__ = ("params", "s", "t")
 
-    @property
-    def eps(self) -> int:
-        p = self.params
-        return max(0, self.s + self.t - (p.b + p.c))
-
     def partition(self) -> Partition3:
         return (self.s, self.s, self.t)
 
     def area_range(self) -> tuple[int, int]:
         p = self.params
-        return (self.s + self.eps, p.total_weight - 2 * self.s - self.t)
+        return (self.s + _eps(self.s + self.t, p.b + p.c), p.total_weight - 2 * self.s - self.t)
 
     def is_valid(self) -> bool:
-        p, s, t = self.params, self.s, self.t
-        return (
-            0 <= t <= p.c
-            and t <= s <= p.b + p.c
-            and 2 * s + 2 * t <= p.a + p.b + 2 * p.c - (p.c - t) % 2
-        )
+        p = self.params
+        return _is_quasihead(p.a, p.b, p.c, self.s, self.t)
 
 
 class ChainRecord(Record):
@@ -221,8 +216,8 @@ def _quasiheads(a: int, b: int, c: int) -> Iterator[tuple[int, int, int, int]]:
     The triple is not checked against the region: the set is empty when c < 0."""
     for s in range(b + c + 1):
         for t in range(min(s, c) + 1):
-            if 2 * s + 2 * t <= a + b + 2 * c - (c - t) % 2:
-                yield s, t, s + max(0, s + t - b - c), a + 2 * b + 3 * c - 2 * s - t
+            if _is_quasihead(a, b, c, s, t):
+                yield s, t, s + _eps(s + t, b + c), a + 2 * b + 3 * c - 2 * s - t
 
 
 def enumerate_quasiheads(p: ABCParams) -> list[QuasiheadIndex]:
@@ -236,25 +231,24 @@ def enumerate_quasiheads(p: ABCParams) -> list[QuasiheadIndex]:
 
 def psi(p: ABCParams, E: int, F: int) -> tuple[int, int]:
     """Tail index to pseudohead index."""
-    eps = max(0, E + 2 * F - (p.b + p.c))
+    eps = _eps(E + 2 * F, p.b + p.c)
     return (E + F - eps, F + eps)
 
 
 def psi_inv(p: ABCParams, i: int, j: int) -> tuple[int, int]:
-    eps = max(0, i + j - (p.b + p.c))
+    eps = _eps(i + j, p.b + p.c)
     return (i - j + 2 * eps, j - eps)
 
 
 def theta(p: ABCParams, i: int, j: int) -> tuple[int, int]:
     """Pseudohead index to positive-head index (used on positive ones)."""
-    eps = max(0, i + j - (p.b + p.c))
-    delta = _ceil_half(i + eps - p.a)
+    eps, delta = _pseudohead_eps_delta(p, i, j)
     return (i + j - delta, i + eps)
 
 
 def theta_inv(p: ABCParams, k: int, l: int) -> tuple[int, int]:
     delta = _ceil_half(l - p.a)
-    eps = max(k + delta - (p.b + p.c), 0)
+    eps = _eps(k + delta, p.b + p.c)
     return (l - eps, k - l + eps + delta)
 
 
@@ -369,7 +363,7 @@ def _resolve(p: ABCParams, x: int, y: int, z: int) -> tuple[CaseLabel, int, int,
     L = a + bc
     if z < min(bc - x, _ceil_half(y - a)):
         return (CaseLabel.CASE_2, *psi_inv(p, *theta_inv(p, x, y)), y + z)
-    eps_yz = max(0, y + z - bc)
+    eps_yz = _eps(y + z, bc)
     if x + y - z + 2 * eps_yz < L:
         s = x + max(eps_yz, _ceil_half(y - a), _ceil_half(2 * y + z - L))
         return (CaseLabel.CASE_1A, *psi_inv(p, y, z), s)

@@ -24,9 +24,10 @@ from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 from .chains import ChainRecord, area, decompose, f_chains, f_stat, stat
-from .closed_forms import ABCParams, f3_recursive, f3_two_step, slope_sequence
+from .closed_forms import f3_recursive, f3_two_step, slope_sequence
 from .errors import DomainError, NotPolynomialError
 from .poly import LaurentPoly
+from .record import ABCParams
 from .render import RENDERERS, csv_text
 from .tableaux import f_tableaux
 from .tesler import f_tesler

@@ -120,8 +120,5 @@ def slope_sequence(m: int, n: int) -> tuple[int, ...]:
     """
     if m < 1 or n < 1:
         raise DomainError(f"slope_sequence requires m, n >= 1, got ({m}, {n})")
-
-    def ceil_div(x: int, y: int) -> int:
-        return -((-x) // y)
-
-    return tuple(ceil_div(i * m, n) - ceil_div((i - 1) * m, n) for i in range(1, n + 1))
+    ceilings = [(i * m + n - 1) // n for i in range(n + 1)]  # ceil(im/n), all operands >= 0
+    return tuple(ceilings[i] - ceilings[i - 1] for i in range(1, n + 1))

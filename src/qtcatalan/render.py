@@ -17,6 +17,7 @@ import io
 import json
 from typing import Iterable, Sequence
 
+from .errors import integer_entries
 from .poly import LaurentPoly, format_terms
 
 
@@ -27,7 +28,7 @@ def render_latex(p: LaurentPoly) -> str:
 
 def render_json(p: LaurentPoly, params: Sequence[int]) -> str:
     obj = {
-        "params": [int(x) for x in params],
+        "params": list(integer_entries(params)),
         "terms": [
             {"q": qe, "t": te, "coeff": str(coeff)}
             for (qe, te), coeff in p.sorted_terms()
@@ -36,10 +37,17 @@ def render_json(p: LaurentPoly, params: Sequence[int]) -> str:
     return json.dumps(obj)
 
 
+def _coefficient(value) -> int:
+    """A term's coefficient: an integer, or the decimal string of one; 1.5 or "2.9" is refused."""
+    if isinstance(value, str) and value.removeprefix("-").isdecimal():
+        return int(value)
+    return integer_entries((value,))[0]
+
+
 def parse_json(text: str) -> tuple[tuple[int, ...], LaurentPoly]:
     obj = json.loads(text)
-    params = tuple(int(x) for x in obj["params"])
-    terms = {(int(t["q"]), int(t["t"])): int(t["coeff"]) for t in obj["terms"]}
+    params = integer_entries(obj["params"])
+    terms = {integer_entries((t["q"], t["t"])): _coefficient(t["coeff"]) for t in obj["terms"]}
     return params, LaurentPoly(terms)
 
 

@@ -77,16 +77,12 @@ class StandardTableau(Record):
     __slots__ = ("cells",)
 
     def _check(self):
-        rows: list[int] = []
+        rows: list[int] = []  # rows[r]: the cells in row r so far
         for r, c in self.cells:
-            if r > len(rows) or (r < len(rows) and c != rows[r]) or (r == len(rows) and c != 0):
+            # the cell ends row r, or opens a row on top, and leaves row r no longer than row r - 1
+            if not 0 <= r <= len(rows) or c != (rows + [0])[r] or (r and rows[r - 1] <= c):
                 raise DomainError(f"not a growth sequence: {self.cells}")
-            if r > 0 and rows[r - 1] <= c:
-                raise DomainError(f"not a growth sequence: {self.cells}")
-            if r == len(rows):
-                rows.append(1)
-            else:
-                rows[r] += 1
+            rows[r : r + 1] = [c + 1]
 
     @property
     def n(self) -> int:
@@ -114,27 +110,20 @@ def enumerate_syt(n: int) -> list[StandardTableau]:
         )
     out: list[StandardTableau] = []
 
-    def grow(cells: list[tuple[int, int]], rows: list[int]):
+    def grow(cells: tuple[tuple[int, int], ...], rows: tuple[int, ...]):
         if len(cells) == n:
-            out.append(StandardTableau(tuple(cells)))
+            out.append(StandardTableau(cells))
             return
-        for r in range(len(rows) + 1):
-            c = rows[r] if r < len(rows) else 0
-            if r > 0 and rows[r - 1] <= c:
-                continue
-            cells.append((r, c))
-            if r < len(rows):
-                rows[r] += 1
-                grow(cells, rows)
-                rows[r] -= 1
-            else:
-                rows.append(1)
-                grow(cells, rows)
-                rows.pop()
-            cells.pop()
+        for r, c in enumerate(rows + (0,)):
+            if r == 0 or rows[r - 1] > c:
+                grow(cells + ((r, c),), rows[:r] + (c + 1,) + rows[r + 1 :])
 
-    grow([(0, 0)], [1])
+    grow(((0, 0),), (1,))
     return out
+
+
+def _factored(num: Counter, den: Counter) -> FactoredRational:
+    return FactoredRational(product_of_factors(num.elements()), den.elements())
 
 
 def _add_factor(bag: Counter, alpha: int, beta: int) -> None:
@@ -157,7 +146,7 @@ def omega_at(x: ExponentPair) -> FactoredRational:
     num: Counter = Counter()
     den: Counter = Counter()
     _add_cross_factor(num, den, *x)
-    return FactoredRational(product_of_factors(num.elements()), den.elements())
+    return _factored(num, den)
 
 
 def _weight_factors(z: Sequence[ExponentPair], reduced: bool) -> tuple[Counter, Counter]:
@@ -181,19 +170,14 @@ def _weight_factors(z: Sequence[ExponentPair], reduced: bool) -> tuple[Counter, 
     return num - common, den - common
 
 
-def _weight(z: Sequence[ExponentPair], reduced: bool) -> FactoredRational:
-    num, den = _weight_factors(z, reduced)
-    return FactoredRational(product_of_factors(num.elements()), den.elements())
-
-
 def tableau_weight(tab: StandardTableau) -> FactoredRational:
     """wt(T), with common binomial factors cancelled exactly."""
-    return _weight(tab.contents(), reduced=False)
+    return _factored(*_weight_factors(tab.contents(), reduced=False))
 
 
 def reduced_tableau_weight(tab: StandardTableau) -> FactoredRational:
     """(1 - t/q) * wt(T), the head-like reduced weight."""
-    return _weight(tab.contents(), reduced=True)
+    return _factored(*_weight_factors(tab.contents(), reduced=True))
 
 
 def _representative(alpha: int, beta: int) -> ExponentPair:

@@ -132,28 +132,21 @@ def lambda_partition(a_tail: Sequence[int]) -> tuple[int, ...]:
     tail = integer_entries(a_tail)
     if any(x < 0 for x in tail):
         raise DomainError(f"lambda_partition requires nonnegative entries, got {tail}")
-    out = []
-    total = sum(tail)
-    for x in tail:
-        out.append(total)
-        total -= x
-    return canonical_partition(out)
+    return canonical_partition([sum(tail[i:]) for i in range(len(tail))])
 
 
 def subpartitions(lam: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All partitions contained in lam, trailing zeros stripped."""
     lam = canonical_partition(lam)
 
-    def rec(i: int, cap: int, prefix: list[int]):
+    def rec(i: int, cap: int, prefix: tuple[int, ...]):
         if i == len(lam):
             yield canonical_partition(prefix)
             return
         for part in range(min(cap, lam[i]) + 1):
-            prefix.append(part)
-            yield from rec(i + 1, part, prefix)
-            prefix.pop()
+            yield from rec(i + 1, part, prefix + (part,))
 
-    yield from rec(0, lam[0] if lam else 0, [])
+    yield from rec(0, lam[0] if lam else 0, ())
 
 
 def subdiagram_area_gf(lam: Sequence[int]) -> LaurentPoly:

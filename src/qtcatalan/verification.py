@@ -31,7 +31,7 @@ from .chains import area, locate, stat, subpartitions3  # noqa: F401
 from .closed_forms import f1, f2, f3_recursive, f3_two_step, h2, h3
 from .errors import DomainError
 from .poly import LaurentPoly, bracket, qt_power, unimodality_check
-from .record import ABCParams
+from .record import ABCParams, Record
 from .tableaux import f_tableaux, h_tableaux
 from .tesler import f_tesler, lambda_partition, subdiagram_area_gf
 
@@ -41,11 +41,8 @@ from .tesler import f_tesler, lambda_partition, subdiagram_area_gf
 TESLER_FIRST_ENTRIES = (0, 3)
 
 
-class CaseResult:
+class CaseResult(Record):
     __slots__ = ("identity", "vector", "ok", "detail")
-
-    def __init__(self, identity: str, vector: tuple[int, ...], ok: bool, detail: str = ""):
-        self.identity, self.vector, self.ok, self.detail = identity, vector, ok, detail
 
 
 class VerificationReport:
@@ -153,9 +150,9 @@ def check_chain_partition(vec: tuple[int, ...]) -> list[CaseResult]:
     }
     if len(set(sizes.values())) != 1:
         problems.append(f"index sets differ in size: {sizes}")
-    chains = [chain_of(t) for t in tails]
+    areas = {row[0]: row[1] for row in _resolved(p)}  # the lattice, with its areas
     seen = {}  # member -> the chain it was found in
-    for ch in chains:
+    for ch in map(chain_of, tails):
         for idx in (ch.pseudohead, ch.head, ch.quasihead):
             if idx.area_range() != ch.area_range:
                 problems.append(f"range not preserved along chain of {ch.tail}")
@@ -163,17 +160,15 @@ def check_chain_partition(vec: tuple[int, ...]) -> list[CaseResult]:
             if m in seen:
                 problems.append(f"{m} lies in two chains")
             seen[m] = ch
-    areas = {row[0]: row[1] for row in _resolved(p)}  # the lattice, with its areas
+        r, R = ch.area_range
+        got = [areas.get(m) for m in ch.members]
+        if got != list(range(r, R + 1)):
+            problems.append(f"chain of ({ch.tail.E},{ch.tail.F}) has areas {got} for range {ch.area_range}")
     missing, outside = areas.keys() - seen.keys(), seen.keys() - areas.keys()
     if missing:
         problems.append(f"not covered: {sorted(missing)[:4]}...")
     if outside:
         problems.append(f"outside the staircase: {sorted(outside)[:4]}...")
-    for ch in chains:
-        r, R = ch.area_range
-        got = [areas.get(m) for m in ch.members]
-        if got != list(range(r, R + 1)):
-            problems.append(f"chain of ({ch.tail.E},{ch.tail.F}) has areas {got} for range {ch.area_range}")
     for lam, lam_area, E, F, lam_stat in (row for row in _resolved(p) if row[0] in seen):
         ch = seen[lam]
         if E != ch.tail.E or F != ch.tail.F:
@@ -223,6 +218,12 @@ def _run_case(case) -> list[CaseResult]:
     return check(vec)
 
 
+def _run_vector(cases) -> list[CaseResult]:
+    """One vector's checks, run in one worker so that they share its caches
+    (``f_chains``, ``_resolved``); each goes through ``_run_case``."""
+    return [result for case in cases for result in _run_case(case)]
+
+
 def valid_triples(maxval: int):
     """The validated (a, b, c) region with all entries <= maxval."""
     for a in range(maxval + 1):
@@ -253,14 +254,16 @@ def check_sweep(n: int, maxval: int) -> None:
 
 
 def build_case_specs(n: int, maxval: int) -> list:
-    """(check, vector) pairs; n = 4 sweeps the validated triples only."""
+    """One list of (check, vector) pairs per vector; n = 4 sweeps the validated triples only."""
     check_sweep(n, maxval)
     grid = valid_triples(maxval) if n == 4 else product(range(maxval + 1), repeat=n - 1)
     return [
-        (check, vec)
+        [
+            (check, vec)
+            for check in _SUITE[n]
+            if check not in _POSITIVE_ENTRY or vec[_POSITIVE_ENTRY[check]] >= 1
+        ]
         for vec in grid
-        for check in _SUITE[n]
-        if check not in _POSITIVE_ENTRY or vec[_POSITIVE_ENTRY[check]] >= 1
     ]
 
 
@@ -342,7 +345,7 @@ def run_verify(n: int, maxval: int, jobs: int | None = None) -> VerificationRepo
     jobs = default_jobs() if jobs is None else jobs
     start = time.perf_counter()
     report = VerificationReport()
-    for results in parallel_map(_run_case, specs, jobs):
+    for results in parallel_map(_run_vector, specs, jobs):
         report.cases.extend(results)
     report.cases.sort(key=lambda c: (c.identity, c.vector))
     report.elapsed = time.perf_counter() - start

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from qtcatalan import (
     ABCParams,
+    DomainError,
     LaurentPoly,
     VerificationReport,
     bracket,
@@ -76,6 +77,34 @@ def test_json_round_trip_byte_identical(p):
     params, parsed = parse_json(rendered)
     assert parsed == p and params == (0, 1, 2)
     assert render_json(parsed, params) == rendered
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        '"params": [1.5], "terms": []',
+        '"params": ["2"], "terms": []',
+        '"params": [1], "terms": [{"q": 1.5, "t": 0, "coeff": "1"}]',
+        '"params": [1], "terms": [{"q": 1, "t": 0.5, "coeff": "1"}]',
+        '"params": [1], "terms": [{"q": 1, "t": 0, "coeff": 2.9}]',
+        '"params": [1], "terms": [{"q": 1, "t": 0, "coeff": "2.9"}]',
+        '"params": [1], "terms": [{"q": 1, "t": 0, "coeff": "--2"}]',
+    ],
+)
+def test_parse_json_refuses_a_non_integer(field):
+    # int() would truncate 1.5 to 1 and 2.9 to 2
+    with pytest.raises(DomainError):
+        parse_json("{" + field + "}")
+
+
+def test_parse_json_reads_an_integer_coefficient_or_its_string():
+    text = '{"params": [2], "terms": [{"q": 1, "t": 0, "coeff": 7}, {"q": 0, "t": 1, "coeff": "-12"}]}'
+    assert parse_json(text) == ((2,), LaurentPoly({(1, 0): 7, (0, 1): -12}))
+
+
+def test_render_json_refuses_a_non_integer_param():
+    with pytest.raises(DomainError):
+        render_json(LaurentPoly({(0, 0): 1}), (1.5,))
 
 
 def test_json_survives_huge_coefficients():

@@ -163,6 +163,12 @@ def test_growth_sequences_are_validated():
         StandardTableau(((0, 0), (1, 0), (1, 1)))
 
 
+def test_a_growth_sequence_has_no_negative_row():
+    # (-1, 1) would read row 0's length as row -1's and be taken for a cell
+    with pytest.raises(DomainError):
+        StandardTableau(((0, 0), (-1, 1)))
+
+
 def test_canonical_partition():
     assert canonical_partition((3, 2, 0, 0)) == (3, 2)
     with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ import pytest
 
 from qtcatalan import ABCParams, ChainRecord, DomainError, QuasiheadIndex, verification
 from qtcatalan.chains import TailIndex, chain_of, decompose
-from qtcatalan.verification import parallel_map, run_verify
+from qtcatalan.verification import CaseResult, parallel_map, run_verify
 
 
 @pytest.mark.parametrize(
@@ -166,6 +166,25 @@ def test_pooled_verify_reports_as_the_inline_one(n, maxval):
         return run_verify(n, maxval, jobs=jobs).to_text().rsplit(", ", 1)[0]
 
     assert text(2) == text(1)
+
+
+@pytest.mark.parametrize("n, maxval", [(4, 5), (5, 2)])
+def test_pooled_verify_runs_each_vectors_checks_in_one_worker(two_cpus, monkeypatch, n, maxval):
+    # a vector's checks share one worker's caches (f_chains, _resolved): each
+    # result carries the pid of the process that checked it
+    real = verification._run_case
+
+    def tagged(case):
+        return [CaseResult(r.identity, r.vector, r.ok, str(os.getpid())) for r in real(case)]
+
+    monkeypatch.setattr(verification, "_run_case", tagged)
+    pids_of = {}  # vector -> the pids that checked it; t1 reports (0,) + vector
+    for c in run_verify(n, maxval, jobs=2).cases:
+        assert c.ok
+        pids_of.setdefault(c.vector[-(n - 1) :], set()).add(c.detail)
+    assert all(len(pids) == 1 for pids in pids_of.values())
+    assert len(set().union(*pids_of.values())) == 2
+    _assert_no_child_left()
 
 
 def test_chain_partition_refuses_a_locate_that_finds_another_chain(monkeypatch):
