@@ -21,10 +21,12 @@ class NotPolynomialError(ArithmeticError):
 
 def integer_entries(values: Sequence[int]) -> tuple[int, ...]:
     """values as a tuple of ints.  An entry that is not an integer, such as
-    1.5 or "2", is refused rather than truncated."""
+    1.5, "2" or True, is refused rather than read as one."""
     out = []
     for x in values:
         try:
+            if isinstance(x, bool):
+                raise TypeError  # operator.index(True) is 1
             out.append(operator.index(x))
         except TypeError:
             raise DomainError(f"entries must be integers, got {x!r}") from None

@@ -43,7 +43,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Sequence
 
-from .errors import DomainError, NotPolynomialError
+from .errors import DomainError, NotPolynomialError, integer_entries
 from .poly import ZERO, ExponentPair, LaurentPoly
 from .record import Record
 
@@ -55,7 +55,7 @@ class BinomialFactor(Record):
     __slots__ = ("alpha", "beta")
 
     def _check(self):
-        if self.alpha == 0 and self.beta == 0:
+        if integer_entries((self.alpha, self.beta)) == (0, 0):
             raise DomainError("the factor (1 - q^0 t^0) is identically zero")
 
     def __iter__(self):

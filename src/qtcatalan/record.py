@@ -3,7 +3,7 @@
 
 from operator import attrgetter, eq, ge, gt, le, lt
 
-from .errors import DomainError
+from .errors import DomainError, integer_entries
 
 
 def _compare(op):
@@ -59,9 +59,7 @@ class ABCParams(Record):
     __slots__ = ("a", "b", "c")
 
     def _check(self):
-        a, b, c = self.a, self.b, self.c
-        if not all(isinstance(x, int) for x in (a, b, c)):
-            raise DomainError(f"ABCParams entries must be integers, got {(a, b, c)}")
+        a, b, c = integer_entries((self.a, self.b, self.c))
         if a < 0 or b < 0 or c < 0 or a + 1 < b or a + 1 < c or b + 1 < c:
             raise DomainError(
                 f"({a}, {b}, {c}) is outside the validated region "

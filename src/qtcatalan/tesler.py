@@ -11,10 +11,9 @@ which also proves F is a polynomial.  At t = 1 only the two-diagonal
 matrices survive, and those biject with subdiagrams of the staircase
 partition lambda(a) = (a_2+...+a_n, a_3+...+a_n, ..., a_n).
 
-The enumeration builds the matrices column by column from the first, in
-lexicographic order (``_tesler_rows``).  The weight sum peels off the last
-column, the transpose of Haglund's Tesler recursion.  Row n has nothing to
-its right, so (m_1n, ..., m_{n-1,n}, m_nn) is a weak composition of a_n.
+Both the enumeration (``_tesler_rows``) and the weight sum peel off the
+last column, the transpose of Haglund's Tesler recursion.  Row n has nothing
+to its right, so (m_1n, ..., m_{n-1,n}, m_nn) is a weak composition of a_n.
 Removing the column leaves a Tesler matrix with hook sums
 a' = (a_1 + m_1n, ..., a_{n-1} + m_{n-1,n}), so the weight sum W over the
 matrices with hook sums a satisfies
@@ -105,7 +104,7 @@ packed all the same.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Iterator, Sequence
 
 from .errors import DomainError, integer_entries
@@ -182,11 +181,11 @@ class TeslerMatrix(Record):
     __slots__ = ("hook_sums", "rows")
 
     def _check(self):
-        n = len(self.hook_sums)
+        n = len(integer_entries(self.hook_sums))
         if len(self.rows) != n or any(len(row) != n - i for i, row in enumerate(self.rows)):
             raise DomainError("rows must form an upper-triangular array")
         for row in self.rows:
-            if any(v < 0 for v in row):
+            if any(v < 0 for v in integer_entries(row)):
                 raise DomainError("Tesler matrix entries must be nonnegative")
         for i in range(n):
             if self.hook_sum(i) != self.hook_sums[i]:
@@ -244,87 +243,56 @@ def _check_hook_vector(a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def _columns(residuals: tuple[int, ...], hook_sum: int, room: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every column (m_0k, ..., m_{k-1,k}) that a partial matrix with these
-    residuals can take next, in lexicographic order, with the residuals
-    after it (see ``_tesler_rows``).
-
-    With the entries e_r of the column, row r is short of
-    max(0, -(residuals[r] + e_r)) and row k of max(0, e_0 + ... - hook_sum);
-    the column fits when the shortfall is at most room.  Once e_0, ..., e_r
-    are chosen, the least shortfall the rest can reach spends what is left
-    of hook_sum on the rows below r that are short, so e_r runs upward
-    while that least shortfall can still shrink or fit.
-    """
-    k = len(residuals)
-    short_below = [0] * (k + 1)  # short_below[r]: sum over i >= r of max(0, -residuals[i])
-    for r in range(k - 1, -1, -1):
-        short_below[r] = short_below[r + 1] + max(0, -residuals[r])
-    out = []
-    column = [0] * k
-
-    def fill(r: int, short: int, total: int) -> None:
-        if r == k:
-            after = tuple(x + e for x, e in zip(residuals, column)) + (hook_sum - total,)
-            out.append((tuple(column), after))
-            return
-        floor = max(0, -residuals[r])
-        e = 0
-        while True:
-            least = short + max(0, floor - e) + max(0, total + e - hook_sum)
-            least += max(0, short_below[r + 1] - max(0, hook_sum - total - e))
-            if least <= room:
-                column[r] = e
-                fill(r + 1, short + max(0, floor - e), total + e)
-            elif e >= floor:
-                break
-            e += 1
-
-    fill(0, 0, 0)
-    return out
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every weak composition of total into parts entries."""
+    if parts == 1:
+        yield (total,)
+        return
+    for v in range(total + 1):
+        for rest in _compositions(total - v, parts - 1):
+            yield (v,) + rest
 
 
 def _tesler_rows(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
     """The rows of every Tesler matrix with hook sums a, ordered
     lexicographically by the flattened off-diagonal vector.
 
-    The matrices are built column by column, each partial matrix extended
-    by its next columns in lexicographic order, so the list stays in order.
-    After columns 1..k-1, row r < k has the residual
-    a_r - (its entries above the diagonal) + (its entries so far right of
-    it), and its diagonal entry will be that residual plus its entries in
-    the columns still to come.  A row with a negative residual is short by
-    its absolute value, which it must send right.  The partial matrix
-    completes exactly when the total shortfall is at most
-    a_k + ... + a_{n-1}.  It cannot complete otherwise: the entries from
-    rows r < k to columns c >= k, at least the shortfall, add up to at most
-    that sum by the cumulative form of the hook sums.  It completes
-    otherwise: the short rows send their shortfall to column k, whose row
-    passes on what exceeds a_k, and so on up to column n - 1.  After the
-    last column the room is 0, so every residual is a diagonal entry.
-    The next columns depend on the residuals only, so partial matrices
-    with equal residuals share them.
+    The matrices are built by the walk's recursion: their last column is a
+    weak composition of a_n, and the rest is a Tesler matrix with hook
+    sums a_i + m_in, which are nonnegative, so every column completes.  A
+    matrix is held as its columns (m_1k, ..., m_kk) one after another, so
+    that a column is appended in one step; the hook vectors met within one
+    call share their lists.  A zero a_n forces a zero last column, so the
+    trailing zeros are stripped first (``_key`` finds the last nonzero
+    entry), and a long zero tail does not deepen the recursion; their zero
+    columns are appended at the end.  The off-diagonal vector determines
+    the diagonal, so one sort on it orders the matrices with no ties.
     """
-    n = len(a)
-    # (the entries m_rc so far, column by column; the residuals of rows 0..k-1)
-    partial = [((), (a[0],))]
-    for k in range(1, n):
-        room, columns = sum(a[k + 1 :]), {}
-        for _, residuals in partial:
-            if residuals not in columns:
-                columns[residuals] = _columns(residuals, a[k], room)
-        partial = [
-            (entries + column, after)
-            for entries, residuals in partial
-            for column, after in columns[residuals]
-        ]
-    # row r < n - 1 reads its diagonal entry, at index r of the residuals
-    # after the entries, then m_rc, at index c (c - 1) / 2 + r of the entries
-    start = n * (n - 1) // 2
-    rows = [itemgetter(start + r, *(c * (c - 1) // 2 + r for c in range(r + 1, n))) for r in range(n - 1)]
+    n, k = len(a), len(_key(a))
+    memo = {}
+
+    def columns(b: tuple[int, ...]) -> list[tuple[int, ...]]:
+        if len(b) == 1:
+            return [b]
+        if b not in memo:
+            # map stops at the end of b[:-1]: m_kk adds to no hook sum
+            memo[b] = [
+                flat + column
+                for column in _compositions(b[-1], len(b))
+                for flat in columns(tuple(map(add, b[:-1], column)))
+            ]
+        return memo[b]
+
+    flats = columns(a[:k])
+    memo.clear()  # flats holds tuples of its own
+    # m_rc (0-based) sits at index c (c + 1) / 2 + r of a flat
+    if k > 1:
+        flats.sort(key=itemgetter(*(c * (c + 1) // 2 + r for c in range(1, k) for r in range(c))))
+    pad = (0,) * ((n * (n + 1) - k * (k + 1)) // 2)
+    rows = [itemgetter(*(c * (c + 1) // 2 + r for c in range(r, n))) for r in range(n - 1)]
     return [
         tuple([row(flat) for row in rows]) + ((flat[-1],),)
-        for flat in (entries + diagonal for entries, diagonal in partial)
+        for flat in (flat + pad for flat in flats)
     ]
 
 

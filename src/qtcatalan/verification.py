@@ -30,7 +30,7 @@ from .chains import (
 from .chains import area, locate, stat, subpartitions3  # noqa: F401
 from .closed_forms import f1, f2, f3_recursive, f3_two_step, h2, h3
 from .errors import DomainError
-from .poly import LaurentPoly, bracket, qt_power, unimodality_check
+from .poly import LaurentPoly, bracket, unimodality_check
 from .record import ABCParams, Record
 from .tableaux import f_tableaux, h_tableaux
 from .tesler import f_tesler, lambda_partition, subdiagram_area_gf
@@ -120,9 +120,10 @@ def check_trailing_zero(vec: tuple[int, ...]) -> list[CaseResult]:
 
 
 def check_reflection(vec: tuple[int, ...]) -> list[CaseResult]:
-    """f1(-a) = -(qt)^(1-a) f1(a-2) for a >= 1."""
+    """For a >= 1, f1(-a), the reflection -(qt)^(1-a) f1(a-2), against the
+    tableau sum at the negative entry -a."""
     (a,) = vec
-    return [_vanishes("one-arg-reflection", vec, f1(-a) + qt_power(1 - a) * f1(a - 2))]
+    return [_result("one-arg-reflection", vec, [("f1", f1(-a)), ("tableaux", f_tableaux((-a,)))])]
 
 
 def check_unimodality(vec: tuple[int, ...]) -> list[CaseResult]:

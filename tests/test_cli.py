@@ -89,6 +89,9 @@ def test_json_round_trip_byte_identical(p):
         '"params": [1], "terms": [{"q": 1, "t": 0, "coeff": 2.9}]',
         '"params": [1], "terms": [{"q": 1, "t": 0, "coeff": "2.9"}]',
         '"params": [1], "terms": [{"q": 1, "t": 0, "coeff": "--2"}]',
+        '"params": [true], "terms": []',
+        '"params": [1], "terms": [{"q": true, "t": 0, "coeff": "1"}]',
+        '"params": [1], "terms": [{"q": 1, "t": 0, "coeff": true}]',
     ],
 )
 def test_parse_json_refuses_a_non_integer(field):

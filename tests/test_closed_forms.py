@@ -135,8 +135,9 @@ def test_abcparams_region():
         ABCParams(-1, 0, 0)
     with pytest.raises(DomainError):
         ABCParams(3, 1, 3)
-    with pytest.raises(DomainError):
-        ABCParams(1.5, 1, 1)
+    for bad in [(1.5, 1, 1), (True, 1, 1), (1, 1, 1.0)]:
+        with pytest.raises(DomainError):
+            ABCParams(*bad)
     p = ABCParams(2, 3, 3)
     assert p.total_weight == 2 + 6 + 9
     assert p.leg == 8

@@ -46,6 +46,12 @@ def test_zero_factor_rejected():
         exact_divide(Q, (0, 0))
 
 
+def test_factor_exponents_must_be_integers():
+    for alpha, beta in [(0.5, 0), (1, 0.0), (True, 0)]:
+        with pytest.raises(DomainError):
+            BinomialFactor(alpha, beta)
+
+
 def test_multiplicative_identity():
     x = FactoredRational(Q + T, [BinomialFactor(1, 0)])
     assert x * FactoredRational(ONE) == x

@@ -46,6 +46,12 @@ def test_non_integral_entries_rejected():
         h_tableaux((1, 0.5))
     with pytest.raises(DomainError):
         combine_h_to_f(h_tableaux, (2.0,))
+    # operator.index(True) is 1, so True was read as 1 and gave F(1, 1)
+    with pytest.raises(DomainError):
+        f_tableaux((True, 1))
+    for cells in [((0, 0), (0, 1.0)), ((0, 0), (True, 0)), ((0, 0), (0, 1.0), (True, 0))]:
+        with pytest.raises(DomainError):
+            StandardTableau(cells)
 
 
 def test_large_entries_cost_their_terms_not_their_span(run_capped):

@@ -70,7 +70,7 @@ def test_oracle_agreement_more_vectors():
 
 def test_all_ones_counts_are_the_tesler_numbers():
     # OEIS A008608: the number of n x n Tesler matrices with hook sums (1, ..., 1)
-    assert [len(enumerate_tesler((1,) * n)) for n in range(1, 6)] == [1, 2, 7, 40, 357]
+    assert [len(enumerate_tesler((1,) * n)) for n in range(1, 7)] == [1, 2, 7, 40, 357, 4820]
 
 
 def test_zero_vector():
@@ -79,9 +79,9 @@ def test_zero_vector():
 
 
 def test_enumeration_order_is_lexicographic():
-    ms = enumerate_tesler((1, 1, 1))
-    vecs = [m.off_diagonal_vector() for m in ms]
-    assert vecs == sorted(vecs)
+    for a in [(1, 1, 1), (0, 2, 0, 1, 4), (2, 0, 0, 1, 0), (1, 0, 1, 0, 0, 2), (0, 1, 0, 0, 1, 3)]:
+        vecs = [m.off_diagonal_vector() for m in enumerate_tesler(a)]
+        assert vecs == sorted(set(vecs)), a
 
 
 def test_negative_entries_rejected():
@@ -102,6 +102,9 @@ def test_non_integral_entries_rejected():
             f_tesler(a)
     with pytest.raises(DomainError):
         enumerate_tesler((1, 1.5))
+    for hook_sums, rows in [((0, 1), ((0, 0.0), (1,))), ((0, 1.0), ((0, 0), (1,))), ((0, True), ((0, 0), (1,)))]:
+        with pytest.raises(DomainError):
+            TeslerMatrix(hook_sums, rows)
 
 
 def test_public_construction_is_validated():
@@ -267,10 +270,14 @@ def test_t_one_specialization_identity():
 
 
 def test_trailing_zero_matrix_column():
-    # appending a zero hook sum adds a zero column: same count, same value
-    for a in [(1, 1), (2, 0, 1)]:
-        assert len(enumerate_tesler(a + (0,))) == len(enumerate_tesler(a))
+    # appending a zero hook sum adds a zero column: the same matrices, the
+    # same value; the enumeration strips a zero tail before its recursion,
+    # so a long one costs no depth
+    for a in [(1, 1), (2, 0, 1), (0, 1) + (0,) * 600]:
+        padded = [tuple(row + (0,) for row in m.rows) + ((0,),) for m in enumerate_tesler(a)]
+        assert [m.rows for m in enumerate_tesler(a + (0,))] == padded
         assert f_tesler(a + (0,)) == f_tesler(a)
+    assert len(enumerate_tesler((0, 1) + (0,) * 600)) == 2
 
 
 # -- the packed route against matrix enumeration ------------------------------

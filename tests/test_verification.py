@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from qtcatalan import ABCParams, ChainRecord, DomainError, QuasiheadIndex, verification
+from qtcatalan import ONE, ABCParams, ChainRecord, DomainError, QuasiheadIndex, verification
 from qtcatalan.chains import TailIndex, chain_of, decompose
 from qtcatalan.verification import CaseResult, parallel_map, run_verify
 
@@ -274,3 +274,14 @@ def test_chain_partition_reports_a_subdiagram_no_chain_covers(monkeypatch):
     (result,) = verification.check_chain_partition((1, 1, 1))
     assert not result.ok
     assert result.detail == "not covered: [(9, 9, 9)]..."
+
+
+def test_the_reflection_check_reads_the_tableau_sum(monkeypatch):
+    # f1(-a) is defined by the reflection, so the check can fail only through
+    # the tableau sum at the negative entry -a
+    real = verification.f_tableaux
+    monkeypatch.setattr(verification, "f_tableaux", lambda a: real(a) + ONE if a == (-2,) else real(a))
+    (result,) = verification.check_reflection((2,))
+    assert not result.ok
+    assert result.detail == "f1 = -q^-1 t^-1; tableaux = 1 - q^-1 t^-1"
+    assert all(r.ok for a in (1, 3) for r in verification.check_reflection((a,)))
