@@ -49,7 +49,7 @@ from .closed_forms import (
     h3,
     slope_sequence,
 )
-from .errors import DomainError, NotPolynomialError
+from .errors import DomainError, NotPolynomialError, canonical_partition
 from .poly import (
     ONE,
     Q,
@@ -79,7 +79,6 @@ from .tableaux import (
 )
 from .tesler import (
     TeslerMatrix,
-    canonical_partition,
     enumerate_tesler,
     f_tesler,
     lambda_partition,

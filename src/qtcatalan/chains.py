@@ -43,7 +43,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import DomainError, integer_entries
+from .errors import DomainError, canonical_partition
 from .poly import LaurentPoly
 from .record import ABCParams, Record
 
@@ -330,13 +330,9 @@ def decompose(p: ABCParams) -> list[ChainRecord]:
 
 
 def _check_contained(p: ABCParams, lam: Sequence[int]) -> Partition3:
-    lam = integer_entries(lam)
     if len(lam) > 3:
-        raise DomainError(f"expected a partition with at most 3 parts, got {lam}")
-    lam = lam + (0,) * (3 - len(lam))
-    x, y, z = lam
-    if not (x >= y >= z >= 0):
-        raise DomainError(f"{lam} is not a partition")
+        raise DomainError(f"expected a partition with at most 3 parts, got {tuple(lam)}")
+    x, y, z = lam = (*canonical_partition(lam), 0, 0, 0)[:3]
     ax, ay, az = p.ambient()
     if x > ax or y > ay or z > az:
         raise DomainError(f"{lam} is not contained in {p.ambient()}")

@@ -14,25 +14,26 @@ sum and the Tesler sum:
     produces negative arguments and is used by the chain recursion proofs.
 
 Three-argument calls take an ``ABCParams`` (from ``record``), which refuses
-a triple outside a, b, c >= 0, a+1 >= b, a+1 >= c, b+1 >= c.
+a triple outside the region ``record.in_region`` tests.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, integer_entries
 from .poly import LaurentPoly, ZERO, bracket, qt_power
 from .record import ABCParams
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must miss an IntEnum 2's entry, and be refused
 def f1(a: int) -> LaurentPoly:
     """F of a single argument, for any integer.
 
     Equals bracket(a+1) for a >= 0, vanishes at a = -1, and for a <= -2
     is fixed by the reflection F(-m) = -(qt)^(1-m) F(m-2).
     """
+    (a,) = integer_entries((a,))
     if a >= 0:
         return bracket(a + 1)
     if a == -1:
@@ -46,6 +47,7 @@ def f2(a: int, b: int) -> LaurentPoly:
 
     Valid for b >= -1 and a >= b-1; f2(a, -1) = 0.
     """
+    a, b = integer_entries((a, b))
     if b < -1 or a < b - 1:
         raise DomainError(f"f2 requires b >= -1 and a >= b-1, got ({a}, {b})")
     return LaurentPoly(
@@ -55,6 +57,7 @@ def f2(a: int, b: int) -> LaurentPoly:
 
 def h2(a: int) -> LaurentPoly:
     """H of a single argument: the monomial q^a, for any integer a."""
+    (a,) = integer_entries((a,))
     return LaurentPoly.monomial(a, 0)
 
 
@@ -63,6 +66,7 @@ def h3(a: int, b: int) -> LaurentPoly:
 
     Valid for any integer a and b >= -1; h3(a, -1) = 0.
     """
+    a, b = integer_entries((a, b))
     if b < -1:
         raise DomainError(f"h3 requires b >= -1, got ({a}, {b})")
     return LaurentPoly({(a + 2 * (b - i), i): 1 for i in range(b + 1)})
@@ -118,6 +122,7 @@ def slope_sequence(m: int, n: int) -> tuple[int, ...]:
     Its entries sum to m; feeding it to the tableau sum yields the rational
     q,t-Catalan polynomial when m and n are coprime.
     """
+    m, n = integer_entries((m, n))
     if m < 1 or n < 1:
         raise DomainError(f"slope_sequence requires m, n >= 1, got ({m}, {n})")
     ceilings = [(i * m + n - 1) // n for i in range(n + 1)]  # ceil(im/n), all operands >= 0

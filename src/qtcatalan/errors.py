@@ -1,5 +1,7 @@
-"""Exceptions shared across the package, and the integer check on input
-entries that raises one."""
+"""Exceptions shared across the package, and the two input checks that
+raise one: ``integer_entries`` (every entry an integer) and
+``canonical_partition`` (a nonnegative, weakly decreasing sequence), read
+by every route that takes such an input."""
 
 import operator
 from typing import Sequence
@@ -31,3 +33,16 @@ def integer_entries(values: Sequence[int]) -> tuple[int, ...]:
         except TypeError:
             raise DomainError(f"entries must be integers, got {x!r}") from None
     return tuple(out)
+
+
+def canonical_partition(parts: Sequence[int]) -> tuple[int, ...]:
+    """Validate a weakly decreasing nonnegative sequence and strip trailing zeros."""
+    parts = integer_entries(parts)
+    for i, p in enumerate(parts):
+        if p < 0:
+            raise DomainError(f"partition parts must be nonnegative, got {parts}")
+        if i and parts[i - 1] < p:
+            raise DomainError(f"partition parts must weakly decrease, got {parts}")
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    return parts

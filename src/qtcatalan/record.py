@@ -1,5 +1,7 @@
-"""The frozen value record behind the package's small immutable types, and
-``ABCParams``, the one value type two routes (recursions, chains) share."""
+"""The frozen value record behind the package's small immutable types;
+``ABCParams``, the one value type two routes (recursions, chains) share;
+and ``in_region``, the one test of the triple region it validates, which
+verify's grid of triples reads as well."""
 
 from operator import attrgetter, eq, ge, gt, le, lt
 
@@ -49,6 +51,11 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def in_region(a: int, b: int, c: int) -> bool:
+    """Whether (a, b, c) lies in the validated region, where the chains hold."""
+    return a >= 0 and b >= 0 and c >= 0 and a + 1 >= b and a + 1 >= c and b + 1 >= c
+
+
 class ABCParams(Record):
     """A validated argument triple for the three-argument machinery.
 
@@ -59,10 +66,9 @@ class ABCParams(Record):
     __slots__ = ("a", "b", "c")
 
     def _check(self):
-        a, b, c = integer_entries((self.a, self.b, self.c))
-        if a < 0 or b < 0 or c < 0 or a + 1 < b or a + 1 < c or b + 1 < c:
+        if not in_region(*integer_entries((self.a, self.b, self.c))):
             raise DomainError(
-                f"({a}, {b}, {c}) is outside the validated region "
+                f"({self.a}, {self.b}, {self.c}) is outside the validated region "
                 "(need a, b, c >= 0, a+1 >= b, a+1 >= c, b+1 >= c)"
             )
 

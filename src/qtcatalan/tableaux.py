@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, integer_entries
 from .poly import ExponentPair, LaurentPoly, ONE
@@ -247,7 +247,7 @@ def f_tableaux(a: Sequence[int]) -> LaurentPoly:
     a = integer_entries(a)
     if not a:
         return ONE  # n = 1: a single one-box tableau with empty products
-    return combine_h_to_f(h_tableaux, a)
+    return combine_h_to_f(h_tableaux(a))
 
 
 def h_tableaux(a: Sequence[int]) -> LaurentPoly:
@@ -263,15 +263,14 @@ def h_tableaux(a: Sequence[int]) -> LaurentPoly:
     return divide_sum_of_products(_row_exponents(a, tails, units), tree, common)
 
 
-def combine_h_to_f(h: Callable[[tuple[int, ...]], LaurentPoly], a: Sequence[int]) -> LaurentPoly:
+def combine_h_to_f(h: LaurentPoly) -> LaurentPoly:
     """Rebuild F from H via F = H(q,t)/(1 - t/q) + H(t,q)/(1 - q/t).
 
     With x = t/q, 1/(1 - q/t) = -x/(1 - x), so F = (H - x H(t,q)) / (1 - x):
     one exact division by (1 - q^-1 t).  Swapping the variables of a
     polynomial transposes every exponent pair.
     """
-    hp = h(integer_entries(a))
-    return exact_divide(hp - LaurentPoly.monomial(-1, 1) * hp.swap_qt(), (-1, 1))
+    return exact_divide(h - LaurentPoly.monomial(-1, 1) * h.swap_qt(), (-1, 1))
 
 
 def positivity_premise_check(h: LaurentPoly) -> bool:

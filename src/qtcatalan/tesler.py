@@ -107,23 +107,10 @@ from functools import lru_cache
 from operator import add, itemgetter, mul
 from typing import Iterator, Sequence
 
-from .errors import DomainError, integer_entries
+from .errors import DomainError, canonical_partition, integer_entries
 from .poly import LaurentPoly, ONE, coeff_A, coeff_B
 from .rational import PackedBox, fit_width, narrowest, relayout
 from .record import Record
-
-
-def canonical_partition(parts: Sequence[int]) -> tuple[int, ...]:
-    """Validate a weakly decreasing nonnegative sequence and strip trailing zeros."""
-    parts = integer_entries(parts)
-    for i, p in enumerate(parts):
-        if p < 0:
-            raise DomainError(f"partition parts must be nonnegative, got {parts}")
-        if i and parts[i - 1] < p:
-            raise DomainError(f"partition parts must weakly decrease, got {parts}")
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return parts
 
 
 def lambda_partition(a_tail: Sequence[int]) -> tuple[int, ...]:
@@ -139,11 +126,10 @@ def subpartitions(lam: Sequence[int]) -> Iterator[tuple[int, ...]]:
     lam = canonical_partition(lam)
 
     def rec(i: int, cap: int, prefix: tuple[int, ...]):
-        if i == len(lam):
-            yield canonical_partition(prefix)
-            return
-        for part in range(min(cap, lam[i]) + 1):
-            yield from rec(i + 1, part, prefix + (part,))
+        yield prefix  # with rows i, i + 1, ... all zero
+        if i < len(lam):
+            for part in range(1, min(cap, lam[i]) + 1):
+                yield from rec(i + 1, part, prefix + (part,))
 
     yield from rec(0, lam[0] if lam else 0, ())
 
@@ -172,6 +158,15 @@ def subdiagram_area_gf(lam: Sequence[int]) -> LaurentPoly:
     )
 
 
+def _check_hook_vector(a: Sequence[int]) -> tuple[int, ...]:
+    a = integer_entries(a)
+    if not a:
+        raise DomainError("hook-sum vector must be nonempty")
+    if any(x < 0 for x in a):
+        raise DomainError(f"hook sums must be nonnegative, got {a}")
+    return a
+
+
 class TeslerMatrix(Record):
     """An upper-triangular matrix with prescribed hook sums.
 
@@ -181,7 +176,7 @@ class TeslerMatrix(Record):
     __slots__ = ("hook_sums", "rows")
 
     def _check(self):
-        n = len(integer_entries(self.hook_sums))
+        n = len(_check_hook_vector(self.hook_sums))
         if len(self.rows) != n or any(len(row) != n - i for i, row in enumerate(self.rows)):
             raise DomainError("rows must form an upper-triangular array")
         for row in self.rows:
@@ -232,15 +227,6 @@ class TeslerMatrix(Record):
                 if v:
                     w = w * (coeff_B(v) if off == 1 else coeff_A(v))
         return w
-
-
-def _check_hook_vector(a: Sequence[int]) -> tuple[int, ...]:
-    a = integer_entries(a)
-    if not a:
-        raise DomainError("hook-sum vector must be nonempty")
-    if any(x < 0 for x in a):
-        raise DomainError(f"hook sums must be nonnegative, got {a}")
-    return a
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

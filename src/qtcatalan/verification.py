@@ -31,7 +31,7 @@ from .chains import area, locate, stat, subpartitions3  # noqa: F401
 from .closed_forms import f1, f2, f3_recursive, f3_two_step, h2, h3
 from .errors import DomainError
 from .poly import LaurentPoly, bracket, unimodality_check
-from .record import ABCParams, Record
+from .record import ABCParams, Record, in_region
 from .tableaux import f_tableaux, h_tableaux
 from .tesler import f_tesler, lambda_partition, subdiagram_area_gf
 
@@ -226,11 +226,8 @@ def _run_vector(cases) -> list[CaseResult]:
 
 
 def valid_triples(maxval: int):
-    """The validated (a, b, c) region with all entries <= maxval."""
-    for a in range(maxval + 1):
-        for b in range(min(maxval, a + 1) + 1):
-            for c in range(min(maxval, a + 1, b + 1) + 1):
-                yield (a, b, c)
+    """The validated (a, b, c) region with all entries <= maxval, in lexicographic order."""
+    return (t for t in product(range(maxval + 1), repeat=3) if in_region(*t))
 
 
 #: The checks run at each length n, on every vector of a_2, ..., a_n.
@@ -249,7 +246,7 @@ _POSITIVE_ENTRY = {check_reflection: 0, check_hcomb_recursion: 2}
 def check_sweep(n: int, maxval: int) -> None:
     """Refuse a sweep that verify cannot run, or that would run no check."""
     if n not in _SUITE:
-        raise DomainError(f"verify supports n in 2..5, got {n}")
+        raise DomainError(f"verify supports n in {min(_SUITE)}..{max(_SUITE)}, got {n}")
     if maxval < 0:
         raise DomainError(f"verify needs a nonnegative max entry, got {maxval}")
 

@@ -313,6 +313,19 @@ def test_partition_inputs_refuse_non_integers(call, bad):
         call((bad, 1, 0))
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [((1, 2, 0), "weakly decrease"), ((1, -1, 0), "nonnegative"), ((2, 1, 0, 0), "at most 3 parts")],
+    ids=["increasing", "negative", "four-parts"],
+)
+@pytest.mark.parametrize("call", [area, stat, classify, locate_tail, locate], ids=lambda f: f.__name__)
+def test_partition_inputs_refuse_non_partitions(call, bad, message):
+    # (1, 2, 0) and (1, -1, 0) get canonical_partition's message; the
+    # trailing zeros of (2, 1, 0, 0) are not stripped before the length test
+    with pytest.raises(DomainError, match=message):
+        call(P111, bad)
+
+
 def test_classify_rejects_outside():
     with pytest.raises(DomainError):
         classify(P111, (4, 0, 0))
@@ -472,9 +485,7 @@ def test_h_comb_boundary_b_equals_a_plus_one():
         b = a + 1
         p = ABCParams(a, b, 0)
         assert h_comb_poly(p.a, p.b, p.c) == h3(a, b) - LaurentPoly.monomial(a, b)
-        assert combine_h_to_f(lambda v: h_comb_poly(*v), (a, b, 0)) == f3_recursive(
-            ABCParams(a, b, 0)
-        )
+        assert combine_h_to_f(h_comb_poly(a, b, 0)) == f3_recursive(p)
 
 
 def test_h_comb_111():
@@ -504,7 +515,7 @@ def test_h_comb_on_raw_triples_matches_a_direct_listing():
 
 def test_h_comb_combines_to_f_chains():
     for p in _valid_params(4):
-        got = combine_h_to_f(lambda v: h_comb_poly(*v), (p.a, p.b, p.c))
+        got = combine_h_to_f(h_comb_poly(p.a, p.b, p.c))
         assert got == f_chains(p)
 
 

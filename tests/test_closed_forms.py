@@ -1,5 +1,7 @@
 """Closed forms and recursions, cross-checked against the tableau sums."""
 
+from enum import IntEnum
+
 import pytest
 
 from qtcatalan import (
@@ -55,7 +57,7 @@ def test_f2_domain():
 def test_f2_matches_h_combination():
     for b in range(-1, 7):
         for a in range(b - 1, 9):
-            assert f2(a, b) == combine_h_to_f(lambda v: h3(*v), (a, b))
+            assert f2(a, b) == combine_h_to_f(h3(a, b))
 
 
 def test_h2_h3_values():
@@ -154,3 +156,33 @@ def test_slope_sequence():
         assert len(slope_sequence(m, n)) == n
     with pytest.raises(DomainError):
         slope_sequence(0, 3)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        f1,
+        lambda x: f2(x, 1),
+        lambda x: f2(1, x),
+        h2,
+        lambda x: h3(x, 0),
+        lambda x: h3(0, x),
+        lambda x: slope_sequence(x, 2),
+        lambda x: slope_sequence(5, x),
+    ],
+    ids=["f1", "f2-a", "f2-b", "h2", "h3-a", "h3-b", "slope-m", "slope-n"],
+)
+def test_closed_forms_refuse_non_integers(call, bad):
+    # h2(1.5) was q^1.5, slope_sequence(2.5, 2) was (1.0, 2.0), f1(True) read
+    # True as 1, and f1(2.0) raised TypeError
+    with pytest.raises(DomainError, match="integers"):
+        call(bad)
+
+
+def test_f1_cache_keeps_a_float_apart_from_an_equal_int():
+    # untyped, lru_cache would hand 2.0 the entry an IntEnum 2 left
+    two = IntEnum("Two", {"TWO": 2}).TWO
+    assert f1(two) == f1(2)
+    with pytest.raises(DomainError, match="integers"):
+        f1(2.0)

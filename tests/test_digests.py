@@ -117,14 +117,14 @@ def _f_second_route(v) -> LaurentPoly:
         return f2(*v)
     if v[-1] == -1:
         return LaurentPoly.zero()
-    return combine_h_to_f(h_tableaux, v)
+    return combine_h_to_f(h_tableaux(v))
 
 
 def _h_agrees(v) -> bool:
     h = h_tableaux(v)
     f = f_tesler((0,) + v) if min(v) >= 0 else f_tableaux(v)
     closed = h2(*v) if len(v) == 1 else h3(*v) if len(v) == 2 else h
-    return h == closed and combine_h_to_f(lambda _: h, v) == f
+    return h == closed and combine_h_to_f(h) == f
 
 
 def _triple_agrees(v) -> bool:

@@ -114,6 +114,10 @@ def test_public_construction_is_validated():
     for rows in [((0, 1), (2,)), ((0, -1), (2,)), ((1, 0),), ((1,), (1,))]:
         with pytest.raises(DomainError):
             TeslerMatrix((1, 1), rows)
+    # hook sums enumerate_tesler refuses: (-1, 1) built, with weight q - 1 + t
+    for hook_sums, rows in [((-1, 1), ((0, 1), (0,))), ((), ())]:
+        with pytest.raises(DomainError, match="hook-sum vector must be nonempty|hook sums must be nonnegative"):
+            TeslerMatrix(hook_sums, rows)
     built = enumerate_tesler((1, 1))
     assert built == [TeslerMatrix((1, 1), m.rows) for m in built]
     with pytest.raises(IndexError):
