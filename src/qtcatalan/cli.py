@@ -1,17 +1,17 @@
 """Command-line front end.
 
     qtc compute  --method M (--a v | --abc v) [--format text|json|latex|csv]
-    qtc verify   --n N --max K [--jobs J]
+    qtc verify   [--n N] [--max K] [--jobs J]
     qtc decompose --abc a,b,c [--format text|csv]
-    qtc scan     --n N --max K [--monotone | --all]
+    qtc scan     --n N --max K [--all]
     qtc rational --m M --n N
 
 Exit codes: 0 success; 1 verification or positivity failure, or an output
 pipe closed early; 2 usage or domain error, or an input too deep for
 Python's recursion limit.
 
-QTC_JOBS sets the default worker count for verify and scan;
-QTC_VERIFY_MAX sets the default sweep bound for verify.
+QTC_JOBS sets the default worker count for verify and scan; the library
+reads no environment variable.
 """
 
 from __future__ import annotations
@@ -31,7 +31,16 @@ from .record import ABCParams
 from .render import RENDERERS, csv_text
 from .tableaux import f_tableaux
 from .tesler import f_tesler
-from .verification import check_sweep, default_jobs, env_int, parallel_map, run_verify
+from .verification import check_sweep, parallel_map, run_verify
+
+
+def default_jobs() -> int:
+    """The worker count QTC_JOBS sets, at least 1; 1 if it is unset."""
+    raw = os.environ.get("QTC_JOBS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise DomainError(f"QTC_JOBS must be an integer, got {raw!r}") from None
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -92,12 +101,12 @@ def _parse_n_range(text: str) -> list[int]:
 
 def _verify(args) -> int:
     lengths = _parse_n_range(args.n)
-    maxval = env_int("QTC_VERIFY_MAX", 3) if args.max is None else args.max
     for n in lengths:  # refuse the whole range before printing any report
-        check_sweep(n, maxval)
+        check_sweep(n, args.max)
+    jobs = default_jobs() if args.jobs is None else args.jobs
     failures = 0
     for n in lengths:
-        report = run_verify(n, maxval, args.jobs)
+        report = run_verify(n, args.max, jobs)
         print(report.to_text())
         failures += len(report.mismatches)
     return 0 if failures == 0 else 1
@@ -200,12 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_compute)
 
     v = sub.add_parser("verify", help="run the cross-method identity suite")
-    v.add_argument("--n", default="4", help="sequence length, 2..5, or a range like 2-4")
-    v.add_argument(
-        "--max",
-        type=int,
-        help="entry bound for the sweep (default 3, env QTC_VERIFY_MAX)",
-    )
+    v.add_argument("--n", default="4", help="sequence length, or a range like 2-4")
+    v.add_argument("--max", type=int, default=3, help="entry bound for the sweep (default %(default)s)")
     v.add_argument(
         "--jobs", type=int, default=None, help="worker processes (default 1, env QTC_JOBS)"
     )
@@ -217,11 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=_decompose)
 
     s = sub.add_parser("scan", help="search vectors for negative coefficients")
-    s.add_argument("--n", type=int, required=True, help="sequence length (2..5)")
+    s.add_argument("--n", type=int, required=True, help="sequence length")
     s.add_argument("--max", type=int, required=True, help="entry bound")
-    group = s.add_mutually_exclusive_group()
-    group.add_argument("--monotone", action="store_true", help="weakly decreasing vectors only (default)")
-    group.add_argument("--all", action="store_true", help="all vectors, including non-monotone")
+    s.add_argument("--all", action="store_true", help="all vectors, not only weakly decreasing ones")
     s.set_defaults(fn=_scan)
 
     r = sub.add_parser("rational", help="the slope-sequence specialization")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, integer_entries
 
 # An exponent pair (power of q, power of t).
 ExponentPair = tuple[int, int]
@@ -254,15 +254,17 @@ T = LaurentPoly.monomial(0, 1)
 
 def qt_power(k: int) -> LaurentPoly:
     """The monomial (qt)^k; k may be negative."""
+    (k,) = integer_entries((k,))
     return LaurentPoly.monomial(k, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must miss an IntEnum 2's entry, and be refused
 def bracket(m: int) -> LaurentPoly:
     """The homogeneous q,t-integer of degree m-1.
 
     bracket(m) = q^(m-1) + q^(m-2) t + ... + t^(m-1), with bracket(0) = 0.
     """
+    (m,) = integer_entries((m,))
     if m < 0:
         raise DomainError(f"bracket requires m >= 0, got {m}")
     return LaurentPoly({(m - 1 - i, i): 1 for i in range(m)})
@@ -274,17 +276,19 @@ def sym_chain(k: int, l: int) -> LaurentPoly:
     Homogeneous of degree k + l with l - k + 1 unit coefficients, invariant
     under exchanging q and t.  Requires k <= l.
     """
+    k, l = integer_entries((k, l))
     if k > l:
         raise DomainError(f"sym_chain requires k <= l, got ({k}, {l})")
     return LaurentPoly({(l - i, k + i): 1 for i in range(l - k + 1)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def coeff_A(m: int) -> LaurentPoly:
     """Coefficient of z^m in (1-z)(1-qtz) / ((1-qz)(1-tz)).
 
     A(0) = 1 and A(m) = -(1-q)(1-t) * bracket(m) for m >= 1.
     """
+    (m,) = integer_entries((m,))
     if m < 0:
         raise DomainError(f"coeff_A requires m >= 0, got {m}")
     if m == 0:
@@ -294,9 +298,10 @@ def coeff_A(m: int) -> LaurentPoly:
     return -(one_minus_q * one_minus_t * bracket(m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def coeff_B(m: int) -> LaurentPoly:
     """Coefficient of z^m in (1-z) / ((1-qz)(1-tz)): bracket(m+1) - bracket(m)."""
+    (m,) = integer_entries((m,))
     if m < 0:
         raise DomainError(f"coeff_B requires m >= 0, got {m}")
     return bracket(m + 1) - bracket(m)

@@ -77,8 +77,10 @@ class StandardTableau(Record):
     __slots__ = ("cells",)
 
     def _check(self):
+        # the canonical tuple, which hashes and compares as enumerate_syt's
+        object.__setattr__(self, "cells", tuple(map(integer_entries, self.cells)))
         rows: list[int] = []  # rows[r]: the cells in row r so far
-        for r, c in map(integer_entries, self.cells):
+        for r, c in self.cells:
             # the cell ends row r, or opens a row on top, and leaves row r no longer than row r - 1
             if not 0 <= r <= len(rows) or c != (rows + [0])[r] or (r and rows[r - 1] <= c):
                 raise DomainError(f"not a growth sequence: {self.cells}")

@@ -176,12 +176,14 @@ class TeslerMatrix(Record):
     __slots__ = ("hook_sums", "rows")
 
     def _check(self):
-        n = len(_check_hook_vector(self.hook_sums))
+        # the canonical tuples, which hash and compare as enumerate_tesler's
+        object.__setattr__(self, "hook_sums", _check_hook_vector(self.hook_sums))
+        object.__setattr__(self, "rows", tuple(map(integer_entries, self.rows)))
+        n = len(self.hook_sums)
         if len(self.rows) != n or any(len(row) != n - i for i, row in enumerate(self.rows)):
             raise DomainError("rows must form an upper-triangular array")
-        for row in self.rows:
-            if any(v < 0 for v in integer_entries(row)):
-                raise DomainError("Tesler matrix entries must be nonnegative")
+        if any(v < 0 for row in self.rows for v in row):
+            raise DomainError("Tesler matrix entries must be nonnegative")
         for i in range(n):
             if self.hook_sum(i) != self.hook_sums[i]:
                 raise DomainError(

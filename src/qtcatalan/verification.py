@@ -123,6 +123,8 @@ def check_reflection(vec: tuple[int, ...]) -> list[CaseResult]:
     """For a >= 1, f1(-a), the reflection -(qt)^(1-a) f1(a-2), against the
     tableau sum at the negative entry -a."""
     (a,) = vec
+    if a < 1:
+        return []
     return [_result("one-arg-reflection", vec, [("f1", f1(-a)), ("tableaux", f_tableaux((-a,)))])]
 
 
@@ -211,6 +213,8 @@ def hcomb_recursion_residual(p: ABCParams) -> LaurentPoly:
 
 
 def check_hcomb_recursion(vec: tuple[int, ...]) -> list[CaseResult]:
+    if vec[2] < 1:
+        return []
     return [_vanishes("hcomb-two-step-recursion", vec, hcomb_recursion_residual(ABCParams(*vec)))]
 
 
@@ -239,10 +243,6 @@ _SUITE = {
     5: (check_methods, check_t1_specialization),
 }
 
-#: Checks defined only where one entry is positive, with that entry's index.
-_POSITIVE_ENTRY = {check_reflection: 0, check_hcomb_recursion: 2}
-
-
 def check_sweep(n: int, maxval: int) -> None:
     """Refuse a sweep that verify cannot run, or that would run no check."""
     if n not in _SUITE:
@@ -255,29 +255,7 @@ def build_case_specs(n: int, maxval: int) -> list:
     """One list of (check, vector) pairs per vector; n = 4 sweeps the validated triples only."""
     check_sweep(n, maxval)
     grid = valid_triples(maxval) if n == 4 else product(range(maxval + 1), repeat=n - 1)
-    return [
-        [
-            (check, vec)
-            for check in _SUITE[n]
-            if check not in _POSITIVE_ENTRY or vec[_POSITIVE_ENTRY[check]] >= 1
-        ]
-        for vec in grid
-    ]
-
-
-def env_int(name: str, default: int) -> int:
-    """The integer in environment variable name, or default if it is unset."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def default_jobs() -> int:
-    return max(1, env_int("QTC_JOBS", 1))
+    return [[(check, vec) for check in _SUITE[n]] for vec in grid]
 
 
 def _work(fn, chunks: list, write_end: int):
@@ -338,9 +316,8 @@ def parallel_map(fn, items, jobs: int) -> list:
     return [y for chunk in results for y in chunk]
 
 
-def run_verify(n: int, maxval: int, jobs: int | None = None) -> VerificationReport:
+def run_verify(n: int, maxval: int, jobs: int = 1) -> VerificationReport:
     specs = build_case_specs(n, maxval)
-    jobs = default_jobs() if jobs is None else jobs
     start = time.perf_counter()
     report = VerificationReport()
     for results in parallel_map(_run_vector, specs, jobs):

@@ -25,7 +25,7 @@ from qtcatalan import (
     render_json,
     render_latex,
 )
-from qtcatalan.cli import _scan_vectors
+from qtcatalan.cli import _scan_vectors, default_jobs
 from qtcatalan.verification import CaseResult
 
 polys = st.dictionaries(
@@ -326,9 +326,16 @@ def test_scan_prints_the_negative_part_as_a_polynomial():
 
 
 def test_scan_monotone_n4():
-    proc = run_cli("scan", "--n", "4", "--max", "3", "--monotone")
+    proc = run_cli("scan", "--n", "4", "--max", "3")
     assert proc.returncode == 0
     assert "no negative coefficients" in proc.stdout
+
+
+def test_scan_has_no_monotone_flag():
+    # weakly decreasing vectors are the default; no flag restates it
+    proc = run_cli("scan", "--n", "4", "--max", "3", "--monotone")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --monotone" in proc.stderr
 
 
 def test_scan_vectors_order():
@@ -450,8 +457,6 @@ def test_verify_mismatch_maps_to_exit_1(monkeypatch):
 
 def test_verify_env_default_jobs(monkeypatch):
     monkeypatch.setenv("QTC_JOBS", "2")
-    from qtcatalan.verification import default_jobs
-
     assert default_jobs() == 2
 
 
@@ -461,8 +466,8 @@ def test_verify_env_default_jobs(monkeypatch):
         ({}, ("verify", "--n", "4-2", "--max", "1")),
         ({}, ("verify", "--n", "4", "--max", "-1")),
         ({}, ("scan", "--n", "4", "--max", "-1")),
-        ({"QTC_VERIFY_MAX": "abc"}, ("verify", "--n", "2")),
         ({"QTC_JOBS": "abc"}, ("verify", "--n", "2", "--max", "1")),
+        ({"QTC_JOBS": "abc"}, ("scan", "--n", "4", "--max", "1")),
         ({}, ("compute", "--method", "chains", "--abc", "1,2")),
         ({}, ("compute", "--method", "tableaux")),
         ({}, ("verify", "--n", "2-x")),

@@ -1,5 +1,7 @@
 """Ring operations, brackets, chains, series coefficients, specializations."""
 
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,6 +124,28 @@ def test_bracket_negative_raises():
         coeff_A(-1)
     with pytest.raises(DomainError):
         coeff_B(-1)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
+@pytest.mark.parametrize(
+    "call",
+    [bracket, qt_power, lambda x: sym_chain(x, 3), lambda x: sym_chain(0, x), coeff_A, coeff_B],
+    ids=["bracket", "qt_power", "sym_chain-k", "sym_chain-l", "coeff_A", "coeff_B"],
+)
+def test_integer_arguments_refuse_non_integers(call, bad):
+    # qt_power(1.5) was q^1.5 t^1.5, coeff_B(True) was q - 1 + t, and
+    # bracket(2.0), coeff_A(2.0) and sym_chain(1.5, 3) raised TypeError
+    with pytest.raises(DomainError, match="integers"):
+        call(bad)
+
+
+@pytest.mark.parametrize("cached", [bracket, coeff_A, coeff_B])
+def test_cache_keeps_a_float_apart_from_an_equal_int(cached):
+    # untyped, lru_cache would hand 2.0 the entry an IntEnum 2 left
+    two = IntEnum("Two", {"TWO": 2}).TWO
+    assert cached(two) == cached(2)
+    with pytest.raises(DomainError, match="integers"):
+        cached(2.0)
 
 
 @pytest.mark.parametrize("m", range(0, 21))

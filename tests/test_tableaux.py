@@ -167,6 +167,14 @@ def test_growth_sequences_are_validated():
         StandardTableau(((0, 0), (1, 0), (1, 1)))
 
 
+def test_a_list_growth_sequence_is_stored_as_enumerate_syt_builds_it():
+    # stored as given, a list of cells was unhashable and unequal to the tuple
+    built = enumerate_syt(2)
+    for cells in [[(0, 0), (0, 1)], ((0, 0), [0, 1]), [[0, 0], [0, 1]]]:
+        tab = StandardTableau(cells)
+        assert tab in built and hash(tab) == hash(built[0]) and tab == built[0]
+
+
 def test_a_growth_sequence_has_no_negative_row():
     # (-1, 1) would read row 0's length as row -1's and be taken for a cell
     with pytest.raises(DomainError):

@@ -120,6 +120,10 @@ def test_public_construction_is_validated():
             TeslerMatrix(hook_sums, rows)
     built = enumerate_tesler((1, 1))
     assert built == [TeslerMatrix((1, 1), m.rows) for m in built]
+    # lists are stored as the tuples enumerate_tesler builds: hashable, and equal
+    for hook_sums, rows in [([1, 1], ((2, 1), (0,))), ((1, 1), [[2, 1], [0]])]:
+        matrix = TeslerMatrix(hook_sums, rows)
+        assert matrix in built and hash(matrix) == hash(built[-1]) and matrix == built[-1]
     with pytest.raises(IndexError):
         built[0].entry(1, 0)
 

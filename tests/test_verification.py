@@ -21,12 +21,23 @@ from qtcatalan.verification import CaseResult, parallel_map, run_verify
         (4, 2, {"methods-agree[n=4]": 20, "t1-subdiagram-count": 20, "chain-partition[n=4]": 20,
                 "unimodality[t=1/q]": 20, "hcomb-two-step-recursion": 12}),
         (5, 1, {"methods-agree[n=5]": 16, "t1-subdiagram-count": 16}),
+        # the benchmark's two grids: 454 and 162 checks
+        (4, 5, {"methods-agree[n=4]": 96, "t1-subdiagram-count": 96, "chain-partition[n=4]": 96,
+                "unimodality[t=1/q]": 96, "hcomb-two-step-recursion": 70}),
+        (5, 2, {"methods-agree[n=5]": 81, "t1-subdiagram-count": 81}),
     ],
 )
 def test_checks_per_identity(n, maxval, expected):
     report = run_verify(n, maxval, jobs=1)
     assert Counter(c.identity for c in report.cases) == expected
     assert not report.mismatches
+
+
+def test_run_verify_reads_no_environment(monkeypatch):
+    # the worker count is the caller's argument; only the CLI reads QTC_JOBS
+    monkeypatch.setenv("QTC_JOBS", "abc")
+    report = run_verify(2, 1)
+    assert len(report.cases) == 9 and not report.mismatches
 
 
 @pytest.mark.parametrize("n, maxval", [(4, -1), (2, -3), (6, 1), (1, 0)])
