@@ -50,8 +50,9 @@ def f2(a: int, b: int) -> LaurentPoly:
     a, b = integer_entries((a, b))
     if b < -1 or a < b - 1:
         raise DomainError(f"f2 requires b >= -1 and a >= b-1, got ({a}, {b})")
-    return LaurentPoly(
-        ((j, a + 2 * b - i - j), 1) for i in range(b + 1) for j in range(i, a + 2 * b - 2 * i + 1)
+    # (i, j) -> (j, a + 2b - i - j) is one to one, so no two terms meet
+    return LaurentPoly._from_dict(
+        {(j, a + 2 * b - i - j): 1 for i in range(b + 1) for j in range(i, a + 2 * b - 2 * i + 1)}
     )
 
 

@@ -184,7 +184,7 @@ class LaurentPoly:
 
     def swap_qt(self) -> "LaurentPoly":
         """Exchange q and t (transpose every exponent pair)."""
-        return LaurentPoly({(te, qe): c for (qe, te), c in self._terms.items()})
+        return LaurentPoly._from_dict({(te, qe): c for (qe, te), c in self._terms.items()})
 
     def specialize_t_one(self) -> "LaurentPoly":
         """Substitute t = 1.  The result is univariate in q (t-degree 0)."""

@@ -24,6 +24,9 @@ tableau plan builds its tree once; ``sum_of_products`` builds one per call,
 with every sign +1.  ``_pack_sum`` packs a sum on one box, at the tree's
 kernel width, unless that box has more than ``SLOTS_PER_TERM`` slots per
 term its rows can make; else it sums each row on its own box, as terms.
+The kernel width holds a bound on the sum's coefficients: one the caller
+proves, as a tableau plan does, or else the bound every sum of products of
+binomials obeys (``sum_of_products``).
 ``divide_sum_of_products`` divides a packed sum by the denominator's
 inverse modulo a power of 2, one factor at a time (``exact_divide`` of a
 packed polynomial), on the window of the box where the quotient lies, at
@@ -346,9 +349,12 @@ class ProductTree:
     the top two.  It depends on the factor multisets and signs only, so a
     plan builds it once and evaluates it at every vector's exponents
     (``_pack_sum``).  The tree also keeps the two sizes that depend on it
-    alone: the kernel ``width``, which holds every slot of the sum
-    (``sum_of_products``), and ``own_slots``, the slots of the rows' own
-    boxes added up.
+    alone: the kernel ``width``, which holds every slot of the sum, and
+    ``own_slots``, the slots of the rows' own boxes added up.  The width is
+    fit_width(norm_bound) for a caller that proves no coefficient of the
+    sum exceeds norm_bound at any exponents, as a tableau plan does, and
+    else that of the bound every product of binomials obeys
+    (``sum_of_products``).
     """
 
     __slots__ = ("factors", "signs", "spans", "width", "own_slots", "program")
@@ -357,13 +363,16 @@ class ProductTree:
         self,
         factor_lists: Iterable[Iterable[tuple[int, int]]],
         signs: Sequence[int] | None = None,
+        norm_bound: int | None = None,
     ):
         self.factors = tuple(
             tuple((alpha, beta) for alpha, beta in factors) for factors in factor_lists
         )
         self.signs = tuple(signs) if signs is not None else (1,) * len(self.factors)
         self.spans = tuple(_span(factors) for factors in self.factors)
-        self.width = fit_width(len(self.factors) << max(map(len, self.factors), default=0))
+        if norm_bound is None:
+            norm_bound = len(self.factors) << max(map(len, self.factors), default=0)
+        self.width = fit_width(norm_bound)
         self.own_slots = sum((q_hi - q_lo + 1) * (t_hi - t_lo + 1) for q_lo, q_hi, t_lo, t_hi in self.spans)
         program: list = []
         rows = [(i, Counter(factors)) for i, factors in enumerate(self.factors)]
@@ -483,7 +492,12 @@ def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]
     at most 2^m), so a slot of the sum over all rows holds at most
     len(rows) * 2^max_m < 2^(w-1) when w >= max_m + bit_length(len(rows)) + 1.
     Every slot then is one balanced w-bit digit, and one pass over the bytes
-    of the biased sum decodes them all.
+    of the biased sum decodes them all.  Only the sum's digits must fit: the
+    partial sums are exact integers whatever their digits, so a tree given a
+    smaller bound on the sum's coefficients, such as the sum of its rows'
+    ||P_r||_inf (a monomial moves a row's terms and keeps their size), runs
+    at that bound's width: 16 bits for the 38 rows of the size-6 tableau
+    plan, where len(rows) * 2^max_m takes 24.
 
     Rows far apart would leave most slots of the common box empty; past
     ``SLOTS_PER_TERM`` slots per term of the rows' own boxes, each row is

@@ -33,7 +33,8 @@ at its largest multiplicity over the head-like tableaux, 19 factors at
 n = 6 (36 with the two counted apart).  A tableau's own factors that are not
 representatives give its row a sign and a unit monomial q^i t^j.  A plan,
 built once per size, keeps only small integer data, per head-like tableau:
-the content tail z[1:] and that unit monomial; and the product tree
+that unit monomial and the q- and t-columns of the content tail z[1:], so
+a row's monomial is two dot products; and the product tree
 (``rational.ProductTree``) of their signed factor lists, each list the
 numerator factors of T's reduced weight plus its cofactor D / den'(T),
 den'(T) its denominator in representatives.  Almost every factor of D is in
@@ -42,13 +43,17 @@ rows: at n = 6, the 38 rows take 189 shifts per vector, where each row
 multiplied out on its own would take 570.  A vector then costs one
 evaluation of the tree at its monomials and one division of that packed
 sum by D, run on the quotient's window of the box, with no unpacking in
-between (``rational.divide_sum_of_products``).
+between (``rational.divide_sum_of_products``).  Both run at the width of
+the plan's proved bound on the sum's coefficients (``ROW_NORM_BOUNDS``):
+16 bits at n = 6, where the bound that holds for any 38 rows of up to 15
+binomials, 38 * 2^15, would take 24.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, integer_entries
@@ -206,13 +211,25 @@ def _represented(den: Counter) -> tuple[int, ExponentPair, Counter]:
     return sign, (i, j), out
 
 
+#: B_n, the sum over the rows of H's plan at size n of ||P_r||_inf, P_r the
+#: product of row r's factors: a row's monomial and sign keep its norm, so no
+#: coefficient of any vector's packed sum exceeds B_n, and the plan's kernel
+#: runs at fit_width(B_n) bits, 16 at n = 6 where the bound rows * 2^max_m,
+#: which holds for any rows, takes 24.  Expanding the rows takes 1.5, 3.5
+#: and 10 times as long as building the plan at n = 6, 7 and 8, so the sums
+#: are pinned here, and a test rebuilds them from the rows.
+ROW_NORM_BOUNDS = {2: 1, 3: 2, 4: 7, 5: 34, 6: 1455, 7: 156051, 8: 115877164}
+
+
 @lru_cache(maxsize=None)
-def _plan(n: int) -> tuple[tuple, tuple, ProductTree, tuple[ExponentPair, ...]]:
+def _plan(n: int) -> tuple[tuple, ProductTree, tuple[ExponentPair, ...]]:
     """H's sum over the head-like tableaux of size n as small integer data:
-    their content tails z[1:]; the unit monomial of each one's row; the
-    product tree of the rows, each its unit sign, the numerator factors of
-    its reduced weight and its cofactor D / den'_T (``_represented``); and
-    D, each representative at its largest multiplicity over these tableaux."""
+    per row, its unit monomial q^i t^j and the q- and t-columns zq, zt of
+    its content tail z[1:], as (i, zq, j, zt); the product tree of the rows,
+    each its unit sign, the numerator factors of its reduced weight and its
+    cofactor D / den'_T (``_represented``), with B_n as the bound on its
+    sum; and D, each representative at its largest multiplicity over these
+    tableaux."""
     rows = []
     common: Counter = Counter()
     for tab in enumerate_syt(n):
@@ -220,24 +237,19 @@ def _plan(n: int) -> tuple[tuple, tuple, ProductTree, tuple[ExponentPair, ...]]:
             continue
         z = tab.contents()
         num, den = _weight_factors(z, reduced=True)
-        sign, unit, den = _represented(den)
-        rows.append((z[1:], sign, unit, num, den))
+        sign, (i, j), den = _represented(den)
+        zq, zt = zip(*z[1:])
+        rows.append(((i, zq, j, zt), sign, num, den))
         common |= den
-    tails, signs, units, nums, dens = zip(*rows)
-    tree = ProductTree(((num + (common - den)).elements() for num, den in zip(nums, dens)), signs)
-    return tails, units, tree, tuple(common.elements())
+    columns, signs, nums, dens = zip(*rows)
+    factor_lists = ((num + (common - den)).elements() for num, den in zip(nums, dens))
+    return columns, ProductTree(factor_lists, signs, ROW_NORM_BOUNDS[n]), tuple(common.elements())
 
 
-def _row_exponents(a: tuple[int, ...], tails: tuple, units: tuple) -> list[ExponentPair]:
+def _row_exponents(a: tuple[int, ...], columns: tuple) -> list[ExponentPair]:
     """The monomial of each row, z_2^{a_2} ... z_n^{a_n} times its unit
     q^i t^j, as (e, f)."""
-    return [
-        (
-            i + sum(ai * zq for ai, (zq, _) in zip(a, tail)),
-            j + sum(ai * zt for ai, (_, zt) in zip(a, tail)),
-        )
-        for tail, (i, j) in zip(tails, units)
-    ]
+    return [(i + sum(map(mul, a, zq)), j + sum(map(mul, a, zt))) for i, zq, j, zt in columns]
 
 
 def f_tableaux(a: Sequence[int]) -> LaurentPoly:
@@ -261,8 +273,8 @@ def h_tableaux(a: Sequence[int]) -> LaurentPoly:
         raise DomainError(
             f"tableau sums are limited to vectors of length <= {MAX_TABLEAU_SIZE - 1}, got {len(a)}"
         )
-    tails, units, tree, common = _plan(len(a) + 1)
-    return divide_sum_of_products(_row_exponents(a, tails, units), tree, common)
+    columns, tree, common = _plan(len(a) + 1)
+    return divide_sum_of_products(_row_exponents(a, columns), tree, common)
 
 
 def combine_h_to_f(h: LaurentPoly) -> LaurentPoly:

@@ -431,6 +431,20 @@ def test_packed_division_runs_once_at_the_numerator_width():
     assert [type(c.args[0]) for c in divide.call_args_list] == [Packed] * 4 + [LaurentPoly] * 4
 
 
+def test_a_quotient_past_the_kernel_width_is_divided_term_by_term():
+    # N = (1 - q^20)^3 has peak coefficient 3, so a tree that proves that
+    # bound packs N at 8 bits, where Q = (1 + q + ... + q^19)^3, peak 300,
+    # does not fit: the packed quotient's proof fails and the chain of exact
+    # divisions on N's terms returns Q
+    quotient = sum((Q**i for i in range(20)), LaurentPoly.zero()) ** 3
+    assert max(quotient.terms().values()) == 300
+    tree = ProductTree([[(20, 0)] * 3], norm_bound=3)
+    assert tree.width == 8
+    with mock.patch.object(rational, "exact_divide", wraps=exact_divide) as divide:
+        assert divide_sum_of_products([(0, 0)], tree, [(1, 0)] * 3) == quotient
+    assert [type(c.args[0]) for c in divide.call_args_list] == [Packed] * 3 + [LaurentPoly] * 3
+
+
 def test_exact_divide_of_a_packed_polynomial():
     # modulo 2^(slots * width) the packed quotient's digits are those of
     # the exact quotient, in both directions of a factor

@@ -486,10 +486,10 @@ def test_plan_tree_packs_the_per_row_integer(n):
     # both sides are one polynomial in X evaluated at X = 2^width, so they
     # agree at any width; 8 bits keep the per-row side cheap.  The rows are
     # the ones the tree stores, each with its sign.
-    tails, units, tree, _ = tableaux._plan(n)
-    assert set(tree.signs) <= {1, -1} and len(tree.signs) == len(tails)
+    columns, tree, _ = tableaux._plan(n)
+    assert set(tree.signs) <= {1, -1} and len(tree.signs) == len(columns)
     for vec in [(1,) * (n - 1), (2, -1, 0, 1, 1, -1, 0)[: n - 1]]:
-        exponents = tableaux._row_exponents(vec, tails, units)
+        exponents = tableaux._row_exponents(vec, columns)
         corners = [
             (e + q_lo, e + q_hi, f + t_lo, f + t_hi)
             for (e, f), (q_lo, q_hi, t_lo, t_hi) in zip(exponents, tree.spans)
@@ -506,9 +506,9 @@ def test_plan_tree_packs_the_per_row_integer(n):
 def test_each_tableau_sum_divides_once_per_factor_on_the_window(vec):
     # H divides its packed sum by each factor of D on the quotient's window;
     # F is that work plus one division of terms by (1 - t/q)
-    tails, units, tree, common = tableaux._plan(len(vec) + 1)
+    columns, tree, common = tableaux._plan(len(vec) + 1)
     assert len(common) == PLAN_DENOMINATOR_FACTORS[len(vec) + 1]
-    numerator = rational._pack_sum(tableaux._row_exponents(vec, tails, units), tree)
+    numerator = rational._pack_sum(tableaux._row_exponents(vec, columns), tree)
     assert isinstance(numerator, Packed)
     box = numerator.box
     d_q_lo, d_q_hi, _, _ = rational._span(common)
@@ -540,21 +540,23 @@ def _sweep_vectors(length):
 
 
 def test_kernel_and_proof_widths_are_the_byte_rounded_bits(monkeypatch):
-    # fit_width(rows << max_m) is max_m + bit_length(rows) + 1 bits and
+    # fit_width(B_n) is bit_length(B_n) + 1 bits and
     # max(fit_width(max|Q| << m), w) is max(q_bits + m, w - 1) + 1 bits,
-    # each rounded up to whole bytes: the widths every plan ran at before
-    # one rule sized both packed engines
+    # each rounded up to whole bytes.  B_n never exceeds the bound
+    # rows * 2^max_m that holds for any rows, whose fit_width is
+    # max_m + bit_length(rows) + 1 bits
     evaluate, times_factors, packed_quotient = rational._evaluate, rational._times_factors, rational._packed_quotient
     proof_widths, seen = [], Counter()
-    rows_at_6 = len(tableaux._plan(6)[0])
+    size_of = {id(tableaux._plan(n)[1]): n for n in range(2, 8)}
 
     def logged_evaluate(tree, exponents, box, width):
-        rows = len(exponents)
+        n, rows = size_of[id(tree)], len(exponents)
         max_m = max(len(factors) for factors in tree.factors)
-        assert width == tree.width == _whole_bytes(max_m + rows.bit_length() + 1)
-        if rows == rows_at_6:
-            # 19 factors of D, 15 in the longest row, 38 rows: 22 bits
-            assert width == 24
+        assert width == tree.width == _whole_bytes(tableaux.ROW_NORM_BOUNDS[n].bit_length() + 1)
+        assert width <= _whole_bytes(max_m + rows.bit_length() + 1)
+        if n == 6:
+            # B_6 = 1455 takes 11 bits; 38 rows of up to 15 factors would take 22
+            assert width == 16
             seen["n = 6"] += 1
         seen["kernel"] += 1
         return evaluate(tree, exponents, box, width)
@@ -591,8 +593,8 @@ def test_kernel_and_proof_widths_are_the_byte_rounded_bits(monkeypatch):
 def test_tableau_sum_over_a_wrong_denominator_is_refused():
     # H(1, 1, 1, 1) rebuilds F(1, 1, 1, 1), the q,t-Catalan number; H is
     # nonzero at q = 1, so (1 - q) does not divide it
-    tails, units, tree, common = tableaux._plan(5)
-    exponents = tableaux._row_exponents((1, 1, 1, 1), tails, units)
+    columns, tree, common = tableaux._plan(5)
+    exponents = tableaux._row_exponents((1, 1, 1, 1), columns)
     h = divide_sum_of_products(exponents, tree, common)
     assert combine_h_to_f(h) == f_tesler((0, 1, 1, 1, 1))
     with pytest.raises(NotPolynomialError):
@@ -608,6 +610,11 @@ def test_tableau_sum_over_a_wrong_denominator_is_refused():
 PLAN_DENOMINATOR_FACTORS = {2: 0, 3: 1, 4: 5, 5: 10, 6: 19, 7: 30, 8: 44}
 
 
+def _tails(columns):
+    # the content tails z[1:] of the plan's rows, from their columns
+    return tuple(tuple(zip(zq, zt)) for _, zq, _, zt in columns)
+
+
 def _associates(v):
     # the class of (1 - x^v) up to units, keyed independently of the plan's choice
     return min(v, (-v[0], -v[1]))
@@ -618,10 +625,10 @@ def test_plan_holds_the_head_like_tableaux_over_their_denominator(n):
     # D is the least common multiple, up to units, of the head-like
     # tableaux' denominators: per class {v, -v}, the largest count of v and
     # -v together
-    tails, units, tree, common = tableaux._plan(n)
+    columns, tree, common = tableaux._plan(n)
     head_like = [tab for tab in enumerate_syt(n) if tab.is_head_like()]
-    assert tails == tuple(tab.contents()[1:] for tab in head_like)
-    assert 2 * len(tails) == len(enumerate_syt(n))
+    assert _tails(columns) == tuple(tab.contents()[1:] for tab in head_like)
+    assert 2 * len(columns) == len(enumerate_syt(n))
     every_den = Counter()
     for tab in head_like:
         _, den = tableaux._weight_factors(tab.contents(), True)
@@ -632,17 +639,28 @@ def test_plan_holds_the_head_like_tableaux_over_their_denominator(n):
     assert len(common) == PLAN_DENOMINATOR_FACTORS[n]
 
 
-#: the kernel width of H's plan in bits per size
-KERNEL_WIDTH = {2: 8, 3: 8, 4: 8, 5: 16, 6: 24, 7: 40, 8: 48}
+#: the kernel width of H's plan in bits per size: fit_width(B_n)
+KERNEL_WIDTH = {2: 8, 3: 8, 4: 8, 5: 8, 6: 16, 7: 24, 8: 32}
+
+
+@pytest.mark.parametrize("n", range(2, tableaux.MAX_TABLEAU_SIZE + 1))
+def test_row_norm_bound_is_the_exact_sum_of_the_row_norms(n):
+    # the sum of ||P_r||_inf is what proves that no coefficient of the
+    # packed sum exceeds B_n: each row product is rebuilt in full here, so a
+    # wrong entry fails, and so does a size past the table until it grows
+    _, tree, _ = tableaux._plan(n)
+    norms = [max(map(abs, rational.sum_of_products([((0, 0), factors)]).terms().values())) for factors in tree.factors]
+    assert tableaux.ROW_NORM_BOUNDS[n] == sum(norms)
+    assert tree.width == rational.fit_width(sum(norms))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_plan_denominator_sizes_are_pinned(n):
-    tails, units, tree, common = tableaux._plan(n)
+    columns, tree, common = tableaux._plan(n)
     assert len(common) == PLAN_DENOMINATOR_FACTORS[n]
     vec = (1,) * (n - 1)
     with mock.patch.object(rational, "_evaluate", wraps=rational._evaluate) as evaluate:
-        rational._pack_sum(tableaux._row_exponents(vec, tails, units), tree)
+        rational._pack_sum(tableaux._row_exponents(vec, columns), tree)
     assert evaluate.call_args.args[3] == KERNEL_WIDTH[n]
 
 
@@ -653,7 +671,7 @@ def test_no_factor_of_the_denominator_divides_every_row(n):
     # (1 - x^g) could be taken out of every row's factors and D alike.  A
     # row may still be divisible by (1 - x^g) through a factor (1 - x^kg),
     # k >= 2, which would leave a non-binomial.
-    _, _, tree, common = tableaux._plan(n)
+    _, tree, common = tableaux._plan(n)
     for alpha, beta in set(common):
         assert any((alpha, beta) not in r and (-alpha, -beta) not in r for r in tree.factors), (alpha, beta)
 
@@ -663,11 +681,11 @@ def test_each_row_over_the_denominator_is_its_tableau_weight(n):
     # each row's sign, unit monomial and factors, over D, is its tableau's
     # reduced weight at the oracle's points
     points = [(Fraction(2), Fraction(3)), (Fraction(-3), Fraction(5))]
-    tails, units, tree, common = tableaux._plan(n)
+    columns, tree, common = tableaux._plan(n)
     by_tail = {tab.contents()[1:]: tab for tab in enumerate_syt(n)}
     for q, t in points:
         d = math.prod(1 - q**alpha * t**beta for alpha, beta in common)
-        for tail, (i, j), sign, factors in zip(tails, units, tree.signs, tree.factors):
+        for tail, (i, _, j, _), sign, factors in zip(_tails(columns), columns, tree.signs, tree.factors):
             z = by_tail[tail].contents()
             row = sign * q**i * t**j * math.prod(1 - q**alpha * t**beta for alpha, beta in factors)
             assert row / d == _oracle_weight(z, q, t, True), (n, z, q, t)
