@@ -43,7 +43,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import DomainError, canonical_partition
+from .errors import DomainError, canonical_partition, integer_entries
 from .poly import LaurentPoly
 from .record import ABCParams, Record
 
@@ -436,4 +436,5 @@ def h_comb_poly(a: int, b: int, c: int) -> LaurentPoly:
     This is not the head-like tableau sum H in general, but combining it
     with its variable swap reproduces F.
     """
+    a, b, c = integer_entries((a, b, c))
     return LaurentPoly(((hi, lo), 1) for _, _, lo, hi in _quasiheads(a, b, c))

@@ -31,7 +31,7 @@ from .record import ABCParams
 from .render import RENDERERS, csv_text
 from .tableaux import f_tableaux
 from .tesler import f_tesler
-from .verification import check_sweep, parallel_map, run_verify
+from .verification import MAX_SWEEP_VECTORS, check_sweep, parallel_map, run_verify
 
 
 def default_jobs() -> int:
@@ -85,13 +85,15 @@ def _compute(args) -> int:
     return 0
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
+    # a range, not a list, so that --n 2-10000000000 costs nothing before
+    # check_sweep refuses its 6
     try:
         if "-" in text:
             lo, hi = text.split("-", 1)
-            lengths = list(range(int(lo), int(hi) + 1))
         else:
-            lengths = [int(text)]
+            lo = hi = text
+        lengths = range(int(lo), int(hi) + 1)
     except ValueError:
         raise DomainError(f"expected a length or a range like 2-4, got {text!r}")
     if not lengths:
@@ -159,6 +161,8 @@ def _scan(args) -> int:
         raise DomainError(f"scan supports n in 2..5, got {args.n}")
     if args.max < 0:
         raise DomainError(f"--max must be nonnegative, got {args.max}")
+    if (args.max + 1) ** (args.n - 1) > MAX_SWEEP_VECTORS:
+        raise DomainError(f"scan reads at most {MAX_SWEEP_VECTORS} vectors, (max + 1)^(n - 1), got n = {args.n}, max = {args.max}")
     monotone = not args.all
     vectors = list(_scan_vectors(args.n, args.max, monotone))
     results = parallel_map(_scan_worker, vectors, default_jobs())

@@ -36,6 +36,8 @@ class LaurentPoly:
         data: dict[ExponentPair, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (qe, te), coeff in items:
+            if not type(coeff) is type(qe) is type(te) is int:  # refuses 1.5 and True
+                qe, te, coeff = integer_entries((qe, te, coeff))
             if coeff == 0:
                 continue
             key = (qe, te)
@@ -133,7 +135,7 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
+        if _is_int(other):
             if other == 0:
                 return ZERO
             return LaurentPoly._from_dict({k: c * other for k, c in self._terms.items()})
@@ -156,7 +158,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise DomainError("exponent must be a nonnegative integer")
         result = ONE
         base = self
@@ -168,7 +170,7 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if _is_int(other):
             other = LaurentPoly.from_int(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -233,10 +235,15 @@ def format_terms(p: LaurentPoly, power: str, sep: str) -> str:
     return "".join(pieces)
 
 
+def _is_int(value) -> bool:
+    # an int that is not a bool: True and False are refused as 1.5 is
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _coerce(value) -> "LaurentPoly":
     if isinstance(value, LaurentPoly):
         return value
-    if isinstance(value, int):
+    if _is_int(value):
         return LaurentPoly.from_int(value)
     return NotImplemented
 

@@ -334,6 +334,49 @@ def _presence(rows: list[tuple[int, Counter]]) -> Counter:
     return counts
 
 
+def _split(rows: list[tuple[int, Counter]], counts: Counter, program: list) -> list:
+    """program with a part's tree appended (``ProductTree``): rows holds (i,
+    the factors left of row i), and counts how many of rows have each factor."""
+    common = Counter(
+        {g: min(bag[g] for _, bag in rows) for g, c in counts.items() if c == len(rows)}
+    )
+    if common:
+        for _, bag in rows:
+            for g, m in common.items():
+                if bag[g] == m:
+                    del bag[g]
+                else:
+                    bag[g] -= m
+        for g in common:
+            left = sum(g in bag for _, bag in rows)
+            if left:
+                counts[g] = left
+            else:
+                del counts[g]
+    if len(rows) == 1:
+        program.append(rows[0][0])
+    else:
+        if counts:  # else the rows' factors were all common
+            ((shared, _),) = counts.most_common(1)
+            sharing = [row for row in rows if shared in row[1]]
+            rest = [row for row in rows if shared not in row[1]]
+        else:
+            sharing, rest = rows[:1], rows[1:]
+        # count the smaller half; the larger one has the difference
+        if len(sharing) <= len(rest):
+            sharing_counts = _presence(sharing)
+            rest_counts = counts - sharing_counts
+        else:
+            rest_counts = _presence(rest)
+            sharing_counts = counts - rest_counts
+        _split(sharing, sharing_counts, program)
+        _split(rest, rest_counts, program)
+        program.append(None)
+    if common:
+        program.append(tuple(sorted(common.elements(), key=_smallest_first)))
+    return program
+
+
 class ProductTree:
     """A sum of products of binomials, sum over rows r of
     s_r q^e_r t^f_r * prod (1 - q^alpha t^beta) over the row's factors, with
@@ -342,18 +385,18 @@ class ProductTree:
 
     The rows are split on the factor that most of them contain: those rows
     add their partial sums first and multiply by it once, and both halves
-    are split again; a row left alone keeps its own chain, smallest factor
-    first.  Factors every row of a part contains are taken together.  The
-    program is that tree in post-order: an int i pushes s_i q^e_i t^f_i, a
-    tuple of factors multiplies the top of the stack by them, and None adds
-    the top two.  It depends on the factor multisets and signs only, so a
-    plan builds it once and evaluates it at every vector's exponents
-    (``_pack_sum``).  The tree also keeps the two sizes that depend on it
-    alone: the kernel ``width``, which holds every slot of the sum, and
-    ``own_slots``, the slots of the rows' own boxes added up.  The width is
-    fit_width(norm_bound) for a caller that proves no coefficient of the
-    sum exceeds norm_bound at any exponents, as a tableau plan does, and
-    else that of the bound every product of binomials obeys
+    are split again (``_split``); a row left alone keeps its own chain,
+    smallest factor first.  Factors every row of a part contains are taken
+    together.  The program is that tree in post-order: an int i pushes
+    s_i q^e_i t^f_i, a tuple of factors multiplies the top of the stack by
+    them, and None adds the top two.  It depends on the factor multisets and
+    signs only, so a plan builds it once and evaluates it at every vector's
+    exponents (``_pack_sum``).  The tree also keeps the two sizes that
+    depend on it alone: the kernel ``width``, which holds every slot of the
+    sum, and ``own_slots``, the slots of the rows' own boxes added up.  The
+    width is fit_width(norm_bound) for a caller that proves no coefficient
+    of the sum exceeds norm_bound at any exponents, as a tableau plan does,
+    and else that of the bound every product of binomials obeys
     (``sum_of_products``).
     """
 
@@ -374,53 +417,8 @@ class ProductTree:
             norm_bound = len(self.factors) << max(map(len, self.factors), default=0)
         self.width = fit_width(norm_bound)
         self.own_slots = sum((q_hi - q_lo + 1) * (t_hi - t_lo + 1) for q_lo, q_hi, t_lo, t_hi in self.spans)
-        program: list = []
         rows = [(i, Counter(factors)) for i, factors in enumerate(self.factors)]
-        # a stack of ops, pushed in the reverse of the order they are emitted
-        # in, and of parts to split, lists [rows, counts]: (i, the factors
-        # left of row i) per row, and how many of those rows have a factor
-        todo: list = [[rows, _presence(rows)]] if rows else []
-        while todo:
-            item = todo.pop()
-            if not isinstance(item, list):
-                program.append(item)
-                continue
-            rows, counts = item
-            common = Counter(
-                {g: min(bag[g] for _, bag in rows) for g, c in counts.items() if c == len(rows)}
-            )
-            if common:
-                for _, bag in rows:
-                    for g, m in common.items():
-                        if bag[g] == m:
-                            del bag[g]
-                        else:
-                            bag[g] -= m
-                for g in common:
-                    left = sum(g in bag for _, bag in rows)
-                    if left:
-                        counts[g] = left
-                    else:
-                        del counts[g]
-                todo.append(tuple(sorted(common.elements(), key=_smallest_first)))
-            if len(rows) == 1:
-                todo.append(rows[0][0])
-                continue
-            if counts:  # else the rows' factors were all common
-                ((shared, _),) = counts.most_common(1)
-                sharing = [row for row in rows if shared in row[1]]
-                rest = [row for row in rows if shared not in row[1]]
-            else:
-                sharing, rest = rows[:1], rows[1:]
-            # count the smaller half; the larger one has the difference
-            if len(sharing) <= len(rest):
-                sharing_counts = _presence(sharing)
-                rest_counts = counts - sharing_counts
-            else:
-                rest_counts = _presence(rest)
-                sharing_counts = counts - rest_counts
-            todo += (None, [rest, rest_counts], [sharing, sharing_counts])
-        self.program = tuple(program)
+        self.program = tuple(_split(rows, _presence(rows), []) if rows else ())
 
 
 def _evaluate(tree: ProductTree, exponents: list[ExponentPair], box: PackedBox, width: int) -> int:

@@ -93,12 +93,11 @@ The walk is one memo keyed on the normal form alone: one node per distinct
 F, at its own stride S(a), which reads neither a_1 nor a zero a_n.  A level
 at S(a) reads W(a') with each row moved to the start of a row of S(a) slots
 and widened in the same pass (``rational.relayout``), after the memoized
-call returns, so that the recursion stays one frame per smaller hook
-vector; the node keeps that copy for each (stride, width) a parent asks
-for.  F is decoded once per normal form, and repeats share that immutable
-``LaurentPoly``.  A line-shaped F such as F(a) = [a + 1] fills only a + 1
-of its box's slots, so its steps shift mostly empty slots; it is summed
-packed all the same.
+call returns; the node keeps that copy for each (stride, width) a parent
+asks for.  F is decoded once per normal form, and repeats share that
+immutable ``LaurentPoly``.  A line-shaped F such as F(a) = [a + 1] fills
+only a + 1 of its box's slots, so its steps shift mostly empty slots; it
+is summed packed all the same.
 """
 
 from __future__ import annotations
@@ -342,47 +341,39 @@ def _packed_walk(a: tuple[int, ...]) -> tuple:
     {(stride, width): W(a) at them}, the bound on that maximum from the
     W(a'), S), w the narrowest width that holds W(a) and S(a) a's stride.
 
-    W(a) sums over the last columns of a one coordinate at a time.  Level j
-    sums over v_j, v_{n-1} (B-weighted) outermost and v_1 innermost.  With
-    v_{j+1}, ..., v_{n-1} fixed, its terms g[v] are the level below at
-    v_j = v, for v up to budgets[j], what the outer coordinates leave of
-    a_n; point holds the hook sums a' of the smaller matrix, a_i + v_i
-    from the outer coordinates and a_i below, and ``_combine`` weighs the
-    terms by B or A.  Below level 1 lies W(a'), keyed on its normal form,
-    which does not read a'_1: the terms of level 1 are one value.
-    With no budget left every inner v is 0 and A(0) = 1, so the level is
-    W(a').  The levels are an explicit stack, and the walk calls itself for
-    W(a'), so that the recursion into smaller hook vectors stays a few
-    frames per entry of a.
+    W(a) sums over the last columns of a one coordinate at a time, as the
+    nested sum of the module docstring: ``level(j, budget)`` sums over
+    v_j, v_{n-1} (B-weighted) outermost and v_1 innermost, with budget what
+    the outer coordinates leave of a_n.  Its terms are the level below at
+    v_j = v for v = 0..budget, and ``_combine`` weighs them by B or A.
+    point holds the hook sums a' of the smaller matrix: a_i + v_i from the
+    outer coordinates and a_i below.  Below level 1 lies W(a'), keyed on
+    its normal form, which does not read a'_1: the terms of level 1 are one
+    value.  With no budget left every inner v is 0 and A(0) = 1, so the
+    level is W(a').  A level is one frame, and it calls the walk for W(a')
+    under the levels above it: a hook vector of length n with k nonzero
+    entries recurses up to about k n frames deep.
     """
     if len(a) == 1:
         return 1, 8, 1, {}, 1, 1  # W = 1 at 8 bits, on a box of one slot
     stride = _box(a).stride
-    rest, last = a[:-1], a[-1]
+    rest = a[:-1]
     m = len(rest)
-    point, budgets, gs = list(rest), [last] * (m + 1), [None] * m + [[]]
-    j = m
-    while True:
-        if not budgets[j] or j == 1:
+    point = list(rest)
+
+    def level(j: int, budget: int) -> tuple:
+        if not budget or j == 1:
             key = tuple(point)  # point[0] is a's 0: only a zero last entry needs _key
             value = _packed_walk(key if key[-1] else _key(key))
-            if budgets[j]:
-                value = _combine([value] * (budgets[1] + 1), m == 1, stride)
-        else:
-            g = gs[j]
-            v = len(g)
-            if v <= budgets[j]:
-                point[j - 1] = rest[j - 1] + v
-                budgets[j - 1] = budgets[j] - v
-                gs[j - 1] = []
-                j -= 1
-                continue
-            point[j - 1] = rest[j - 1]
-            value = _combine(g, j == m, stride)
-        if j == m:
-            return value
-        j += 1
-        gs[j].append(value)
+            return _combine([value] * (budget + 1), m == 1, stride) if budget else value
+        g = []
+        for v in range(budget + 1):
+            point[j - 1] = rest[j - 1] + v
+            g.append(level(j - 1, budget - v))
+        point[j - 1] = rest[j - 1]
+        return _combine(g, j == m, stride)
+
+    return level(m, a[-1])
 
 
 def _box(a: tuple[int, ...]) -> PackedBox:

@@ -243,12 +243,21 @@ _SUITE = {
     5: (check_methods, check_t1_specialization),
 }
 
+#: The most vectors, (max + 1)^(n - 1), that a sweep of verify or scan
+#: reads: far above the few hundred of the grids in use, and far below one
+#: whose lists would not fit in memory.
+MAX_SWEEP_VECTORS = 100_000
+
+
 def check_sweep(n: int, maxval: int) -> None:
-    """Refuse a sweep that verify cannot run, or that would run no check."""
+    """Refuse a sweep that verify cannot run, that would run no check, or
+    that reads more than MAX_SWEEP_VECTORS vectors."""
     if n not in _SUITE:
         raise DomainError(f"verify supports n in {min(_SUITE)}..{max(_SUITE)}, got {n}")
     if maxval < 0:
         raise DomainError(f"verify needs a nonnegative max entry, got {maxval}")
+    if (maxval + 1) ** (n - 1) > MAX_SWEEP_VECTORS:
+        raise DomainError(f"verify reads at most {MAX_SWEEP_VECTORS} vectors, (max + 1)^(n - 1), got n = {n}, max = {maxval}")
 
 
 def build_case_specs(n: int, maxval: int) -> list:

@@ -497,6 +497,13 @@ def test_h_comb_empty_below_zero():
     assert h_comb_poly(3, 3, -1) == 0
 
 
+@pytest.mark.parametrize("bad", [(1.5, 0, 0), (True, 0, 0), (0, 0, "1")])
+def test_h_comb_refuses_entries_that_are_not_integers(bad):
+    # h_comb_poly(1.5, 0, 0) was q^1.5 and h_comb_poly(True, 0, 0) was q
+    with pytest.raises(DomainError, match="integers"):
+        h_comb_poly(*bad)
+
+
 def test_h_comb_on_raw_triples_matches_a_direct_listing():
     # outside the validated region too (c > b + 1, b > a + 1, c = -1), where
     # only the two-step residual's c - 2 call reaches it

@@ -422,6 +422,27 @@ def test_verify_range_is_checked_before_any_report():
     assert proc.stderr == "error: verify supports n in 2..5, got 6\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--n", "4", "--max", "99999999999999999999"),
+        ("verify", "--n", "3", "--max", "10000000000"),
+        ("verify", "--n", "2-4", "--max", "99"),
+        ("verify", "--n", "2-10000000000", "--max", "1"),
+        ("scan", "--n", "5", "--max", "99999999999999999999"),
+        ("scan", "--n", "5", "--max", "99999999999999999999", "--all"),
+        ("scan", "--n", "5", "--max", "17"),
+    ],
+)
+def test_an_oversized_sweep_is_refused_before_any_report(args):
+    # these raised OverflowError or MemoryError with a traceback; --n 2-4
+    # --max 99 reads 100^3 vectors at n = 4, so not even n = 2 runs
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
 def test_verify_parallel_matches_serial():
     serial = run_cli("verify", "--n", "3", "--max", "2")
     parallel = run_cli("verify", "--n", "3", "--max", "2", "--jobs", "2")

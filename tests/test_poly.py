@@ -69,6 +69,45 @@ def test_operands_outside_the_ring_are_refused():
         Q**-1
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LaurentPoly({(0, 0): 1.5}),
+        lambda: LaurentPoly({(1.5, 0): 1}),
+        lambda: LaurentPoly([((0, True), 1)]),
+        lambda: LaurentPoly.monomial(1, 0, True),
+        lambda: LaurentPoly.from_int(2.0),
+    ],
+    ids=["float-coefficient", "float-exponent", "bool-exponent", "bool-coefficient", "from_int-float"],
+)
+def test_terms_that_are_not_integers_are_refused(build):
+    # these built 1.5, q^1.5, t and q with the coefficient True
+    with pytest.raises(DomainError, match="integers"):
+        build()
+
+
+def test_an_int_subclass_builds_plain_int_terms():
+    two = IntEnum("Two", {"TWO": 2}).TWO
+    p = LaurentPoly({(two, 0): two})
+    assert p == 2 * Q**2
+    [((qe, te), coeff)] = p.terms().items()
+    assert type(qe) is type(te) is type(coeff) is int
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_a_bool_operand_is_refused_as_a_float_is(bad):
+    # p + True and p ** True read True as 1
+    with pytest.raises(TypeError):
+        Q + bad
+    with pytest.raises(TypeError):
+        bad - Q
+    with pytest.raises(TypeError):
+        Q * bad
+    with pytest.raises(DomainError):
+        Q**bad
+    assert (ONE == bad) is False
+
+
 @given(st.integers(-(10**30), 10**30))
 @settings(max_examples=100)
 def test_equal_values_hash_alike(n):

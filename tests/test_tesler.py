@@ -336,15 +336,18 @@ def test_packed_route_matches_matrix_enumeration():
 
 
 def test_the_column_walk_is_a_few_frames_per_entry(run_capped):
-    # each smaller hook vector is one call of the memoized walk, so at a
-    # recursion limit of 400 it reaches a vector of length 196, in a fresh
-    # process, with every cache cold
+    # each level of the walk and each smaller hook vector is one frame, so at
+    # a recursion limit of 300 (212 suffice) it reaches a vector of length
+    # 196, in a fresh process, with every cache cold; the tableau route's
+    # product tree recurses once per split, 40 deep at size 8
     proc = run_capped(
         "-c",
-        "import sys; from qtcatalan import bracket, tesler; a = (0,) * 195 + (1,); "
-        "sys.setrecursionlimit(400); "
+        "import sys; from qtcatalan import bracket, f_tableaux, tesler; a = (0,) * 195 + (1,); "
+        "sys.setrecursionlimit(300); "
         "box = tesler._box(a); value, width, *_ = tesler._packed_walk(a); "
-        "assert box.decode(value, width) == bracket(196).terms()",
+        "assert box.decode(value, width) == bracket(196).terms(); "
+        "assert tesler.f_tesler(a) == bracket(196); "
+        "assert f_tableaux((1, 0, 0, 0, 0, 0, 1)) == tesler.f_tesler((0, 1, 0, 0, 0, 0, 0, 1))",
     )
     assert proc.returncode == 0, proc.stderr
 

@@ -40,12 +40,21 @@ def test_run_verify_reads_no_environment(monkeypatch):
     assert len(report.cases) == 9 and not report.mismatches
 
 
-@pytest.mark.parametrize("n, maxval", [(4, -1), (2, -3), (6, 1), (1, 0)])
+@pytest.mark.parametrize("n, maxval", [(4, -1), (2, -3), (6, 1), (1, 0), (3, 10**10), (4, 10**20 - 1)])
 def test_run_verify_refuses_a_sweep_it_cannot_run(n, maxval):
     # a negative max would build an empty grid and report 0 mismatches;
-    # n outside 2..5 has no suite
+    # n outside 2..5 has no suite; 10^20 cubed at n = 4 overflowed range()
+    # in the grid, and 10^10 squared at n = 3 ran out of memory
     with pytest.raises(DomainError):
         run_verify(n, maxval, jobs=1)
+
+
+def test_the_largest_sweep_reads_max_sweep_vectors():
+    # (max + 1)^(n - 1) vectors
+    bound = verification.MAX_SWEEP_VECTORS
+    verification.check_sweep(2, bound - 1)
+    with pytest.raises(DomainError, match="at most"):
+        verification.check_sweep(2, bound)
 
 
 def _usable_cpus():
