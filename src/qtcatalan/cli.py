@@ -31,7 +31,7 @@ from .record import ABCParams
 from .render import RENDERERS, csv_text
 from .tableaux import f_tableaux
 from .tesler import f_tesler
-from .verification import MAX_SWEEP_VECTORS, check_sweep, parallel_map, run_verify
+from .verification import check_sweep, parallel_map, run_verify
 
 
 def default_jobs() -> int:
@@ -157,12 +157,7 @@ def _scan_worker(vec: tuple[int, ...]):
 
 
 def _scan(args) -> int:
-    if not 2 <= args.n <= 5:
-        raise DomainError(f"scan supports n in 2..5, got {args.n}")
-    if args.max < 0:
-        raise DomainError(f"--max must be nonnegative, got {args.max}")
-    if (args.max + 1) ** (args.n - 1) > MAX_SWEEP_VECTORS:
-        raise DomainError(f"scan reads at most {MAX_SWEEP_VECTORS} vectors, (max + 1)^(n - 1), got n = {args.n}, max = {args.max}")
+    check_sweep(args.n, args.max, "scan", range(2, 6))
     monotone = not args.all
     vectors = list(_scan_vectors(args.n, args.max, monotone))
     results = parallel_map(_scan_worker, vectors, default_jobs())

@@ -17,13 +17,14 @@ one pass, and ``narrowest`` finds their largest absolute value by tests on
 all of them at once (``_within``) and re-packs them at the narrowest width
 that holds it.  One loop, ``_times_factors``, multiplies a packed value by
 binomials, one shift and subtract each.  A sum of such products, each row a
-signed monomial +-q^e t^f times binomials, is a ``ProductTree``: rows that
-share a factor add their partial sums first and multiply by it once, each
-partial sum on its own span, and a row's sign is its leaf's value.  A
-tableau plan builds its tree once; ``sum_of_products`` builds one per call,
-with every sign +1.  ``_pack_sum`` packs a sum on one box, at the tree's
-kernel width, unless that box has more than ``SLOTS_PER_TERM`` slots per
-term its rows can make; else it sums each row on its own box, as terms.
+signed monomial +-q^e t^f times binomials, is a ``ProductTree`` of nested
+nodes, summed by one recursion over them (``_evaluate``): rows that share a
+factor add their partial sums first and multiply by it once, each partial
+sum on its own span, and a row's sign is its leaf's value.  A tableau plan
+builds its tree once; ``sum_of_products`` builds one per call, with every
+sign +1.  ``_pack_sum`` packs a sum on one box, at the tree's kernel width,
+unless that box has more than ``SLOTS_PER_TERM`` slots per term its rows
+can make; else it sums each row on its own box, as terms.
 The kernel width holds a bound on the sum's coefficients: one the caller
 proves, as a tableau plan does, or else the bound every sum of products of
 binomials obeys (``sum_of_products``).
@@ -334,8 +335,8 @@ def _presence(rows: list[tuple[int, Counter]]) -> Counter:
     return counts
 
 
-def _split(rows: list[tuple[int, Counter]], counts: Counter, program: list) -> list:
-    """program with a part's tree appended (``ProductTree``): rows holds (i,
+def _split(rows: list[tuple[int, Counter]], counts: Counter) -> tuple:
+    """The node (factors, part) over rows of a ``ProductTree``: rows holds (i,
     the factors left of row i), and counts how many of rows have each factor."""
     common = Counter(
         {g: min(bag[g] for _, bag in rows) for g, c in counts.items() if c == len(rows)}
@@ -353,45 +354,41 @@ def _split(rows: list[tuple[int, Counter]], counts: Counter, program: list) -> l
                 counts[g] = left
             else:
                 del counts[g]
+    factors = tuple(sorted(common.elements(), key=_smallest_first))
     if len(rows) == 1:
-        program.append(rows[0][0])
+        return factors, rows[0][0]
+    if counts:  # else the rows' factors were all common
+        ((shared, _),) = counts.most_common(1)
+        sharing = [row for row in rows if shared in row[1]]
+        rest = [row for row in rows if shared not in row[1]]
     else:
-        if counts:  # else the rows' factors were all common
-            ((shared, _),) = counts.most_common(1)
-            sharing = [row for row in rows if shared in row[1]]
-            rest = [row for row in rows if shared not in row[1]]
-        else:
-            sharing, rest = rows[:1], rows[1:]
-        # count the smaller half; the larger one has the difference
-        if len(sharing) <= len(rest):
-            sharing_counts = _presence(sharing)
-            rest_counts = counts - sharing_counts
-        else:
-            rest_counts = _presence(rest)
-            sharing_counts = counts - rest_counts
-        _split(sharing, sharing_counts, program)
-        _split(rest, rest_counts, program)
-        program.append(None)
-    if common:
-        program.append(tuple(sorted(common.elements(), key=_smallest_first)))
-    return program
+        sharing, rest = rows[:1], rows[1:]
+    # count the smaller half; the larger one has the difference
+    if len(sharing) <= len(rest):
+        sharing_counts = _presence(sharing)
+        rest_counts = counts - sharing_counts
+    else:
+        rest_counts = _presence(rest)
+        sharing_counts = counts - rest_counts
+    return factors, (_split(sharing, sharing_counts), _split(rest, rest_counts))
 
 
 class ProductTree:
     """A sum of products of binomials, sum over rows r of
     s_r q^e_r t^f_r * prod (1 - q^alpha t^beta) over the row's factors, with
-    s_r = +1 or -1 (``signs``, all +1 by default), as a program that
+    s_r = +1 or -1 (``signs``, all +1 by default), as a tree that
     multiplies by a factor shared by several rows once.
 
     The rows are split on the factor that most of them contain: those rows
     add their partial sums first and multiply by it once, and both halves
     are split again (``_split``); a row left alone keeps its own chain,
     smallest factor first.  Factors every row of a part contains are taken
-    together.  The program is that tree in post-order: an int i pushes
-    s_i q^e_i t^f_i, a tuple of factors multiplies the top of the stack by
-    them, and None adds the top two.  It depends on the factor multisets and
-    signs only, so a plan builds it once and evaluates it at every vector's
-    exponents (``_pack_sum``).  The tree also keeps the two sizes that
+    together.  Each node of the tree (``root``, None for no rows) is a pair
+    (factors, part): the part is a row index i, worth s_i q^e_i t^f_i, or
+    the pair (sharing, rest) of child nodes, worth their sum, and the node
+    is its part times its factors.  The tree depends on the factor multisets
+    and signs only, so a plan builds it once and evaluates it at every
+    vector's exponents (``_pack_sum``).  It also keeps the two sizes that
     depend on it alone: the kernel ``width``, which holds every slot of the
     sum, and ``own_slots``, the slots of the rows' own boxes added up.  The
     width is fit_width(norm_bound) for a caller that proves no coefficient
@@ -400,7 +397,7 @@ class ProductTree:
     (``sum_of_products``).
     """
 
-    __slots__ = ("factors", "signs", "spans", "width", "own_slots", "program")
+    __slots__ = ("factors", "signs", "spans", "width", "own_slots", "root")
 
     def __init__(
         self,
@@ -418,30 +415,28 @@ class ProductTree:
         self.width = fit_width(norm_bound)
         self.own_slots = sum((q_hi - q_lo + 1) * (t_hi - t_lo + 1) for q_lo, q_hi, t_lo, t_hi in self.spans)
         rows = [(i, Counter(factors)) for i, factors in enumerate(self.factors)]
-        self.program = tuple(_split(rows, _presence(rows), []) if rows else ())
+        self.root = _split(rows, _presence(rows)) if rows else None
 
 
 def _evaluate(tree: ProductTree, exponents: list[ExponentPair], box: PackedBox, width: int) -> int:
-    """The tree's sum packed on box at width.  Each partial sum is a pair
-    (lo, y) worth X^lo * y, so it costs only its own span, and two are
+    """The tree's sum packed on box at width.  Each node's partial sum is a
+    pair (lo, y) worth X^lo * y, so it costs only its own span, and two are
     aligned by one shift.  lo is never negative: it is the slot of the
     lowest term of one row's partial product, which lies in that row's box."""
     stride = box.stride
-    stack: list[tuple[int, int]] = []
-    for op in tree.program:
-        if op is None:
-            lo, y = stack.pop()
-            lo2, y2 = stack.pop()
+
+    def node(factors: tuple, part) -> tuple[int, int]:
+        if isinstance(part, int):
+            lo, y = box.slot(*exponents[part]), tree.signs[part]
+        else:
+            (lo, y), (lo2, y2) = node(*part[0]), node(*part[1])
             if lo > lo2:
                 lo, y, lo2, y2 = lo2, y2, lo, y
-            stack.append((lo, y + (y2 << ((lo2 - lo) * width))))
-        elif isinstance(op, int):
-            stack.append((box.slot(*exponents[op]), tree.signs[op]))
-        else:
-            lo, y = stack[-1]
-            y, offset = _times_factors(y, op, stride, width)
-            stack[-1] = lo + offset, y
-    ((lo, y),) = stack
+            y += y2 << ((lo2 - lo) * width)
+        y, offset = _times_factors(y, factors, stride, width)
+        return lo + offset, y
+
+    lo, y = node(*tree.root)
     return y << (lo * width)
 
 
@@ -581,11 +576,14 @@ def exact_divide(p: "LaurentPoly | Packed", factor: "BinomialFactor | tuple[int,
     return LaurentPoly._from_dict(out)
 
 
-#: The most slots the box of a quotient of ``divide_sum_of_products`` may
-#: have, and the most terms a quotient of ``exact_divide`` by terms may have:
-#: it bounds both divisions.  F(0, 1000)'s H has 2.0e6 slots and takes 0.6 s
-#: and 160 MB (Python 3.11.7, Intel Xeon); the tests, README and benchmark
-#: reach 1,904.  F(a, 0) = [a + 1] is divided from one slot into a + 1 terms.
+#: The most slots the box of a packed result may have, and the most terms a
+#: quotient of ``exact_divide`` by terms may have: it bounds the quotient's
+#: box of ``divide_sum_of_products``, the division term by term, and F's box
+#: of the Tesler walk (``tesler._box``), which holds every node of the walk.
+#: F(0, 1000)'s H has 2.0e6 slots and takes 0.6 s and 160 MB (Python 3.11.7,
+#: Intel Xeon); the tableau sums of the tests, README and benchmark reach
+#: 1,904.  F(a, 0) = [a + 1] is divided from one slot into a + 1 terms.  The
+#: Tesler boxes the tests sum reach 1,027,072 slots, at (0, 1000, 1).
 MAX_QUOTIENT_SLOTS = 1 << 21
 
 

@@ -56,20 +56,35 @@ def in_region(a: int, b: int, c: int) -> bool:
     return a >= 0 and b >= 0 and c >= 0 and a + 1 >= b and a + 1 >= c and b + 1 >= c
 
 
+#: The most subdiagrams of its staircase (L, b + c, c) that an ``ABCParams``
+#: may have, by the bound (L + 1)(b + c + 1)(c + 1): no n = 4 route or chain
+#: decomposition reads more.  (40, 40, 40), the (161, 4) rational Catalan,
+#: reaches 401,841, and the tests' (8, 8, 8) 3,825.
+MAX_SUBDIAGRAMS = 1 << 21
+
+
 class ABCParams(Record):
     """A validated argument triple for the three-argument machinery.
 
     Requires a, b, c >= 0 with a+1 >= b, a+1 >= c and b+1 >= c; every
-    statement about chains and statistics assumes this region.
+    statement about chains and statistics assumes this region.  A triple
+    past MAX_SUBDIAGRAMS is refused before any route runs.
     """
 
     __slots__ = ("a", "b", "c")
 
     def _check(self):
-        if not in_region(*integer_entries((self.a, self.b, self.c))):
+        a, b, c = integer_entries((self.a, self.b, self.c))
+        if not in_region(a, b, c):
             raise DomainError(
-                f"({self.a}, {self.b}, {self.c}) is outside the validated region "
+                f"({a}, {b}, {c}) is outside the validated region "
                 "(need a, b, c >= 0, a+1 >= b, a+1 >= c, b+1 >= c)"
+            )
+        bound = (a + b + c + 1) * (b + c + 1) * (c + 1)
+        if bound > MAX_SUBDIAGRAMS:
+            raise DomainError(
+                f"the staircase of ({a}, {b}, {c}) may have {bound} subdiagrams, "
+                f"(L + 1)(b + c + 1)(c + 1), more than the {MAX_SUBDIAGRAMS} allowed"
             )
 
     @property

@@ -67,9 +67,6 @@ from .rational import (
 )
 from .record import Record
 
-#: Exhaustive sums over tableaux are kept to sizes where they stay cheap.
-MAX_TABLEAU_SIZE = 8
-
 
 class StandardTableau(Record):
     """A standard Young tableau given by its growth sequence.
@@ -219,6 +216,10 @@ def _represented(den: Counter) -> tuple[int, ExponentPair, Counter]:
 #: and 10 times as long as building the plan at n = 6, 7 and 8, so the sums
 #: are pinned here, and a test rebuilds them from the rows.
 ROW_NORM_BOUNDS = {2: 1, 3: 2, 4: 7, 5: 34, 6: 1455, 7: 156051, 8: 115877164}
+
+#: Exhaustive sums over tableaux are kept to sizes where they stay cheap:
+#: those whose B_n is pinned, so the cap rises with the table.
+MAX_TABLEAU_SIZE = max(ROW_NORM_BOUNDS)
 
 
 @lru_cache(maxsize=None)

@@ -108,7 +108,7 @@ from typing import Iterator, Sequence
 
 from .errors import DomainError, canonical_partition, integer_entries
 from .poly import LaurentPoly, ONE, coeff_A, coeff_B
-from .rational import PackedBox, fit_width, narrowest, relayout
+from .rational import MAX_QUOTIENT_SLOTS, PackedBox, fit_width, narrowest, relayout
 from .record import Record
 
 
@@ -400,8 +400,12 @@ def f_tesler(a: Sequence[int]) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def _decoded(a: tuple[int, ...]) -> LaurentPoly:
     # F at a normal form a (``_key``), decoded once from its triangle
-    # e + f <= D; a LaurentPoly is immutable, so repeats share it
+    # e + f <= D; a LaurentPoly is immutable, so repeats share it.  No node
+    # of the walk has a larger box than F's, so a box of more than
+    # MAX_QUOTIENT_SLOTS slots is refused before any walk
     box = _box(a)
+    if box.slots > MAX_QUOTIENT_SLOTS:
+        raise DomainError(f"the Tesler sum needs a box of {box.slots} slots, more than the {MAX_QUOTIENT_SLOTS} allowed")
     value, width, *_ = _packed_walk(a)
     return LaurentPoly._from_dict(box.decode(value, width, box.q_hi))
 

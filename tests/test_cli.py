@@ -205,23 +205,59 @@ def test_compute_domain_error_exit_2():
     assert "error" in proc.stderr
 
 
+#: 1,023 zeros and a one: a Tesler box of 1024 x 1024 slots, which is
+#: admitted, and a walk of one frame per level that needs a recursion limit
+#: of about 1,045.  980 entries, the shortest to fail at the default 1,000
+#: under ``-m``, sit within a few frames of it, and 975 run for minutes
+_DEEP_TESLER = ("--method", "tesler", "--a", ",".join(["0"] * 1023 + ["1"]))
+
+
 @pytest.mark.parametrize(
     "args",
     [
         ("--method", "recursion", "--abc", "1200,1200,1200"),
         ("--method", "two-step", "--abc", "2400,2400,2400"),
         ("--method", "tesler", "--a", ",".join(["0"] + ["1"] * 1200)),
+        _DEEP_TESLER,
     ],
 )
 def test_compute_too_deep_exit_2(args):
     # each route recurses once per unit of an entry or per entry; past
     # Python's depth limit that is one error line, not a traceback.  The
-    # Tesler walk's first descent reads the hook vector with a_n dropped,
-    # here 1,200 entries long
+    # first three are refused by size before they recurse: their staircases
+    # have more than 2^21 subdiagrams, and the Tesler box of the 1,201
+    # entries more than 2^21 slots.  The long vector of small box recurses
+    # until the limit stops it
     proc = run_cli("compute", *args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.splitlines()) == 1
+    assert ("deeper recursion than Python allows" in proc.stderr) == (args == _DEEP_TESLER)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compute", "--method", "tesler", "--a", "0,99999999999999999999"),
+        ("compute", "--method", "tesler", "--a", "0,3000"),
+        ("compute", "--method", "chains", "--abc", "9999999999,0,0"),
+        ("compute", "--method", "stat", "--abc", "9999999999,0,0"),
+        ("compute", "--method", "recursion", "--abc", "9999999999,0,0"),
+        ("compute", "--method", "two-step", "--abc", "9999999999,0,1"),
+        ("decompose", "--abc", "99999999999,0,0"),
+    ],
+)
+def test_an_expensive_tesler_or_triple_input_is_refused_up_front(args):
+    # the first raised OverflowError with a traceback, and the others ran
+    # on past a minute; now F's Tesler box is counted against 2^21 slots, and
+    # a triple's subdiagrams against 2^21, before any route runs
+    start = time.perf_counter()
+    proc = run_cli(*args)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "more than the 2097152 allowed" in proc.stderr
 
 
 def test_compute_refuses_an_expensive_tableau_sum_up_front():

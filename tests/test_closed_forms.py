@@ -25,6 +25,7 @@ from qtcatalan import (
     qt_power,
     slope_sequence,
 )
+from qtcatalan.record import MAX_SUBDIAGRAMS
 
 
 def test_f1_values():
@@ -144,6 +145,19 @@ def test_abcparams_region():
     assert p.total_weight == 2 + 6 + 9
     assert p.leg == 8
     assert p.ambient() == (8, 6, 3)
+
+
+def test_abcparams_refuses_a_staircase_past_the_subdiagram_bound():
+    # (L + 1)(b + c + 1)(c + 1) bounds the subdiagrams of the staircase
+    # (L, b + c, c); at (a, 0, 0) it is a + 1, so a = 2^21 - 1 is the last
+    # admitted there, and the region is tested first
+    assert ABCParams(MAX_SUBDIAGRAMS - 1, 0, 0).leg == MAX_SUBDIAGRAMS - 1
+    with pytest.raises(DomainError, match="subdiagrams, .* more than the 2097152 allowed"):
+        ABCParams(MAX_SUBDIAGRAMS, 0, 0)
+    with pytest.raises(DomainError, match="outside the validated region"):
+        ABCParams(10**12, 10**12 + 2, 0)
+    # the (161, 4) rational Catalan's triple reads 121 * 81 * 41 = 401,841
+    assert f3_recursive(ABCParams(40, 40, 40)) == f_tableaux((40, 40, 40))
 
 
 def test_slope_sequence():

@@ -1,6 +1,7 @@
 """Factored rationals: arithmetic, cancellation, and exact reduction."""
 
 import random
+from collections import Counter
 from functools import reduce
 from unittest import mock
 
@@ -26,6 +27,7 @@ from qtcatalan.rational import (
     divide_sum_of_products,
     sum_of_products,
 )
+from qtcatalan.tableaux import _plan
 
 pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda ab: ab != (0, 0))
 factors = pairs.map(lambda ab: BinomialFactor(*ab))
@@ -209,7 +211,7 @@ def test_packed_sum_decodes_coefficients_past_32_bits():
     got = sum_of_products(rows)
     assert max(abs(c) for c in got.terms().values()) > 2**45
     assert got == _naive_sum(rows)
-    assert sum_of_products([]) == 0
+    assert sum_of_products([]) == 0 and ProductTree([]).root is None
     assert sum_of_products([((1, -2), [])]) == LaurentPoly.monomial(1, -2)
 
 
@@ -224,6 +226,40 @@ def test_packed_sum_of_far_apart_rows(run_capped):
     proc = run_capped("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{_naive_sum(rows).sorted_terms()}\n"
+
+
+# -- the product tree's shape ---------------------------------------------------
+
+def _leaves(node, above=()):
+    # (i, the factors on the path from the root down to leaf i) for each leaf
+    factors, part = node
+    path = above + factors
+    if isinstance(part, int):
+        return [(part, path)]
+    sharing, rest = part
+    return _leaves(sharing, path) + _leaves(rest, path)
+
+
+# factor lists of sums of products: one row, rows sharing all but one
+# factor, rows with all their factors common, and repeats beside a bare row
+_TREE_ROWS = [
+    [[]],
+    [fs for _, fs in _SHARING_ROWS],
+    [[(1, 0)] * 3, [(1, 0)] * 3, [(1, 0)] * 3],
+    [[(0, 1)] * 4 + [(-2, 1)], [(0, 1)] * 2 + [(-2, 1)] * 3, [(0, 1), (-2, 1)], []],
+]
+
+
+@pytest.mark.parametrize("n_or_rows", [*range(2, 9), *_TREE_ROWS])
+def test_each_row_is_one_leaf_below_its_own_factors(n_or_rows):
+    # the tableau plans' trees at sizes 2..8, and sums of products: every
+    # row index is exactly one leaf, and the factors met from the root down
+    # to it are that row's multiset
+    tree = _plan(n_or_rows)[1] if isinstance(n_or_rows, int) else ProductTree(n_or_rows)
+    leaves = _leaves(tree.root)
+    assert sorted(i for i, _ in leaves) == list(range(len(tree.factors)))
+    for i, path in leaves:
+        assert Counter(path) == Counter(tree.factors[i]), i
 
 
 # -- the packed division against the chain of exact divisions -----------------

@@ -24,7 +24,7 @@ from qtcatalan import (
     subpartitions,
     two_diagonal_subdiagrams,
 )
-from qtcatalan import tesler
+from qtcatalan import rational, tesler
 from qtcatalan.rational import PackedBox, relayout
 
 
@@ -468,3 +468,17 @@ def test_long_zero_tails_need_no_deep_recursion():
     assert f_tesler((0,) * 1000) == ONE
     assert f_tesler((2,) + (0,) * 1000) == ONE
     assert f_tesler((0, 1) + (0,) * 1000) == bracket(2)
+
+
+def test_a_box_past_the_slot_cap_is_refused_before_any_walk():
+    # no node of the walk has a larger box than F's: (0, 3000)'s 3001 x 4096
+    # slots, which the walk summed for more than a minute, and (0, 10^20)'s,
+    # where the level-1 leaf raised OverflowError, are refused before any
+    # node is built; (0, 1000, 1)'s 1003 x 1024 are admitted
+    assert tesler._box((0, 1000, 1)).slots <= rational.MAX_QUOTIENT_SLOTS
+    walked = tesler._packed_walk.cache_info().misses
+    for a in [(0, 3000), (0, 10**20), (7, 0, 3000, 0)]:
+        assert tesler._box(tesler._key(a)).slots > rational.MAX_QUOTIENT_SLOTS
+        with pytest.raises(DomainError, match="slots, more than the 2097152 allowed"):
+            f_tesler(a)
+    assert tesler._packed_walk.cache_info().misses == walked
