@@ -23,7 +23,7 @@ import sys
 from itertools import combinations_with_replacement, product
 from typing import Sequence
 
-from .chains import ChainRecord, area, decompose, f_chains, f_stat, stat
+from .chains import ChainRecord, _resolved, decompose, f_chains, f_stat
 from .closed_forms import f3_recursive, f3_two_step, slope_sequence
 from .errors import DomainError, NotPolynomialError
 from .poly import LaurentPoly
@@ -114,7 +114,7 @@ def _verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _decompose_rows(chains: list[ChainRecord], p: ABCParams):
+def _decompose_rows(chains: list[ChainRecord], p: ABCParams, area_stat: dict):
     for chain_id, ch in enumerate(chains, start=1):
         for role, part in (
             ("tail", ch.tail.partition()),
@@ -124,14 +124,15 @@ def _decompose_rows(chains: list[ChainRecord], p: ABCParams):
         ):
             yield [chain_id, role, *part, p.total_weight - sum(part), ""]
         for member in ch.members:
-            yield [chain_id, "member", *member, area(p, member), stat(p, member)]
+            yield [chain_id, "member", *member, *area_stat[member]]
 
 
 def _decompose(args) -> int:
     p = _parse_abc(args.abc)
     chains = decompose(p)
+    area_stat = {m: (m_area, m_stat) for m, m_area, _, _, m_stat in _resolved(p)}
     if args.format == "csv":
-        print(csv_text(["chain_id", "role", "x", "y", "z", "area", "stat"], _decompose_rows(chains, p)), end="")
+        print(csv_text(["chain_id", "role", "x", "y", "z", "area", "stat"], _decompose_rows(chains, p, area_stat)), end="")
         return 0
     for chain_id, ch in enumerate(chains, start=1):
         r, R = ch.area_range
@@ -141,7 +142,7 @@ def _decompose(args) -> int:
             f"quasihead {ch.quasihead.partition()}"
         )
         for member in ch.members:
-            mono = LaurentPoly.monomial(area(p, member), stat(p, member))
+            mono = LaurentPoly.monomial(*area_stat[member])
             print(f"  {member}  {mono.to_text()}")
     return 0
 

@@ -73,7 +73,6 @@ def h3(a: int, b: int) -> LaurentPoly:
     return LaurentPoly({(a + 2 * (b - i), i): 1 for i in range(b + 1)})
 
 
-@lru_cache(maxsize=None)
 def _f3_step(a: int, b: int, c: int) -> LaurentPoly:
     if c == 0:
         return f2(a, b)
@@ -88,7 +87,6 @@ def f3_recursive(p: ABCParams) -> LaurentPoly:
     return _f3_step(p.a, p.b, p.c)
 
 
-@lru_cache(maxsize=None)
 def _f3_two_step(a: int, b: int, c: int) -> LaurentPoly:
     if c == -1:
         return ZERO  # F(a, b, -1) = 0 here since a, b >= 1 on every such call

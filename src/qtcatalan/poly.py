@@ -8,7 +8,6 @@ after construction and safe to share freely.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, integer_entries
@@ -265,7 +264,6 @@ def qt_power(k: int) -> LaurentPoly:
     return LaurentPoly.monomial(k, k)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must miss an IntEnum 2's entry, and be refused
 def bracket(m: int) -> LaurentPoly:
     """The homogeneous q,t-integer of degree m-1.
 
@@ -289,7 +287,6 @@ def sym_chain(k: int, l: int) -> LaurentPoly:
     return LaurentPoly({(l - i, k + i): 1 for i in range(l - k + 1)})
 
 
-@lru_cache(maxsize=None, typed=True)
 def coeff_A(m: int) -> LaurentPoly:
     """Coefficient of z^m in (1-z)(1-qtz) / ((1-qz)(1-tz)).
 
@@ -305,7 +302,6 @@ def coeff_A(m: int) -> LaurentPoly:
     return -(one_minus_q * one_minus_t * bracket(m))
 
 
-@lru_cache(maxsize=None, typed=True)
 def coeff_B(m: int) -> LaurentPoly:
     """Coefficient of z^m in (1-z) / ((1-qz)(1-tz)): bracket(m+1) - bracket(m)."""
     (m,) = integer_entries((m,))

@@ -1,11 +1,14 @@
 """Ring operations, brackets, chains, series coefficients, specializations."""
 
+import gc
+import tracemalloc
 from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtcatalan import (
+    ABCParams,
     DomainError,
     LaurentPoly,
     ONE,
@@ -15,6 +18,8 @@ from qtcatalan import (
     bracket,
     coeff_A,
     coeff_B,
+    f3_recursive,
+    f3_two_step,
     qt_power,
     sym_chain,
     unimodality_check,
@@ -180,11 +185,31 @@ def test_integer_arguments_refuse_non_integers(call, bad):
 
 @pytest.mark.parametrize("cached", [bracket, coeff_A, coeff_B])
 def test_cache_keeps_a_float_apart_from_an_equal_int(cached):
-    # untyped, lru_cache would hand 2.0 the entry an IntEnum 2 left
+    # an IntEnum reads as its int and 2.0 is refused; an untyped cache on any
+    # of the three would hand 2.0 the entry an IntEnum 2 left
     two = IntEnum("Two", {"TWO": 2}).TWO
     assert cached(two) == cached(2)
     with pytest.raises(DomainError, match="integers"):
         cached(2.0)
+
+
+def test_pure_functions_keep_nothing_they_computed():
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for m in range(300):
+            bracket(m), coeff_A(m), coeff_B(m)
+        for k in range(1, 11):
+            f3_recursive(ABCParams(k, k, k)), f3_two_step(ABCParams(k, k, k))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert retained < 2**20  # a process-lifetime cache on each of the five kept 22 MiB
 
 
 @pytest.mark.parametrize("m", range(0, 21))
