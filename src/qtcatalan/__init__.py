@@ -57,10 +57,7 @@ from .poly import (
     ZERO,
     LaurentPoly,
     bracket,
-    coeff_A,
-    coeff_B,
     qt_power,
-    sym_chain,
     unimodality_check,
 )
 from .rational import BinomialFactor, FactoredRational, exact_divide
@@ -72,19 +69,11 @@ from .tableaux import (
     enumerate_syt,
     f_tableaux,
     h_tableaux,
-    omega_at,
-    positivity_premise_check,
-    reduced_tableau_weight,
-    tableau_weight,
 )
 from .tesler import (
-    TeslerMatrix,
-    enumerate_tesler,
     f_tesler,
     lambda_partition,
     subdiagram_area_gf,
-    subpartitions,
-    two_diagonal_subdiagrams,
 )
 from .verification import VerificationReport, hcomb_recursion_residual, run_verify, valid_triples
 

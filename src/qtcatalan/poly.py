@@ -275,41 +275,6 @@ def bracket(m: int) -> LaurentPoly:
     return LaurentPoly({(m - 1 - i, i): 1 for i in range(m)})
 
 
-def sym_chain(k: int, l: int) -> LaurentPoly:
-    """The symmetric chain q^l t^k + q^(l-1) t^(k+1) + ... + q^k t^l.
-
-    Homogeneous of degree k + l with l - k + 1 unit coefficients, invariant
-    under exchanging q and t.  Requires k <= l.
-    """
-    k, l = integer_entries((k, l))
-    if k > l:
-        raise DomainError(f"sym_chain requires k <= l, got ({k}, {l})")
-    return LaurentPoly({(l - i, k + i): 1 for i in range(l - k + 1)})
-
-
-def coeff_A(m: int) -> LaurentPoly:
-    """Coefficient of z^m in (1-z)(1-qtz) / ((1-qz)(1-tz)).
-
-    A(0) = 1 and A(m) = -(1-q)(1-t) * bracket(m) for m >= 1.
-    """
-    (m,) = integer_entries((m,))
-    if m < 0:
-        raise DomainError(f"coeff_A requires m >= 0, got {m}")
-    if m == 0:
-        return ONE
-    one_minus_q = ONE - Q
-    one_minus_t = ONE - T
-    return -(one_minus_q * one_minus_t * bracket(m))
-
-
-def coeff_B(m: int) -> LaurentPoly:
-    """Coefficient of z^m in (1-z) / ((1-qz)(1-tz)): bracket(m+1) - bracket(m)."""
-    (m,) = integer_entries((m,))
-    if m < 0:
-        raise DomainError(f"coeff_B requires m >= 0, got {m}")
-    return bracket(m + 1) - bracket(m)
-
-
 def _is_unimodal(seq: list[int]) -> bool:
     falling = False
     for prev, cur in zip(seq, seq[1:]):

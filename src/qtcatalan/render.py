@@ -17,7 +17,7 @@ import io
 import json
 from typing import Iterable, Sequence
 
-from .errors import integer_entries
+from .errors import DomainError, integer_entries
 from .poly import LaurentPoly, format_terms
 
 
@@ -38,16 +38,24 @@ def render_json(p: LaurentPoly, params: Sequence[int]) -> str:
 
 
 def _coefficient(value) -> int:
-    """A term's coefficient: an integer, or the decimal string of one; 1.5 or "2.9" is refused."""
-    if isinstance(value, str) and value.removeprefix("-").isdecimal():
+    """A term's coefficient: an integer, or the ASCII decimal string of one;
+    1.5, "2.9" or "\u0661\u0662" (Arabic-Indic 12) is refused."""
+    if isinstance(value, str) and value.removeprefix("-").isdecimal() and value.isascii():
         return int(value)
     return integer_entries((value,))[0]
 
 
 def parse_json(text: str) -> tuple[tuple[int, ...], LaurentPoly]:
+    """The params and polynomial of interchange text; an exponent pair
+    that appears twice, which the renderer never writes, is refused."""
     obj = json.loads(text)
     params = integer_entries(obj["params"])
-    terms = {integer_entries((t["q"], t["t"])): _coefficient(t["coeff"]) for t in obj["terms"]}
+    terms = {}
+    for t in obj["terms"]:
+        key = integer_entries((t["q"], t["t"]))
+        if key in terms:
+            raise DomainError(f"exponent pair {key} appears twice")
+        terms[key] = _coefficient(t["coeff"])
     return params, LaurentPoly(terms)
 
 

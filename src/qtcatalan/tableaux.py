@@ -59,11 +59,9 @@ from typing import Sequence
 from .errors import DomainError, integer_entries
 from .poly import ExponentPair, LaurentPoly, ONE
 from .rational import (
-    FactoredRational,
     ProductTree,
     divide_sum_of_products,
     exact_divide,
-    product_of_factors,
 )
 from .record import Record
 
@@ -126,10 +124,6 @@ def enumerate_syt(n: int) -> list[StandardTableau]:
     return out
 
 
-def _factored(num: Counter, den: Counter) -> FactoredRational:
-    return FactoredRational(product_of_factors(num.elements()), den.elements())
-
-
 def _add_factor(bag: Counter, alpha: int, beta: int) -> None:
     # the vanishing factor (1 - q^0 t^0) is dropped by convention
     if alpha or beta:
@@ -142,15 +136,6 @@ def _add_cross_factor(num: Counter, den: Counter, alpha: int, beta: int) -> None
     _add_factor(num, alpha + 1, beta + 1)
     _add_factor(den, alpha + 1, beta)
     _add_factor(den, alpha, beta + 1)
-
-
-def omega_at(x: ExponentPair) -> FactoredRational:
-    """The cross factor (1-x)(1-qtx) / ((1-qx)(1-tx)) at the monomial
-    x = q^alpha t^beta, with vanishing factors dropped."""
-    num: Counter = Counter()
-    den: Counter = Counter()
-    _add_cross_factor(num, den, *x)
-    return _factored(num, den)
 
 
 def _weight_factors(z: Sequence[ExponentPair], reduced: bool) -> tuple[Counter, Counter]:
@@ -172,16 +157,6 @@ def _weight_factors(z: Sequence[ExponentPair], reduced: bool) -> tuple[Counter, 
         _add_factor(num, -1, 1)  # multiply by (1 - t/q)
     common = num & den
     return num - common, den - common
-
-
-def tableau_weight(tab: StandardTableau) -> FactoredRational:
-    """wt(T), with common binomial factors cancelled exactly."""
-    return _factored(*_weight_factors(tab.contents(), reduced=False))
-
-
-def reduced_tableau_weight(tab: StandardTableau) -> FactoredRational:
-    """(1 - t/q) * wt(T), the head-like reduced weight."""
-    return _factored(*_weight_factors(tab.contents(), reduced=True))
 
 
 def _representative(alpha: int, beta: int) -> ExponentPair:
@@ -286,10 +261,3 @@ def combine_h_to_f(h: LaurentPoly) -> LaurentPoly:
     polynomial transposes every exponent pair.
     """
     return exact_divide(h - LaurentPoly.monomial(-1, 1) * h.swap_qt(), (-1, 1))
-
-
-def positivity_premise_check(h: LaurentPoly) -> bool:
-    """True iff every term has a nonnegative coefficient and q-degree >=
-    t-degree.  When this holds for H, the combined F is coefficientwise
-    nonnegative."""
-    return all(c >= 0 and qe >= te for (qe, te), c in h.terms().items())

@@ -9,9 +9,12 @@ equals a_i.  Summing the weight prod_i B(m_{i,i+1}) * prod_{j>i+1} A(m_ij)
 over all Tesler matrices gives F(a_2, ..., a_n) without a single division,
 which also proves F is a polynomial.  At t = 1 only the two-diagonal
 matrices survive, and those biject with subdiagrams of the staircase
-partition lambda(a) = (a_2+...+a_n, a_3+...+a_n, ..., a_n).
+partition lambda(a) = (a_2+...+a_n, a_3+...+a_n, ..., a_n), which
+``subdiagram_area_gf`` counts.  This module sums the weights without
+listing a single matrix; the matrices one by one, their weights and the
+two-diagonal bijection are reference engines in ``tests/oracles.py``.
 
-Both the enumeration (``_tesler_rows``) and the weight sum peel off the
+The weight sum, like the enumeration there (``_tesler_rows``), peels off the
 last column, the transpose of Haglund's Tesler recursion.  Row n has nothing
 to its right, so (m_1n, ..., m_{n-1,n}, m_nn) is a weak composition of a_n.
 Removing the column leaves a Tesler matrix with hook sums
@@ -103,13 +106,12 @@ is summed packed all the same.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, itemgetter, mul
-from typing import Iterator, Sequence
+from operator import mul
+from typing import Sequence
 
 from .errors import DomainError, canonical_partition, integer_entries
-from .poly import LaurentPoly, ONE, coeff_A, coeff_B
+from .poly import LaurentPoly
 from .rational import MAX_QUOTIENT_SLOTS, PackedBox, fit_width, narrowest, relayout
-from .record import Record
 
 
 def lambda_partition(a_tail: Sequence[int]) -> tuple[int, ...]:
@@ -118,19 +120,6 @@ def lambda_partition(a_tail: Sequence[int]) -> tuple[int, ...]:
     if any(x < 0 for x in tail):
         raise DomainError(f"lambda_partition requires nonnegative entries, got {tail}")
     return canonical_partition([sum(tail[i:]) for i in range(len(tail))])
-
-
-def subpartitions(lam: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All partitions contained in lam, trailing zeros stripped."""
-    lam = canonical_partition(lam)
-
-    def rec(i: int, cap: int, prefix: tuple[int, ...]):
-        yield prefix  # with rows i, i + 1, ... all zero
-        if i < len(lam):
-            for part in range(1, min(cap, lam[i]) + 1):
-                yield from rec(i + 1, part, prefix + (part,))
-
-    yield from rec(0, lam[0] if lam else 0, ())
 
 
 def subdiagram_area_gf(lam: Sequence[int]) -> LaurentPoly:
@@ -164,130 +153,6 @@ def _check_hook_vector(a: Sequence[int]) -> tuple[int, ...]:
     if any(x < 0 for x in a):
         raise DomainError(f"hook sums must be nonnegative, got {a}")
     return a
-
-
-class TeslerMatrix(Record):
-    """An upper-triangular matrix with prescribed hook sums.
-
-    rows[i] holds (m_ii, m_{i,i+1}, ..., m_{i,n-1}); indices are 0-based.
-    """
-
-    __slots__ = ("hook_sums", "rows")
-
-    def _check(self):
-        # the canonical tuples, which hash and compare as enumerate_tesler's
-        object.__setattr__(self, "hook_sums", _check_hook_vector(self.hook_sums))
-        object.__setattr__(self, "rows", tuple(map(integer_entries, self.rows)))
-        n = len(self.hook_sums)
-        if len(self.rows) != n or any(len(row) != n - i for i, row in enumerate(self.rows)):
-            raise DomainError("rows must form an upper-triangular array")
-        if any(v < 0 for row in self.rows for v in row):
-            raise DomainError("Tesler matrix entries must be nonnegative")
-        for i in range(n):
-            if self.hook_sum(i) != self.hook_sums[i]:
-                raise DomainError(
-                    f"hook sum {i} is {self.hook_sum(i)}, expected {self.hook_sums[i]}"
-                )
-
-    @classmethod
-    def _built_valid(cls, hook_sums: tuple[int, ...], rows: tuple[tuple[int, ...], ...]):
-        # for rows built valid (``_tesler_rows``): skips the checks above
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "hook_sums", hook_sums)
-        object.__setattr__(matrix, "rows", rows)
-        return matrix
-
-    @property
-    def n(self) -> int:
-        return len(self.hook_sums)
-
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= i <= j < self.n:
-            raise IndexError(f"({i}, {j}) is not an upper-triangular index")
-        return self.rows[i][j - i]
-
-    def hook_sum(self, i: int) -> int:
-        above = sum(self.rows[j][i - j] for j in range(i))
-        right = sum(self.rows[i][1:])
-        return self.rows[i][0] + above - right
-
-    def off_diagonal_vector(self) -> tuple[int, ...]:
-        """Entries m_ij (i < j) flattened column by column."""
-        return tuple(
-            self.rows[i][j - i] for j in range(1, self.n) for i in range(j)
-        )
-
-    def is_two_diagonal(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row[2:])
-
-    def weight(self) -> LaurentPoly:
-        """prod_i B(m_{i,i+1}) * prod_{j>i+1} A(m_ij)."""
-        w = ONE
-        for i, row in enumerate(self.rows):
-            for off, v in enumerate(row[1:], start=1):
-                if v:
-                    w = w * (coeff_B(v) if off == 1 else coeff_A(v))
-        return w
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Every weak composition of total into parts entries."""
-    if parts == 1:
-        yield (total,)
-        return
-    for v in range(total + 1):
-        for rest in _compositions(total - v, parts - 1):
-            yield (v,) + rest
-
-
-def _tesler_rows(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """The rows of every Tesler matrix with hook sums a, ordered
-    lexicographically by the flattened off-diagonal vector.
-
-    The matrices are built by the walk's recursion: their last column is a
-    weak composition of a_n, and the rest is a Tesler matrix with hook
-    sums a_i + m_in, which are nonnegative, so every column completes.  A
-    matrix is held as its columns (m_1k, ..., m_kk) one after another, so
-    that a column is appended in one step; the hook vectors met within one
-    call share their lists.  A zero a_n forces a zero last column, so the
-    trailing zeros are stripped first (``_key`` finds the last nonzero
-    entry), and a long zero tail does not deepen the recursion; their zero
-    columns are appended at the end.  The off-diagonal vector determines
-    the diagonal, so one sort on it orders the matrices with no ties.
-    """
-    n, k = len(a), len(_key(a))
-    memo = {}
-
-    def columns(b: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if len(b) == 1:
-            return [b]
-        if b not in memo:
-            # map stops at the end of b[:-1]: m_kk adds to no hook sum
-            memo[b] = [
-                flat + column
-                for column in _compositions(b[-1], len(b))
-                for flat in columns(tuple(map(add, b[:-1], column)))
-            ]
-        return memo[b]
-
-    flats = columns(a[:k])
-    memo.clear()  # flats holds tuples of its own
-    # m_rc (0-based) sits at index c (c + 1) / 2 + r of a flat
-    if k > 1:
-        flats.sort(key=itemgetter(*(c * (c + 1) // 2 + r for c in range(1, k) for r in range(c))))
-    pad = (0,) * ((n * (n + 1) - k * (k + 1)) // 2)
-    rows = [itemgetter(*(c * (c + 1) // 2 + r for c in range(r, n))) for r in range(n - 1)]
-    return [
-        tuple([row(flat) for row in rows]) + ((flat[-1],),)
-        for flat in (flat + pad for flat in flats)
-    ]
-
-
-def enumerate_tesler(a: Sequence[int]) -> list[TeslerMatrix]:
-    """Every Tesler matrix with hook sums a, ordered lexicographically by
-    the flattened off-diagonal vector."""
-    a = _check_hook_vector(a)
-    return [TeslerMatrix._built_valid(a, rows) for rows in _tesler_rows(a)]
 
 
 def _slots(value: int, stride: int, width: int) -> int:
@@ -408,15 +273,3 @@ def _decoded(a: tuple[int, ...]) -> LaurentPoly:
         raise DomainError(f"the Tesler sum needs a box of {box.slots} slots, more than the {MAX_QUOTIENT_SLOTS} allowed")
     value, width, *_ = _packed_walk(a)
     return LaurentPoly._from_dict(box.decode(value, width, box.q_hi))
-
-
-def two_diagonal_subdiagrams(a: Sequence[int]) -> list[tuple[TeslerMatrix, tuple[int, ...]]]:
-    """Each two-diagonal Tesler matrix paired with its subdiagram of
-    lambda(a_2, ..., a_n): the partition of diagonal suffix sums
-    (m_22+...+m_nn, m_33+...+m_nn, ...).  The pairing is a bijection onto
-    all subdiagrams."""
-    return [
-        (m, lambda_partition([row[0] for row in m.rows[1:]]))
-        for m in enumerate_tesler(a)
-        if m.is_two_diagonal()
-    ]

@@ -5,6 +5,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    subpartitions,
+    sym_chain,
+)
 from qtcatalan import (
     ABCParams,
     CaseLabel,
@@ -45,9 +49,7 @@ from qtcatalan import (
     stat,
     string_of,
     subdiagram_area_gf,
-    subpartitions,
     subpartitions3,
-    sym_chain,
     theta,
     theta_inv,
     valid_triples,

@@ -100,6 +100,20 @@ def test_parse_json_refuses_a_non_integer(field):
         parse_json("{" + field + "}")
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        '"params": [1], "terms": [{"q": 0, "t": 0, "coeff": "1"}, {"q": 0, "t": 0, "coeff": "2"}]',
+        '"params": [1], "terms": [{"q": 0, "t": 0, "coeff": "\u0661\u0662"}]',
+    ],
+    ids=["repeated-exponent-pair", "non-ascii-digits"],
+)
+def test_parse_json_refuses_text_the_renderer_never_writes(field):
+    # the second term replaced the first, and Arabic-Indic digits read as 12
+    with pytest.raises(DomainError):
+        parse_json("{" + field + "}")
+
+
 def test_parse_json_reads_an_integer_coefficient_or_its_string():
     text = '{"params": [2], "terms": [{"q": 1, "t": 0, "coeff": 7}, {"q": 0, "t": 1, "coeff": "-12"}]}'
     assert parse_json(text) == ((2,), LaurentPoly({(1, 0): 7, (0, 1): -12}))

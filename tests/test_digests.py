@@ -34,12 +34,12 @@ from pathlib import Path
 
 import pytest
 
+from oracles import enumerate_tesler
 from qtcatalan import (
     ABCParams,
     LaurentPoly,
     combine_h_to_f,
     decompose,
-    enumerate_tesler,
     f1,
     f2,
     f3_recursive,

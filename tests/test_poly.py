@@ -7,6 +7,11 @@ from enum import IntEnum
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    coeff_A,
+    coeff_B,
+    sym_chain,
+)
 from qtcatalan import (
     ABCParams,
     DomainError,
@@ -16,12 +21,9 @@ from qtcatalan import (
     T,
     ZERO,
     bracket,
-    coeff_A,
-    coeff_B,
     f3_recursive,
     f3_two_step,
     qt_power,
-    sym_chain,
     unimodality_check,
 )
 

@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from oracles import enumerate_tesler
 from qtcatalan import (
     ABCParams,
     BinomialFactor,
@@ -16,7 +17,6 @@ from qtcatalan import (
     TailIndex,
     decompose,
     enumerate_syt,
-    enumerate_tesler,
 )
 
 

@@ -45,17 +45,23 @@ def _python_files(*dirs):
     return [path for d in dirs for path in sorted((root / d).rglob("*.py"))]
 
 
-def test_every_definition_is_referenced():
-    # a function or class of the package that nothing names, whether a call,
-    # an attribute or a string such as a tracer target, is dead code
+def _definitions():
+    # {name: where} of every function and class the package defines, dunder
+    # methods aside; a name defined twice is kept at its first definition
     defined = {}
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    return defined
+
+
+def _referenced(paths):
+    # every name the files at paths mention: a call, an attribute or a
+    # string such as a tracer target
     referenced = set()
-    for path in _python_files("src", "tests", "perfbench"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -63,5 +69,33 @@ def test_every_definition_is_referenced():
                 referenced.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
                 referenced.add(node.value)
+    return referenced
+
+
+def test_every_definition_is_referenced():
+    # a function or class of the package that nothing names, whether a call,
+    # an attribute or a string such as a tracer target, is dead code
+    defined = _definitions()
+    referenced = _referenced(_python_files("src", "tests", "perfbench"))
     assert len(defined) > 100
     assert {name: where for name, where in defined.items() if name not in referenced} == {}
+
+
+#: The package definitions that only tests name, each kept for its reason.
+#: A test-only helper belongs in tests/oracles.py, not here.
+TEST_ONLY_DEFINITIONS = {
+    "phi_inv",  # the inverse of phi: the paper's explicit decomposition, a bijection both ways
+    "omega_inv",  # the inverse of omega_map, likewise
+    "classify",  # the case of stat's definition a subpartition falls into, as the paper states it
+    "is_valid",  # the chain index records' membership tests; the listings test regions on integers
+    "to_poly",  # BinomialFactor's and FactoredRational's values; the benchmark's tracer wraps FactoredRational's sum
+    "parse_json",  # reads back the JSON interchange format that render_json writes
+}
+
+
+def test_only_the_named_definitions_serve_tests_alone():
+    # what the commands, the routes and the benchmark never name; the
+    # package's __init__ names every export, so it is left out
+    sources = [path for path in _python_files("src") if path.name != "__init__.py"]
+    referenced = _referenced(sources + _python_files("perfbench"))
+    assert set(_definitions()) - referenced == TEST_ONLY_DEFINITIONS

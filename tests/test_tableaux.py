@@ -10,6 +10,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    omega_at,
+    positivity_premise_check,
+    reduced_tableau_weight,
+    tableau_weight,
+)
 from qtcatalan import (
     BinomialFactor,
     DomainError,
@@ -29,10 +35,6 @@ from qtcatalan import (
     h2,
     h3,
     h_tableaux,
-    omega_at,
-    positivity_premise_check,
-    reduced_tableau_weight,
-    tableau_weight,
 )
 from qtcatalan import rational, tableaux
 from qtcatalan.rational import Packed, PackedBox, divide_sum_of_products

@@ -7,22 +7,24 @@ from math import prod
 
 import pytest
 
+from oracles import (
+    TeslerMatrix,
+    enumerate_tesler,
+    subpartitions,
+    two_diagonal_subdiagrams,
+)
 from qtcatalan import (
     DomainError,
     LaurentPoly,
     ONE,
     Q,
     T,
-    TeslerMatrix,
     bracket,
-    enumerate_tesler,
     f2,
     f_tableaux,
     f_tesler,
     lambda_partition,
     subdiagram_area_gf,
-    subpartitions,
-    two_diagonal_subdiagrams,
 )
 from qtcatalan import rational, tesler
 from qtcatalan.rational import PackedBox, relayout
