@@ -158,7 +158,7 @@ def _scan_worker(vec: tuple[int, ...]):
 
 
 def _scan(args) -> int:
-    check_sweep(args.n, args.max, "scan", range(2, 6))
+    check_sweep(args.n, args.max, "scan")
     monotone = not args.all
     vectors = list(_scan_vectors(args.n, args.max, monotone))
     results = parallel_map(_scan_worker, vectors, default_jobs())

@@ -251,15 +251,6 @@ class PackedBox:
     def slot(self, e: int, f: int) -> int:
         return (e - self.q_lo) * self.stride + f - self.t_lo
 
-    def encode(self, terms: dict[ExponentPair, int], width: int) -> int:
-        nbytes = width // 8
-        half = 1 << (width - 1)
-        raw = bytearray(_zero_digit(nbytes) * self.slots)
-        for (e, f), coeff in terms.items():
-            i = self.slot(e, f) * nbytes
-            raw[i : i + nbytes] = (coeff + half).to_bytes(nbytes, "little")
-        return int.from_bytes(raw, "little") - _bias_of(self.slots, nbytes, 0)
-
     def decode(self, value: int, width: int, degree: int | None = None) -> dict[ExponentPair, int]:
         """The terms whose digits value holds, read modulo 2^(slots * width).
         Given a degree, only the slots (i, j) from the box's corner with
@@ -418,12 +409,12 @@ class ProductTree:
         self.root = _split(rows, _presence(rows)) if rows else None
 
 
-def _evaluate(tree: ProductTree, exponents: list[ExponentPair], box: PackedBox, width: int) -> int:
-    """The tree's sum packed on box at width.  Each node's partial sum is a
-    pair (lo, y) worth X^lo * y, so it costs only its own span, and two are
-    aligned by one shift.  lo is never negative: it is the slot of the
+def _evaluate(tree: ProductTree, exponents: list[ExponentPair], box: PackedBox) -> int:
+    """The tree's sum packed on box at the tree's width.  Each node's partial
+    sum is a pair (lo, y) worth X^lo * y, so it costs only its own span, and
+    two are aligned by one shift.  lo is never negative: it is the slot of the
     lowest term of one row's partial product, which lies in that row's box."""
-    stride = box.stride
+    stride, width = box.stride, tree.width
 
     def node(factors: tuple, part) -> tuple[int, int]:
         if isinstance(part, int):
@@ -468,7 +459,7 @@ def _pack_sum(exponents: Iterable[ExponentPair], tree: ProductTree, box: PackedB
     if box.slots > SLOTS_PER_TERM * tree.own_slots:
         rows = zip(exponents, tree.factors, tree.signs)
         return sum((sign * sum_of_products([(ef, fs)]) for ef, fs, sign in rows), ZERO)
-    return Packed(box, tree.width, _evaluate(tree, exponents, box, tree.width))
+    return Packed(box, tree.width, _evaluate(tree, exponents, box))
 
 
 def sum_of_products(rows: Iterable[tuple[ExponentPair, Iterable[tuple[int, int]]]]) -> LaurentPoly:
@@ -519,9 +510,9 @@ def exact_divide(p: "LaurentPoly | Packed", factor: "BinomialFactor | tuple[int,
     A packed p is divided modulo 2^L, L = slots * width, where the factor
     is 1 - X^k with k = alpha * stride + beta.  For k > 0 that is odd at
     X = 2^width, and its inverse is the geometric series 1 + X^k + X^2k +
-    ..., summed by doubling; for k < 0, 1 / (1 - X^k) = -X^-k / (1 - X^-k).
-    The digits of the result are the quotient only if it lies in p's box
-    and fits the width, which the caller must prove (``_packed_quotient``).
+    ..., summed by doubling.  Only k > 0 is taken: the one caller,
+    ``_packed_quotient``, turns each factor that way, and proves that the
+    quotient lies in p's box and fits the width, as its digits need.
     """
     alpha, beta = v = tuple(factor)
     if alpha == 0 and beta == 0:
@@ -529,13 +520,10 @@ def exact_divide(p: "LaurentPoly | Packed", factor: "BinomialFactor | tuple[int,
     if isinstance(p, Packed):
         box, width, y = p.box, p.width, p.value
         k = alpha * box.stride + beta
-        if k == 0:
-            raise DomainError(f"(1 - q^{alpha} t^{beta}) is 0 on a box of stride {box.stride}")
+        if k <= 0:
+            raise DomainError(f"(1 - q^{alpha} t^{beta}) is 1 - X^{k} on a box of stride {box.stride}, not divided packed")
         bits = box.slots * width
         mask = (1 << bits) - 1
-        if k < 0:
-            k = -k
-            y = -(y << (k * width))
         s = k * width
         while s < bits:
             y = (y + (y << s)) & mask
@@ -665,18 +653,17 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
     terms = sub.decode(y, width)
     # Proof that Q D = N.  Q D has the box box(Q) + box(D), since the
     # extreme terms of a product do not cancel.  When that box is inside
-    # N's, the stride keeps every term of Q D - N in a slot of its own.  A
-    # coefficient of Q D is at most max|Q| * ||D||_1 <= max|Q| * 2^m in
-    # absolute value, and one of N is below 2^(w-1), so at the width
-    # W = max(fit_width(max|Q| * 2^m), w), whose balanced digit holds both,
-    # every digit of Q D - N is below 2^W.  Then
-    # (Q D - N)(2^W) = 0 only if Q D = N: else its lowest nonzero digit
+    # N's, the stride keeps every term of Q D - N in a slot of its own.  Its
+    # q-rows always are, since Q is read from sub, whose q-rows are N's less
+    # D's q-span; only its t-rows are tested.  A coefficient of Q D is at
+    # most max|Q| * ||D||_1 <= max|Q| * 2^m in absolute value, and one of N
+    # is below 2^(w-1), so at the width W = max(fit_width(max|Q| * 2^m), w),
+    # whose balanced digit holds both, every digit of Q D - N is below 2^W.
+    # Then (Q D - N)(2^W) = 0 only if Q D = N: else its lowest nonzero digit
     # would be a multiple of 2^W, but smaller.
     q_box = terms and PackedBox.around(terms)
     if not (
         q_box
-        and box.q_lo <= q_box.q_lo + d_q_lo
-        and q_box.q_hi + d_q_hi <= box.q_hi
         and box.t_lo <= q_box.t_lo + d_t_lo
         and q_box.t_hi + d_t_hi <= box.t_hi
     ):

@@ -45,17 +45,31 @@ def _coefficient(value) -> int:
     return integer_entries((value,))[0]
 
 
+def _is_object(value, *keys: str) -> bool:
+    return isinstance(value, dict) and value.keys() == set(keys)
+
+
 def parse_json(text: str) -> tuple[tuple[int, ...], LaurentPoly]:
-    """The params and polynomial of interchange text; an exponent pair
-    that appears twice, which the renderer never writes, is refused."""
-    obj = json.loads(text)
+    """The params and polynomial of interchange text.  What the renderer
+    never writes is refused: text that is not JSON, another shape than the
+    schema's, an exponent pair that appears twice or a zero coefficient."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise DomainError(f"not JSON text: {exc}") from None
+    if not (_is_object(obj, "params", "terms") and isinstance(obj["params"], list) and isinstance(obj["terms"], list)):
+        raise DomainError('expected an object {"params": [...], "terms": [...]}')
     params = integer_entries(obj["params"])
     terms = {}
     for t in obj["terms"]:
+        if not _is_object(t, "q", "t", "coeff"):
+            raise DomainError(f'expected a term {{"q": ..., "t": ..., "coeff": ...}}, got {t!r}')
         key = integer_entries((t["q"], t["t"]))
         if key in terms:
             raise DomainError(f"exponent pair {key} appears twice")
         terms[key] = _coefficient(t["coeff"])
+        if not terms[key]:
+            raise DomainError(f"exponent pair {key} has the coefficient 0")
     return params, LaurentPoly(terms)
 
 

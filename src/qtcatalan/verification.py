@@ -13,7 +13,6 @@ import os
 import pickle
 import time
 from itertools import product
-from typing import Collection
 
 from .chains import (
     _resolved,
@@ -250,12 +249,12 @@ _SUITE = {
 MAX_SWEEP_VECTORS = 100_000
 
 
-def check_sweep(n: int, maxval: int, command: str = "verify", lengths: Collection[int] = _SUITE) -> None:
-    """Refuse a sweep of command (verify, or scan) at a length n outside
-    lengths (verify's are those of ``_SUITE``), one that would read no
-    vector, or one that reads more than MAX_SWEEP_VECTORS vectors."""
-    if n not in lengths:
-        raise DomainError(f"{command} supports n in {min(lengths)}..{max(lengths)}, got {n}")
+def check_sweep(n: int, maxval: int, command: str = "verify") -> None:
+    """Refuse a sweep of command (verify, or scan) at a length n that
+    ``_SUITE`` has no checks for, one that would read no vector, or one
+    that reads more than MAX_SWEEP_VECTORS vectors."""
+    if n not in _SUITE:
+        raise DomainError(f"{command} supports n in {min(_SUITE)}..{max(_SUITE)}, got {n}")
     if maxval < 0:
         raise DomainError(f"{command} needs a nonnegative max entry, got {maxval}")
     if (maxval + 1) ** (n - 1) > MAX_SWEEP_VECTORS:

@@ -20,10 +20,13 @@ checked against (``tests/test_route_independence.py``).
 - The symmetric chains q^l t^k + ... + q^k t^l (``sym_chain``) that the
   chain decomposition's F is a sum of, and the premise under which H's
   nonnegativity carries over to F (``positivity_premise_check``).
+- A polynomial's terms packed on a box one digit at a time (``encode``),
+  the inverse of ``PackedBox.decode``, where the routes pack whole sums.
 
-The oracles share the routes' input checks and factor lists
+The oracles share the routes' input checks, factor lists and digit bias
 (``tesler._check_hook_vector``, ``tesler._key``, ``tableaux._weight_factors``,
-``tableaux._add_cross_factor``) rather than copy them.
+``tableaux._add_cross_factor``, ``rational._zero_digit``, ``rational._bias_of``)
+rather than copy them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Iterator, Sequence
 
 from qtcatalan.errors import DomainError, canonical_partition, integer_entries
 from qtcatalan.poly import ExponentPair, LaurentPoly, ONE, Q, T, bracket
-from qtcatalan.rational import FactoredRational, product_of_factors
+from qtcatalan.rational import FactoredRational, PackedBox, _bias_of, _zero_digit, product_of_factors
 from qtcatalan.record import Record
 from qtcatalan.tableaux import StandardTableau, _add_cross_factor, _weight_factors
 from qtcatalan.tesler import _check_hook_vector, _key, lambda_partition
@@ -258,3 +261,17 @@ def positivity_premise_check(h: LaurentPoly) -> bool:
     t-degree.  When this holds for H, the combined F is coefficientwise
     nonnegative."""
     return all(c >= 0 and qe >= te for (qe, te), c in h.terms().items())
+
+
+# -- packing by digits ---------------------------------------------------------
+
+def encode(box: PackedBox, terms: dict[ExponentPair, int], width: int) -> int:
+    """terms packed on box at width bits per slot, one balanced digit each,
+    written byte by byte: the inverse of ``PackedBox.decode``."""
+    nbytes = width // 8
+    half = 1 << (width - 1)
+    raw = bytearray(_zero_digit(nbytes) * box.slots)
+    for (e, f), coeff in terms.items():
+        i = box.slot(e, f) * nbytes
+        raw[i : i + nbytes] = (coeff + half).to_bytes(nbytes, "little")
+    return int.from_bytes(raw, "little") - _bias_of(box.slots, nbytes, 0)

@@ -105,13 +105,49 @@ def test_parse_json_refuses_a_non_integer(field):
     [
         '"params": [1], "terms": [{"q": 0, "t": 0, "coeff": "1"}, {"q": 0, "t": 0, "coeff": "2"}]',
         '"params": [1], "terms": [{"q": 0, "t": 0, "coeff": "\u0661\u0662"}]',
+        '"params": [1], "terms": [{"q": 0, "t": 0, "coeff": "0"}]',
+        '"params": [1], "terms": [{"q": 0, "t": 0, "coeff": 0}]',
+        '"params": [1]',
+        '"terms": []',
+        '"params": 5, "terms": []',
+        '"params": [1], "terms": {}',
+        '"params": [1], "terms": [], "extra": 1',
+        '"params": [1], "terms": [{"q": 0, "t": 0}]',
+        '"params": [1], "terms": [{"q": 0, "t": 0, "coeff": "1", "extra": 1}]',
+        '"params": [1], "terms": [[0, 0, "1"]]',
     ],
-    ids=["repeated-exponent-pair", "non-ascii-digits"],
+    ids=[
+        "repeated-exponent-pair",
+        "non-ascii-digits",
+        "zero-coefficient-string",
+        "zero-coefficient",
+        "no-terms",
+        "no-params",
+        "params-not-a-list",
+        "terms-not-a-list",
+        "extra-field",
+        "term-without-coeff",
+        "term-with-extra-field",
+        "term-not-an-object",
+    ],
 )
 def test_parse_json_refuses_text_the_renderer_never_writes(field):
-    # the second term replaced the first, and Arabic-Indic digits read as 12
+    # the second term replaced the first, Arabic-Indic digits read as 12, a
+    # zero term was dropped, and a missing field or a wrong type raised
+    # KeyError or TypeError
     with pytest.raises(DomainError):
         parse_json("{" + field + "}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[]", "5", '"params"', "null", "", "{", "not json", '{"params": [1], "terms": []'],
+    ids=["list", "number", "string", "null", "empty", "open-brace", "not-json", "unclosed-object"],
+)
+def test_parse_json_refuses_text_that_is_not_an_object(text):
+    # [] raised TypeError, and text that is not JSON JSONDecodeError
+    with pytest.raises(DomainError):
+        parse_json(text)
 
 
 def test_parse_json_reads_an_integer_coefficient_or_its_string():

@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import encode
 from qtcatalan import (
     BinomialFactor,
     DomainError,
@@ -273,7 +274,7 @@ def _divide_packed(n, factors_list):
     # over the denominator sorted as FactoredRational sorts it
     box = PackedBox.around(n.terms())
     width = rational.fit_width(max(abs(c) for c in n.terms().values()))
-    packed = Packed(box, width, box.encode(n.terms(), width))
+    packed = Packed(box, width, encode(box, n.terms(), width))
     return rational._exact_quotient(packed, tuple(sorted(factors_list)))
 
 
@@ -284,7 +285,7 @@ def test_packed_box_round_trip(p):
         return
     box = PackedBox.around(p.terms())
     width = 8 * (max(abs(c) for c in p.terms().values()).bit_length() // 8 + 1)
-    value = box.encode(p.terms(), width)
+    value = encode(box, p.terms(), width)
     assert box.decode(value, width) == p.terms()
     assert box.decode(rational.relayout(value, box.slots, box.stride, width, box.stride, 2 * width), 2 * width) == p.terms()
 
@@ -297,7 +298,7 @@ def test_digits_at_every_width_round_trip():
         top = (1 << (width - 1)) - 1
         for coeffs in ([top, -top, 1, 0, -1], [-top, 0, 5], [7], []):
             terms = {(e, f): c for (e, f), c in zip([(-1, 2), (0, 3), (1, 4), (1, 2), (0, 2)], coeffs) if c}
-            value = box.encode(terms, width)
+            value = encode(box, terms, width)
             assert box.decode(value, width) == terms
             norm = max(map(abs, terms.values()), default=0)
             assert rational.narrowest(value, box.slots, width) == (value, width, norm) or rational.fit_width(norm) < width
@@ -335,7 +336,7 @@ def test_mask_test_agrees_with_a_digit_scan():
                     for i, c in enumerate(coeffs)
                     if c
                 }
-                value = box.encode(terms, width)
+                value = encode(box, terms, width)
                 expected = _largest_digit(box, value, width)
                 narrow, narrow_width, got = rational.narrowest(value, box.slots, width)
                 assert got == expected
@@ -349,7 +350,7 @@ def test_mask_test_agrees_with_a_digit_scan():
 
 def test_widen_refuses_a_narrower_width():
     box = PackedBox(0, 1, 0, 1)
-    value = box.encode({(0, 0): 3, (1, 1): -2}, 16)
+    value = encode(box, {(0, 0): 3, (1, 1): -2}, 16)
     with pytest.raises(DomainError, match="16 bits as rows of 2 digits of 8 bits"):
         rational.relayout(value, box.slots, box.stride, 16, box.stride, 8)
 
@@ -365,7 +366,7 @@ def test_relayout_keeps_every_row_at_every_wider_stride_and_width():
         top = (1 << (width - 1)) - 1
         terms = {(e, f): rng.choice([top, -top, top - 1, 1, -1]) for e in range(-1, 2) for f in range(2, 7)}
         terms[(1, 6)] = -top  # the top digit negative
-        value = box.encode(terms, width)
+        value = encode(box, terms, width)
         for new_stride in (5, 6, 8, 13, 64):
             wide = PackedBox(-1, 1, 2, 1 + new_stride)
             for new_width in range(width, 136, 8):
@@ -375,11 +376,11 @@ def test_relayout_keeps_every_row_at_every_wider_stride_and_width():
 
 def test_relayout_refuses_a_narrower_stride():
     box = PackedBox(0, 1, 0, 3)
-    value = box.encode({(0, 0): 3, (1, 3): -2}, 8)
+    value = encode(box, {(0, 0): 3, (1, 3): -2}, 8)
     with pytest.raises(DomainError, match="rows of 4 digits of 8 bits as rows of 2 digits of 8 bits"):
         rational.relayout(value, box.slots, box.stride, 8, 2, 8)
     with pytest.raises(DomainError, match="rows of 4 digits of 16 bits as rows of 8 digits of 8 bits"):
-        rational.relayout(box.encode({(0, 0): 3}, 16), box.slots, box.stride, 16, 8, 8)
+        rational.relayout(encode(box, {(0, 0): 3}, 16), box.slots, box.stride, 16, 8, 8)
 
 
 def test_decode_reads_the_triangle_of_a_degree():
@@ -387,7 +388,7 @@ def test_decode_reads_the_triangle_of_a_degree():
     # the box's corner, and only those
     box = PackedBox(-1, 2, 3, 6)
     terms = {(e, f): 2 * e + f for e in range(-1, 3) for f in range(3, 7)}
-    value = box.encode(terms, 16)
+    value = encode(box, terms, 16)
     for degree in range(-1, 9):
         inside = {(e, f): c for (e, f), c in terms.items() if e + 1 + f - 3 <= degree}
         assert box.decode(value, 16, degree) == inside
@@ -483,16 +484,19 @@ def test_a_quotient_past_the_kernel_width_is_divided_term_by_term():
 
 def test_exact_divide_of_a_packed_polynomial():
     # modulo 2^(slots * width) the packed quotient's digits are those of
-    # the exact quotient, in both directions of a factor
+    # the exact quotient, for factors 1 - X^k with k = alpha * stride + beta
+    # > 0; _packed_quotient turns every factor that way, so k <= 0 is refused
     quotient = (Q + 2 * T - 1) * (ONE + Q * T)
-    factors_list = [BinomialFactor(1, 0), BinomialFactor(-1, 2), BinomialFactor(0, 1)]
+    factors_list = [BinomialFactor(1, 0), BinomialFactor(1, -2), BinomialFactor(0, 1)]
     n = quotient * _product(factors_list)
     box = PackedBox.around(n.terms())
-    packed = Packed(box, 16, box.encode(n.terms(), 16))
+    assert box.stride > 2
+    packed = Packed(box, 16, encode(box, n.terms(), 16))
     assert len(packed) == box.slots
     assert reduce(exact_divide, factors_list, packed).unpack() == quotient
-    with pytest.raises(DomainError):
-        exact_divide(packed, BinomialFactor(1, -box.stride))
+    for factor in (BinomialFactor(1, -box.stride), BinomialFactor(-1, 2)):
+        with pytest.raises(DomainError):
+            exact_divide(packed, factor)
 
 
 def test_non_divisible_numerator_is_refused():

@@ -485,9 +485,9 @@ def _per_row_total(exponents, factor_lists, signs, box, width):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_plan_tree_packs_the_per_row_integer(n):
-    # both sides are one polynomial in X evaluated at X = 2^width, so they
-    # agree at any width; 8 bits keep the per-row side cheap.  The rows are
-    # the ones the tree stores, each with its sign.
+    # both sides are one polynomial in X evaluated at X = 2^width, compared
+    # at the tree's width.  The rows are the ones the tree stores, each with
+    # its sign.
     columns, tree, _ = tableaux._plan(n)
     assert set(tree.signs) <= {1, -1} and len(tree.signs) == len(columns)
     for vec in [(1,) * (n - 1), (2, -1, 0, 1, 1, -1, 0)[: n - 1]]:
@@ -498,8 +498,8 @@ def test_plan_tree_packs_the_per_row_integer(n):
         ]
         q_los, q_his, t_los, t_his = zip(*corners)
         box = PackedBox(min(q_los), max(q_his), min(t_los), max(t_his))
-        got = rational._evaluate(tree, exponents, box, 8)
-        assert got == _per_row_total(exponents, tree.factors, tree.signs, box, 8)
+        got = rational._evaluate(tree, exponents, box)
+        assert got == _per_row_total(exponents, tree.factors, tree.signs, box, tree.width)
 
 
 @pytest.mark.parametrize(
@@ -551,17 +551,17 @@ def test_kernel_and_proof_widths_are_the_byte_rounded_bits(monkeypatch):
     proof_widths, seen = [], Counter()
     size_of = {id(tableaux._plan(n)[1]): n for n in range(2, 8)}
 
-    def logged_evaluate(tree, exponents, box, width):
-        n, rows = size_of[id(tree)], len(exponents)
+    def logged_evaluate(tree, exponents, box):
+        n, rows, width = size_of[id(tree)], len(exponents), tree.width
         max_m = max(len(factors) for factors in tree.factors)
-        assert width == tree.width == _whole_bytes(tableaux.ROW_NORM_BOUNDS[n].bit_length() + 1)
+        assert width == _whole_bytes(tableaux.ROW_NORM_BOUNDS[n].bit_length() + 1)
         assert width <= _whole_bytes(max_m + rows.bit_length() + 1)
         if n == 6:
             # B_6 = 1455 takes 11 bits; 38 rows of up to 15 factors would take 22
             assert width == 16
             seen["n = 6"] += 1
         seen["kernel"] += 1
-        return evaluate(tree, exponents, box, width)
+        return evaluate(tree, exponents, box)
 
     def logged_times_factors(x, factors, stride, width):
         proof_widths.append(width)
@@ -663,7 +663,7 @@ def test_plan_denominator_sizes_are_pinned(n):
     vec = (1,) * (n - 1)
     with mock.patch.object(rational, "_evaluate", wraps=rational._evaluate) as evaluate:
         rational._pack_sum(tableaux._row_exponents(vec, columns), tree)
-    assert evaluate.call_args.args[3] == KERNEL_WIDTH[n]
+    assert evaluate.call_args.args[0].width == KERNEL_WIDTH[n]
 
 
 @pytest.mark.parametrize("n", range(2, 8))
