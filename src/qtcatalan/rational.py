@@ -28,14 +28,14 @@ can make; else it sums each row on its own box, as terms.
 The kernel width holds a bound on the sum's coefficients: one the caller
 proves, as a tableau plan does, or else the bound every sum of products of
 binomials obeys (``sum_of_products``).
-``divide_sum_of_products`` divides a packed sum by the denominator's
-inverse modulo a power of 2, one factor at a time (``exact_divide`` of a
-packed polynomial), on the window of the box where the quotient lies, at
-the numerator's width, and proves the quotient by multiplying it back
-through the same loop.  A numerator given as terms (such a sum, or a
-``FactoredRational``'s), or one whose quotient that width does not prove,
-is divided by ``exact_divide`` term by term along lattice lines, which also
-tells a numerator that does not divide.
+``divide_sum_of_products`` divides a packed sum by the inverse modulo a
+power of 2 of a denominator whose factors point forward (``forward``), one
+factor at a time (``exact_divide`` of a packed polynomial), on the box's
+first slots, where the quotient lies, at the numerator's width, and proves
+the quotient by multiplying it back through the same loop.  A numerator
+given as terms (such a sum, or a ``FactoredRational``'s), or one whose
+quotient that width does not prove, is divided by ``exact_divide`` term by
+term along lattice lines, which also tells a numerator that does not divide.
 """
 
 from __future__ import annotations
@@ -67,6 +67,12 @@ class BinomialFactor(Record):
 
     def to_poly(self) -> LaurentPoly:
         return LaurentPoly({(0, 0): 1, (self.alpha, self.beta): -1})
+
+
+def forward(alpha: int, beta: int) -> bool:
+    """Whether (1 - q^alpha t^beta) points forward: its first nonzero
+    exponent is positive.  Of it and its associate, exactly one does."""
+    return (alpha, beta) > (0, 0)
 
 
 def _zero_digit(nbytes: int) -> bytes:
@@ -499,8 +505,8 @@ def product_of_factors(factors: Iterable[BinomialFactor]) -> LaurentPoly:
 def exact_divide(p: "LaurentPoly | Packed", factor: "BinomialFactor | tuple[int, int]") -> "LaurentPoly | Packed":
     """Divide p exactly by (1 - q^alpha t^beta).
 
-    With 1 - X^v = -X^v (1 - X^-v), the division is taken along the
-    direction u = v or -v with a positive first nonzero entry.  Terms of p
+    With 1 - X^v = -X^v (1 - X^-v), the division is taken along the one
+    u of v and -v that points forward (``forward``).  Terms of p
     are grouped along lattice lines e, e+u, e+2u, ...; on each line the
     quotient coefficients are the running partial sums, and the division is
     exact iff every line sums to zero.  The quotient is unique, so any
@@ -511,8 +517,8 @@ def exact_divide(p: "LaurentPoly | Packed", factor: "BinomialFactor | tuple[int,
     is 1 - X^k with k = alpha * stride + beta.  For k > 0 that is odd at
     X = 2^width, and its inverse is the geometric series 1 + X^k + X^2k +
     ..., summed by doubling.  Only k > 0 is taken: the one caller,
-    ``_packed_quotient``, turns each factor that way, and proves that the
-    quotient lies in p's box and fits the width, as its digits need.
+    ``_packed_quotient``, passes forward factors that fit p's box, and proves
+    that the quotient lies in p's box and fits the width, as its digits need.
     """
     alpha, beta = v = tuple(factor)
     if alpha == 0 and beta == 0:
@@ -532,7 +538,7 @@ def exact_divide(p: "LaurentPoly | Packed", factor: "BinomialFactor | tuple[int,
     if p.is_zero():
         return LaurentPoly.zero()
     sign, first = 1, 0
-    if alpha < 0 or (alpha == 0 and beta < 0):
+    if not forward(alpha, beta):
         # divide by (1 - X^-v), then multiply by -X^-v
         alpha, beta, sign, first = -alpha, -beta, -1, 1
     step = alpha or beta
@@ -583,18 +589,21 @@ def divide_sum_of_products(
     """The sum of tree at the rows' exponents (see ``sum_of_products``)
     over prod (1 - q^alpha t^beta) over the denominator, taken on the packed
     sum without unpacking it; NotPolynomialError if that is not a Laurent
-    polynomial.  As Newt(N) = Newt(D) + Newt(Q), the quotient lies in N's
-    box less D's degree span in each variable; a box of more than
-    ``MAX_QUOTIENT_SLOTS`` slots is refused before any polynomial work."""
+    polynomial, and DomainError if a factor does not point forward.  As
+    Newt(N) = Newt(D) + Newt(Q), the quotient lies in N's box less D's
+    degree span in each variable; a box of more than ``MAX_QUOTIENT_SLOTS``
+    slots is refused before any polynomial work."""
     exponents = list(exponents)
-    if not exponents:
-        return ZERO
     # sorted as FactoredRational sorts it: the order the chain divides in
     factors = tuple(sorted(denominator))
+    if not all(forward(alpha, beta) for alpha, beta in factors):
+        raise DomainError(f"every factor of the denominator must point forward, got {factors}")
+    if not exponents:
+        return ZERO
     box = _box_of(exponents, tree)
     # the quotient's box lies in N's, so D's span matters only past the limit
-    d_q_lo, d_q_hi, d_t_lo, d_t_hi = _span(factors) if box.slots > MAX_QUOTIENT_SLOTS else (0, 0, 0, 0)
-    slots = max(box.q_hi - box.q_lo - d_q_hi + d_q_lo + 1, 0) * max(box.t_hi - box.t_lo - d_t_hi + d_t_lo + 1, 0)
+    _, d_q_hi, d_t_lo, d_t_hi = _span(factors) if box.slots > MAX_QUOTIENT_SLOTS else (0, 0, 0, 0)
+    slots = max(box.q_hi - box.q_lo - d_q_hi + 1, 0) * max(box.t_hi - box.t_lo - d_t_hi + d_t_lo + 1, 0)
     if slots > MAX_QUOTIENT_SLOTS:
         raise DomainError(f"the quotient needs a box of {slots} slots, more than the {MAX_QUOTIENT_SLOTS} allowed")
     return _exact_quotient(_pack_sum(exponents, tree, box), factors)
@@ -618,49 +627,38 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
     """The quotient Q = N / D for the packed N, or None if the packed
     division does not prove it at N's width.
 
-    With (1 - X^k) = -X^k (1 - X^-k) for k < 0, N = D Q reads
-    X^shift N = sign * d Q with d = prod (1 - X^|k|) and shift the sum of
-    |k| over k < 0.  Since Newt(N) = Newt(D) + Newt(Q), Q lies in the q-rows
-    [q_lo - d_q_lo, q_hi - d_q_hi] of N's box, where D spans the q-degrees
-    [d_q_lo, d_q_hi] (0 is in Newt(D)): the window ``sub``, with all t and
-    the same stride, whose first slot is lo in N's box.  So X^shift N is
-    X^lo times sign * d Q_w, Q_w = Q / X^lo on sub; when D divides N, its
-    lowest lo slots are empty and are dropped exactly.  d is odd at
-    X = 2^w, so Q_w = sign * X^(shift - lo) N / d modulo 2^L, L = sub.slots
-    * w: the window is divided there by one factor after another
-    (``exact_divide`` of a packed polynomial).  Its digits are Q's if every
-    coefficient of Q fits in w bits; Q is returned only once D Q is shown
-    to equal N on N's box.  Otherwise the caller divides term by term,
-    which also tells an N that D does not divide.
+    Every factor of D points forward (``forward``), so D spans the
+    q-degrees [0, d_q_hi], and on a box that D fits each factor is 1 - X^k
+    with k > 0.  Since Newt(N) = Newt(D) + Newt(Q), Q lies in the q-rows
+    [q_lo, q_hi - d_q_hi] of N's box: the window ``sub``, with all t and the
+    same stride, which is the first sub.slots slots of N's box.  d = D(X) is
+    odd at X = 2^w, so Q = N / d modulo 2^L, L = sub.slots * w: the first L
+    bits of N are divided there by one factor after another (``exact_divide``
+    of a packed polynomial).  Its digits are Q's if every coefficient of Q
+    fits in w bits; Q is returned only once D Q is shown to equal N on N's
+    box.  Otherwise the caller divides term by term, which also tells an N
+    that D does not divide.
     """
     box, width, value = numerator.box, numerator.width, numerator.value
-    d_q_lo, d_q_hi, d_t_lo, d_t_hi = _span(factors)  # the box of D
-    if d_q_hi - d_q_lo > box.q_hi - box.q_lo or d_t_hi - d_t_lo > box.t_hi - box.t_lo:
-        return None  # D Q would have a wider box than N; this keeps every k nonzero
-    sub = PackedBox(box.q_lo - d_q_lo, box.q_hi - d_q_hi, box.t_lo, box.t_hi)
-    lo = -d_q_lo * box.stride
-    shift, sign, positive = 0, 1, []
-    for alpha, beta in factors:
-        k = alpha * box.stride + beta
-        if k < 0:
-            shift, sign, alpha, beta = shift - k, -sign, -alpha, -beta
-        positive.append((alpha, beta))
-    y = (sign * (value << (shift * width))) >> (lo * width)
-    quotient = Packed(sub, width, y & ((1 << (sub.slots * width)) - 1))
-    for f in positive:
+    _, d_q_hi, d_t_lo, d_t_hi = _span(factors)  # the box of D
+    if d_q_hi > box.q_hi - box.q_lo or d_t_hi - d_t_lo > box.t_hi - box.t_lo:
+        return None  # D Q would have a wider box than N; this keeps every k positive
+    sub = PackedBox(box.q_lo, box.q_hi - d_q_hi, box.t_lo, box.t_hi)
+    quotient = Packed(sub, width, value & ((1 << (sub.slots * width)) - 1))
+    for f in factors:
         quotient = exact_divide(quotient, f)
     y = quotient.value
     terms = sub.decode(y, width)
     # Proof that Q D = N.  Q D has the box box(Q) + box(D), since the
     # extreme terms of a product do not cancel.  When that box is inside
     # N's, the stride keeps every term of Q D - N in a slot of its own.  Its
-    # q-rows always are, since Q is read from sub, whose q-rows are N's less
-    # D's q-span; only its t-rows are tested.  A coefficient of Q D is at
-    # most max|Q| * ||D||_1 <= max|Q| * 2^m in absolute value, and one of N
-    # is below 2^(w-1), so at the width W = max(fit_width(max|Q| * 2^m), w),
-    # whose balanced digit holds both, every digit of Q D - N is below 2^W.
-    # Then (Q D - N)(2^W) = 0 only if Q D = N: else its lowest nonzero digit
-    # would be a multiple of 2^W, but smaller.
+    # q-rows always are: Q lies in sub, N's q-rows but the top d_q_hi, and D
+    # in the q-degrees 0..d_q_hi; only its t-rows are tested.  A coefficient
+    # of Q D is at most max|Q| * ||D||_1 <= max|Q| * 2^m in absolute value,
+    # and one of N is below 2^(w-1), so at the width W = max(fit_width(max|Q|
+    # * 2^m), w), whose balanced digit holds both, every digit of Q D - N is
+    # below 2^W.  Then (Q D - N)(2^W) = 0 only if Q D = N: else its lowest
+    # nonzero digit would be a multiple of 2^W, but smaller.
     q_box = terms and PackedBox.around(terms)
     if not (
         q_box
@@ -669,10 +667,8 @@ def _packed_quotient(numerator: Packed, factors: tuple) -> LaurentPoly | None:
     ):
         return None
     check = max(fit_width(max(map(abs, terms.values())) << len(factors)), width)
-    # D Q_w = X^offset x, and N = X^lo D Q_w
-    x, offset = _times_factors(relayout(y, sub.slots, sub.stride, width, sub.stride, check), factors, box.stride, check)
-    align = (lo + offset) * check
-    if x << max(align, 0) != relayout(value, box.slots, box.stride, width, box.stride, check) << max(-align, 0):
+    x, _ = _times_factors(relayout(y, sub.slots, sub.stride, width, sub.stride, check), factors, box.stride, check)
+    if x != relayout(value, box.slots, box.stride, width, box.stride, check):
         return None
     return LaurentPoly._from_dict(terms)
 

@@ -39,9 +39,13 @@ def render_json(p: LaurentPoly, params: Sequence[int]) -> str:
 
 def _coefficient(value) -> int:
     """A term's coefficient: an integer, or the ASCII decimal string of one;
-    1.5, "2.9" or "\u0661\u0662" (Arabic-Indic 12) is refused."""
+    1.5, "2.9", "\u0661\u0662" (Arabic-Indic 12) or a string of more digits
+    than ``int`` reads (``sys.get_int_max_str_digits``) is refused."""
     if isinstance(value, str) and value.removeprefix("-").isdecimal() and value.isascii():
-        return int(value)
+        try:
+            return int(value)
+        except ValueError as exc:
+            raise DomainError(f"coefficient of {len(value)} characters: {exc}") from None
     return integer_entries((value,))[0]
 
 

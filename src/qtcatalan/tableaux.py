@@ -28,7 +28,7 @@ one exact division (``combine_h_to_f``).
 
 H puts every weight over one common denominator D per size n, reduced up
 to units: (1 - x^v) and its associate (1 - x^-v) = -x^-v (1 - x^v) count as
-one factor, so D holds one representative per class (``_representative``),
+one factor, so D holds the forward one of each class (``_representative``),
 at its largest multiplicity over the head-like tableaux, 19 factors at
 n = 6 (36 with the two counted apart).  A tableau's own factors that are not
 representatives give its row a sign and a unit monomial q^i t^j.  A plan,
@@ -62,6 +62,7 @@ from .rational import (
     ProductTree,
     divide_sum_of_products,
     exact_divide,
+    forward,
 )
 from .record import Record
 
@@ -162,17 +163,14 @@ def _weight_factors(z: Sequence[ExponentPair], reduced: bool) -> tuple[Counter, 
 def _representative(alpha: int, beta: int) -> ExponentPair:
     """The factor a plan's denominator holds for (1 - q^alpha t^beta): of it
     and its associate (1 - q^-alpha t^-beta) = -q^-alpha t^-beta (1 - q^alpha
-    t^beta), the one of positive total degree, or of positive q-degree when
-    the total is 0."""
-    if alpha + beta < 0 or (alpha + beta == 0 and alpha < 0):
-        return -alpha, -beta
-    return alpha, beta
+    t^beta), the one that points forward (``rational.forward``)."""
+    return (alpha, beta) if forward(alpha, beta) else (-alpha, -beta)
 
 
 def _represented(den: Counter) -> tuple[int, ExponentPair, Counter]:
     """(sign, (i, j), den'): 1 / prod over den equals sign q^i t^j / prod
     over den', den' the representatives of den's factors.  A factor v that
-    is not one gives 1 / (1 - x^v) = -x^-v / (1 - x^-v)."""
+    points backward gives 1 / (1 - x^v) = -x^-v / (1 - x^-v)."""
     sign, i, j = 1, 0, 0
     out: Counter = Counter()
     for (alpha, beta), m in den.items():

@@ -115,6 +115,7 @@ def test_parse_json_refuses_a_non_integer(field):
         '"params": [1], "terms": [{"q": 0, "t": 0}]',
         '"params": [1], "terms": [{"q": 0, "t": 0, "coeff": "1", "extra": 1}]',
         '"params": [1], "terms": [[0, 0, "1"]]',
+        '"params": [], "terms": [{"q": 0, "t": 0, "coeff": "' + "1" * 5000 + '"}]',
     ],
     ids=[
         "repeated-exponent-pair",
@@ -129,12 +130,14 @@ def test_parse_json_refuses_a_non_integer(field):
         "term-without-coeff",
         "term-with-extra-field",
         "term-not-an-object",
+        "coefficient-past-the-digit-limit",
     ],
 )
 def test_parse_json_refuses_text_the_renderer_never_writes(field):
     # the second term replaced the first, Arabic-Indic digits read as 12, a
-    # zero term was dropped, and a missing field or a wrong type raised
-    # KeyError or TypeError
+    # zero term was dropped, a missing field or a wrong type raised
+    # KeyError or TypeError, and a coefficient string of 5,000 digits
+    # raised ValueError
     with pytest.raises(DomainError):
         parse_json("{" + field + "}")
 

@@ -415,20 +415,30 @@ mixed_factors = st.lists(
 )
 
 
+def _forward(factors_list):
+    # each factor, or its associate where the factor points backward, as a
+    # tableau plan's denominator holds it
+    return [f if rational.forward(*f) else BinomialFactor(-f.alpha, -f.beta) for f in factors_list]
+
+
 @given(polys, mixed_factors)
 @example(Q + T, [BinomialFactor(0, 9), BinomialFactor(1, -9), BinomialFactor(-2, 1)])
 @settings(max_examples=150, deadline=None)
 def test_packed_division_recovers_the_quotient(p, factors_list):
-    n = p * _product(factors_list)
-    if n:
+    # the packed division takes the forward associates, here (2, -1) for
+    # (-2, 1); the division of terms takes both directions
+    ahead = _forward(factors_list)
+    m = p * _product(ahead)
+    if m:
         with mock.patch.object(rational, "exact_divide", wraps=exact_divide) as divide:
-            assert _divide_packed(n, factors_list) == p
+            assert _divide_packed(m, ahead) == p
         # proved by the packed division alone: no factor divided term by term
         assert not any(isinstance(c.args[0], LaurentPoly) for c in divide.call_args_list)
+    with pytest.raises(NotPolynomialError):
+        _divide_packed(m + 1, ahead)
+    n = p * _product(factors_list)
     assert FactoredRational(n, factors_list).to_poly() == p
     assert _chain(n, factors_list) == p
-    with pytest.raises(NotPolynomialError):
-        _divide_packed(n + 1, factors_list)
     with pytest.raises(NotPolynomialError):
         FactoredRational(n + 1, factors_list).to_poly()
 
@@ -436,18 +446,21 @@ def test_packed_division_recovers_the_quotient(p, factors_list):
 @given(rows_of_products, mixed_factors)
 @settings(max_examples=60, deadline=None)
 def test_divided_packed_sum_matches_the_chain(rows, factors_list):
-    # every row carries the whole denominator, so the sum divides by it
-    over = [((e, f), list(fs) + [tuple(g) for g in factors_list]) for (e, f), fs in rows]
+    # every row carries the whole denominator, so the sum divides by it:
+    # packed over its forward associates, and by the chain as drawn
+    ahead = [tuple(g) for g in _forward(factors_list)]
+    over = [((e, f), list(fs) + ahead) for (e, f), fs in rows]
     quotient = sum_of_products(rows)
     exponents = [ef for ef, _ in over]
     tree = ProductTree(fs for _, fs in over)
     with mock.patch.object(rational, "exact_divide", wraps=exact_divide) as divide:
-        assert divide_sum_of_products(exponents, tree, factors_list) == quotient
+        assert divide_sum_of_products(exponents, tree, ahead) == quotient
     if isinstance(rational._pack_sum(exponents, tree), Packed):
         # the quotient's coefficients are below len(rows) * 2^m < 2^(w-1),
         # so the kernel's width proves it: no factor is divided term by term
         assert not any(isinstance(c.args[0], LaurentPoly) for c in divide.call_args_list)
-    assert _chain(sum_of_products(over), factors_list) == quotient
+    mixed = [((e, f), list(fs) + [tuple(g) for g in factors_list]) for (e, f), fs in rows]
+    assert _chain(sum_of_products(mixed), factors_list) == quotient
 
 
 def test_packed_division_runs_once_at_the_numerator_width():
@@ -485,7 +498,8 @@ def test_a_quotient_past_the_kernel_width_is_divided_term_by_term():
 def test_exact_divide_of_a_packed_polynomial():
     # modulo 2^(slots * width) the packed quotient's digits are those of
     # the exact quotient, for factors 1 - X^k with k = alpha * stride + beta
-    # > 0; _packed_quotient turns every factor that way, so k <= 0 is refused
+    # > 0; _packed_quotient passes forward factors that fit the box, each
+    # with k > 0, so k <= 0 is refused
     quotient = (Q + 2 * T - 1) * (ONE + Q * T)
     factors_list = [BinomialFactor(1, 0), BinomialFactor(1, -2), BinomialFactor(0, 1)]
     n = quotient * _product(factors_list)
@@ -510,17 +524,29 @@ def test_non_divisible_numerator_is_refused():
 
 
 def test_a_change_in_the_dropped_slots_is_refused():
-    # D spans the q-degrees -1..1, so Q lies one q-row above the bottom of
-    # N's box, and the packed division drops N's lowest slot, which D Q
-    # leaves empty; a numerator changed in that slot does not divide
-    factors_list = [BinomialFactor(-1, 1), BinomialFactor(1, 0), BinomialFactor(0, 1)]
+    # D points forward and spans the q-degrees 0..2, so Q lies in N's box
+    # less its top two q-rows, and the packed division drops those rows,
+    # which it reads only in the proof; a numerator changed at (q_hi, t_lo)
+    # does not divide, so the proof fails and the chain refuses it
+    factors_list = [BinomialFactor(1, -1), BinomialFactor(1, 0), BinomialFactor(0, 1)]
     n = (Q + T + 2) * (ONE + Q * T) * _product(factors_list)
     box = PackedBox.around(n.terms())
-    bad = n + LaurentPoly.monomial(box.q_lo, box.t_lo)
-    with mock.patch.object(rational, "exact_divide", wraps=exact_divide) as divide:
+    bad = n + LaurentPoly.monomial(box.q_hi, box.t_lo)
+    assert PackedBox.around(bad.terms()).slots == box.slots
+    packed_quotient, quotients = rational._packed_quotient, []
+
+    def logged_quotient(numerator, factors):
+        quotients.append(packed_quotient(numerator, factors))
+        return quotients[-1]
+
+    with (
+        mock.patch.object(rational, "exact_divide", wraps=exact_divide) as divide,
+        mock.patch.object(rational, "_packed_quotient", logged_quotient),
+    ):
         with pytest.raises(NotPolynomialError):
             _divide_packed(bad, factors_list)
     assert isinstance(divide.call_args_list[0].args[0], Packed)
+    assert quotients == [None]
 
 
 def test_sparse_far_apart_numerator_is_divided_by_its_terms(run_capped):

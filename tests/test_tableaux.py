@@ -413,6 +413,18 @@ def test_n7_tableau_plan_matches_tesler():
         assert f_tableaux(vec) == f_tesler((0,) + vec)
 
 
+def test_tableau_sums_of_lengths_5_to_7_match_tesler():
+    # the digests pin tableau sums to length 4: here every weakly decreasing
+    # 0/1 vector and (2, 0, ..., 0, 1) at lengths 5, 6 and 7, whose plans
+    # hold the most factors turned forward, against Tesler, and F = 0 at
+    # (1, ..., 1, -1)
+    for length in (5, 6, 7):
+        vectors = [(1,) * k + (0,) * (length - k) for k in range(length + 1)]
+        for vec in vectors + [(2,) + (0,) * (length - 2) + (1,)]:
+            assert f_tableaux(vec) == f_tesler((0,) + vec), vec
+        assert f_tableaux((1,) * (length - 1) + (-1,)) == LaurentPoly.zero()
+
+
 # -- stdlib differential oracle: the defining sum at rational points -----------
 
 def _oracle_weight(z, q, t, reduced):
@@ -664,6 +676,23 @@ def test_plan_denominator_sizes_are_pinned(n):
     with mock.patch.object(rational, "_evaluate", wraps=rational._evaluate) as evaluate:
         rational._pack_sum(tableaux._row_exponents(vec, columns), tree)
     assert evaluate.call_args.args[0].width == KERNEL_WIDTH[n]
+
+
+@pytest.mark.parametrize("n", range(2, tableaux.MAX_TABLEAU_SIZE + 1))
+def test_plan_denominator_points_forward(n):
+    # of each pair of associates, D holds the one whose first nonzero
+    # exponent is positive, which the packed division takes as 1 - X^k with
+    # k > 0 as given; a factor that points backward, such as (-1, 2), is
+    # refused before any polynomial work
+    columns, tree, common = tableaux._plan(n)
+    assert all(alpha > 0 or (alpha == 0 and beta > 0) for alpha, beta in common)
+    exponents = tableaux._row_exponents((1,) * (n - 1), columns)
+    with (
+        mock.patch.object(rational, "_pack_sum", wraps=rational._pack_sum) as pack,
+        pytest.raises(DomainError, match="point forward"),
+    ):
+        divide_sum_of_products(exponents, tree, common + ((-1, 2),))
+    assert not pack.called
 
 
 @pytest.mark.parametrize("n", range(2, 8))
