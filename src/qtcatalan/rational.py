@@ -12,19 +12,21 @@ multiplies such values and reduces them (``to_poly``).
 Polynomials on a box of exponents are packed into one integer by Kronecker
 substitution (``PackedBox``, which maps exponents to slots).  The digit
 operations read nothing of the box but its slots and stride: ``relayout``
-moves each row of digits to the start of a longer row and widens them in
-one pass, and ``narrowest`` finds their largest absolute value by tests on
-all of them at once (``_within``) and re-packs them at the narrowest width
-that holds it.  One loop, ``_times_factors``, multiplies a packed value by
-binomials, one shift and subtract each.  A sum of such products, each row a
-signed monomial +-q^e t^f times binomials, is a ``ProductTree`` of nested
-nodes, summed by one recursion over them (``_evaluate``): rows that share a
-factor add their partial sums first and multiply by it once, each partial
-sum on its own span, and a row's sign is its leaf's value.  A tableau plan
-builds its tree once; ``sum_of_products`` builds one per call, with every
-sign +1.  ``_pack_sum`` packs a sum on one box, at the tree's kernel width,
-unless that box has more than ``SLOTS_PER_TERM`` slots per term its rows
-can make; else it sums each row on its own box, as terms.
+moves each row of digits to the start of a longer row and re-packs them at
+any width that holds them, each biased by half the narrower width's range,
+and ``narrowest`` finds their largest absolute value by tests on all of
+them at once (``_within``) and has ``relayout`` re-pack them at the
+narrowest width that holds it.  One loop, ``_times_factors``, multiplies a
+packed value by binomials, one shift and subtract each.  A sum of such
+products, each row a signed monomial +-q^e t^f times binomials, is a
+``ProductTree`` of nested nodes, summed by one recursion over them
+(``_evaluate``): rows that share a factor add their partial sums first and
+multiply by it once, each partial sum on its own span, and a row's sign is
+its leaf's value.  A tableau plan builds its tree once; ``sum_of_products``
+builds one per call, with every sign +1.  ``_pack_sum`` packs a sum on one
+box, at the tree's kernel width, unless that box has more than
+``SLOTS_PER_TERM`` slots per term its rows can make; else it sums each row
+on its own box, as terms.
 The kernel width holds a bound on the sum's coefficients: one the caller
 proves, as a tableau plan does, or else the bound every sum of products of
 binomials obeys (``sum_of_products``).
@@ -83,8 +85,6 @@ def _zero_digit(nbytes: int) -> bytes:
 #: memoryview formats of the native unsigned integers of 1, 2, 4 and 8 bytes,
 #: which read little-endian digits only on a little-endian machine
 _UNSIGNED = {struct.calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
-#: a byte with its top bit flipped
-_FLIP_TOP_BIT = bytes(b ^ 0x80 for b in range(256))
 
 
 def _restride(raw: bytes, nbytes: int, new_nbytes: int) -> bytearray:
@@ -126,32 +126,34 @@ def fit_width(bound: int) -> int:
     return 8 * (bound.bit_length() // 8 + 1)
 
 
-def _digits(value: int, slots: int, nbytes: int) -> bytes:
+def _digits(value: int, slots: int, nbytes: int, pad: int = 0) -> bytes:
     # the biased digits of value modulo 2^(slots * width), lowest slot first
-    size = slots * nbytes
-    biased = (value + _bias_of(slots, nbytes, 0)) & ((1 << (8 * size)) - 1)
+    size = slots * (nbytes + pad)
+    biased = (value + _bias_of(slots, nbytes, pad)) & ((1 << (8 * size)) - 1)
     return biased.to_bytes(size, "little")
 
 
 def relayout(value: int, slots: int, stride: int, width: int, new_stride: int, new_width: int) -> int:
     """The slots digits of value in rows of stride, each row moved to the
-    start of a row of new_stride >= stride digits and each digit widened to
-    new_width >= width bits, in one pass over their bytes."""
-    if new_stride < stride or new_width < width:
+    start of a row of new_stride >= stride digits and re-packed at new_width
+    bits, which must hold every digit, in one pass: a digit biased by half
+    the narrower width's range has the same low bytes at both."""
+    if new_stride < stride:
         raise DomainError(f"cannot re-lay rows of {stride} digits of {width} bits as rows of {new_stride} digits of {new_width} bits")
     nbytes, new_nbytes = width // 8, new_width // 8
-    pad = new_nbytes - nbytes
-    raw = _digits(value, slots, nbytes)
-    if pad:
+    low = min(nbytes, new_nbytes)
+    pad = new_nbytes - low
+    raw = _digits(value, slots, low, nbytes - low)
+    if new_nbytes != nbytes:
         raw = _restride(raw, nbytes, new_nbytes)
     if new_stride != stride:
         rows, row, new_row = slots // stride, stride * new_nbytes, new_stride * new_nbytes
         slots = rows * new_stride
-        out = bytearray((_zero_digit(nbytes) + bytes(pad)) * slots)
+        out = bytearray((_zero_digit(low) + bytes(pad)) * slots)
         for r in range(rows):
             out[r * new_row : r * new_row + row] = raw[r * row : (r + 1) * row]
         raw = out
-    return int.from_bytes(raw, "little") - _bias_of(slots, nbytes, pad)
+    return int.from_bytes(raw, "little") - _bias_of(slots, low, pad)
 
 
 def _masks(slots: int, width: int) -> tuple[int, int]:
@@ -195,26 +197,20 @@ def _bisect(value: int, masks: tuple[int, int], lo: int, hi: int) -> int:
 def narrowest(value: int, slots: int, width: int) -> tuple[int, int, int]:
     """(value', w, m): m is the largest |digit| of the slots digits of value
     at width, and value' holds the same digits at w = min(width,
-    fit_width(m)) bits.  Every digit must be below 2^(width - 1) in
-    absolute value.
+    fit_width(m)) bits.  width must hold every digit.
 
     The digits are tested all at once (``_within``): at the bounds
-    2^(w - 1) - 1 for w = 8, 16, 24, ... below width, which gives w, then
-    at bounds bisecting m, on value' at w; in the top quarter of w's
-    digits, past what a test at w reaches, on value' widened to w + 8."""
+    2^(w - 1) - 1 for w = 8, 16, 24, ... below width, which gives w, a
+    width that holds them, then at bounds bisecting m, on value' re-packed
+    at w (``relayout``); in the top quarter of w's digits, past what a test
+    at w reaches, on value' re-packed at w + 8."""
     masks = _masks(slots, width)
     new_width, lo = 8, 0
     while new_width < width and not _within(value, masks, (1 << (new_width - 1)) - 1):
         lo = 1 << (new_width - 1)
         new_width += 8
     if new_width < width:
-        # each digit's low bytes hold d + 2^(w-1) modulo 2^(new w), that
-        # is d; flipping their top bit adds the new bias 2^(new w - 1)
-        nbytes, new_nbytes = width // 8, new_width // 8
-        out = _restride(_digits(value, slots, nbytes), nbytes, new_nbytes)
-        top = slice(new_nbytes - 1, None, new_nbytes)
-        out[top] = out[top].translate(_FLIP_TOP_BIT)
-        value = int.from_bytes(out, "little") - _bias_of(slots, new_nbytes, 0)
+        value = relayout(value, slots, slots, width, slots, new_width)
         masks = _masks(slots, new_width)
     quarter = 1 << (new_width - 2)
     if _within(value, masks, quarter - 1):
@@ -258,9 +254,9 @@ class PackedBox:
         return (e - self.q_lo) * self.stride + f - self.t_lo
 
     def decode(self, value: int, width: int, degree: int | None = None) -> dict[ExponentPair, int]:
-        """The terms whose digits value holds, read modulo 2^(slots * width).
-        Given a degree, only the slots (i, j) from the box's corner with
-        i + j <= degree are read: value must hold no other."""
+        """The terms of value's digits at width, which must hold them, modulo
+        2^(slots * width).  Given a degree, only the slots (i, j) from the box's
+        corner with i + j <= degree are read: value must hold no other."""
         nbytes = width // 8
         half = 1 << (width - 1)
         stride, q_lo, t_lo = self.stride, self.q_lo, self.t_lo

@@ -88,19 +88,19 @@ the bounds below, with proofs, guarantee:
   rule that also sizes the tableau kernel).  Once a node is summed, its
   exact largest |coefficient| is found without reading its digits one by
   one: a few big-integer operations test them all at once against a bound
-  (``rational.narrowest``), first for the smallest such w, at which the
-  node is kept, then bisecting the bound.  A level's bound is at least each
-  term's (every ||c(v)||_1 >= 1), so terms only widen.
+  (``rational.narrowest``), first for the smallest such w, to which the
+  node is narrowed and kept, then bisecting the bound.  A level's bound is
+  at least each term's (every ||c(v)||_1 >= 1), so terms only widen.
 
 The walk is one memo keyed on the normal form alone: one node per distinct
 F, at its own stride S(a), which reads neither a_1 nor a zero a_n.  A level
 at S(a) reads W(a') with each row moved to the start of a row of S(a) slots
-and widened in the same pass (``rational.relayout``), after the memoized
-call returns; the node keeps that copy for each (stride, width) a parent
-asks for.  F is decoded once per normal form, and repeats share that
-immutable ``LaurentPoly``.  A line-shaped F such as F(a) = [a + 1] fills
-only a + 1 of its box's slots, so its steps shift mostly empty slots; it
-is summed packed all the same.
+and widened in the same pass, after the memoized call returns, by the
+re-pack that also narrows a node (``rational.relayout``); the node keeps
+that copy for each (stride, width) a parent asks for.  F is decoded once
+per normal form, and repeats share that immutable ``LaurentPoly``.  A
+line-shaped F such as F(a) = [a + 1] fills only a + 1 of its box's slots,
+so its steps shift mostly empty slots; it is summed packed all the same.
 """
 
 from __future__ import annotations

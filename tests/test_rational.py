@@ -348,11 +348,23 @@ def test_mask_test_agrees_with_a_digit_scan():
             assert rational.narrowest(0, box.slots, width) == (0, 8, 0)
 
 
-def test_widen_refuses_a_narrower_width():
-    box = PackedBox(0, 1, 0, 1)
-    value = encode(box, {(0, 0): 3, (1, 1): -2}, 16)
-    with pytest.raises(DomainError, match="16 bits as rows of 2 digits of 8 bits"):
-        rational.relayout(value, box.slots, box.stride, 16, box.stride, 8)
+def test_relayout_narrows_digits_that_fit():
+    # three rows of five digits at each width 16..128, re-packed at each
+    # narrower width that holds them, at the same stride and at wider ones:
+    # the extreme digits of the narrow width, a negative top digit among
+    # them, read back the same
+    rng = random.Random(23)
+    box = PackedBox(-1, 1, 2, 6)
+    for width in range(16, 136, 8):
+        for new_width in range(8, width, 8):
+            top = (1 << (new_width - 1)) - 1
+            terms = {(e, f): rng.choice([top, -top, top - 1, 1, -1]) for e in range(-1, 2) for f in range(2, 7)}
+            terms[(1, 6)] = -top  # the top digit negative
+            value = encode(box, terms, width)
+            for new_stride in (5, 6, 8, 13):
+                wide = PackedBox(-1, 1, 2, 1 + new_stride)
+                out = rational.relayout(value, box.slots, box.stride, width, new_stride, new_width)
+                assert wide.decode(out, new_width) == terms, (width, new_width, new_stride)
 
 
 def test_relayout_keeps_every_row_at_every_wider_stride_and_width():
@@ -379,8 +391,8 @@ def test_relayout_refuses_a_narrower_stride():
     value = encode(box, {(0, 0): 3, (1, 3): -2}, 8)
     with pytest.raises(DomainError, match="rows of 4 digits of 8 bits as rows of 2 digits of 8 bits"):
         rational.relayout(value, box.slots, box.stride, 8, 2, 8)
-    with pytest.raises(DomainError, match="rows of 4 digits of 16 bits as rows of 8 digits of 8 bits"):
-        rational.relayout(encode(box, {(0, 0): 3}, 16), box.slots, box.stride, 16, 8, 8)
+    with pytest.raises(DomainError, match="rows of 4 digits of 16 bits as rows of 2 digits of 8 bits"):
+        rational.relayout(encode(box, {(0, 0): 3}, 16), box.slots, box.stride, 16, 2, 8)
 
 
 def test_decode_reads_the_triangle_of_a_degree():

@@ -452,6 +452,16 @@ def test_long_vectors_pack_at_the_width_of_their_coefficients():
         assert f_tesler(a) == bracket(len(a))
 
 
+def test_the_walk_keeps_a_node_at_sixteen_bits():
+    # F(0, 2, ..., 2) of length 8 is summed at 24 bits, the width of its
+    # bound, and kept at 16, the width of its largest coefficient 210: a
+    # node narrowed to more than 8 bits, checked against the tableau route
+    a = (0,) + (2,) * 7
+    _, width, norm, _, bound, _ = tesler._packed_walk(a)
+    assert (width, norm, bound, rational.fit_width(bound)) == (16, 210, 34839, 24)
+    assert f_tesler(a) == f_tableaux((2,) * 7)
+
+
 def test_the_walk_keeps_one_node_per_distinct_f():
     # every walk key is F's normal form, so F((0,)*195 + (1,)) = [196] keeps
     # one node per length 1..196 and none that only passes a zero through;
